@@ -92,14 +92,20 @@ grep -q '^lyra_' "$smoke_dir/smoke.prom" || {
 }
 rm -rf "$smoke_dir"
 
-# Perf smoke: the incremental snapshot cache and the legacy from-scratch
-# rebuild must stay observationally identical under the same seed, full
-# observation (event log + telemetry sampling) must fit the telemetry
-# overhead budget, and the decision-provenance tracker must cost at
-# most 5 % (+ slack) over plain observation (no hot-path timing at CI
-# scale; the full benchmark is `lyra-bench perf`). The overhead probes
-# append to the history array in BENCH_scheduler.json.
-./target/release/lyra-bench perf --smoke
+# Perf gates: full observation (event log + telemetry sampling) must fit
+# the telemetry overhead budget, the decision-provenance tracker must
+# cost at most 5 % (+ slack) over plain observation, and a reclaim-churn
+# probe fails if `core.reclaim` burns over 25 % of span self time. The
+# overhead probes append to the history array in BENCH_scheduler.json.
+# Simulator timing is `lyra-benchmark`'s job. `perf` takes no
+# arguments: a stray one must exit 2 rather than run.
+./target/release/lyra-bench perf
+status=0
+./target/release/lyra-bench perf --smoke >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "ci: perf --smoke exited $status, want 2" >&2
+  exit 1
+}
 
 # Golden-trace gate: the pinned scenarios must reproduce the committed
 # JSONL logs byte-for-byte (each case runs twice, so nondeterminism

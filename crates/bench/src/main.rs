@@ -41,7 +41,7 @@ fn usage_text() -> String {
          \x20      lyra-bench export-provenance [--log <file.jsonl>] [--out <file.json>]\n\
          \x20      lyra-bench timeline [--log <file.jsonl>] [--width <cols>]\n\
          \x20      lyra-bench prom [--out <file.prom>]\n\
-         \x20      lyra-bench perf [--smoke]\n\
+         \x20      lyra-bench perf\n\
          \x20      lyra-bench golden [--bless|--mutate]\n\
          \x20      lyra-bench ablate [--smoke] [--policy <name>] [--seed <s>] [--out <file>]\n\
          \x20      lyra-bench checkpoint --at <seconds> --out <file.ckpt> [--log <file.jsonl>]\n\
@@ -496,8 +496,11 @@ fn main() {
                 smoke(log_path.as_deref());
             }
             "perf" => {
-                let smoke = args.get(i + 1).map(String::as_str) == Some("--smoke");
-                std::process::exit(lyra_bench::perf::run(smoke));
+                if let Some(other) = args.get(i + 1) {
+                    eprintln!("perf: unknown argument {other:?}");
+                    usage();
+                }
+                std::process::exit(lyra_bench::perf::run());
             }
             "golden" => {
                 let (bless, mutate) = match args.get(i + 1).map(String::as_str) {

@@ -1,63 +1,27 @@
-//! `lyra-bench perf`: the scheduler hot-path benchmark.
+//! `lyra-bench perf`: the observation and reclaim cost gates.
 //!
-//! Times scheduler epochs (snapshot maintenance + two-phase allocation +
-//! placement) over a trace-scale Basic scenario via the span profiler,
-//! once with the engine's incremental paths (snapshot cache + the
-//! incremental preemption-cost reclaim engine) and once with the legacy
-//! from-scratch rebuilds, and reports the per-epoch speedup. Both
-//! configurations are first run *observed* under the same seed and must
-//! produce byte-identical event logs and identical reports — the
-//! benchmark refuses to time configurations that diverge.
-//!
-//! `--smoke` runs the divergence gate, the telemetry-overhead budget,
-//! the provenance-overhead budget (the decision-provenance tracker may
-//! cost at most 5 % over plain observation) and the reclaim-heavy
-//! probe (gating `core.reclaim`'s self-time share) at Small (CI)
-//! scale; the full run times at paper scale and writes
-//! `BENCH_scheduler.json` (including the overhead probes).
-//!
-//! Every run — smoke and full — *appends* its overhead probes to the
-//! `history` array inside `BENCH_scheduler.json` rather than
-//! overwriting, so regressions are visible as a trend across runs.
+//! Three gates run at Small (CI) scale: full observation must stay
+//! within a generous multiple of the bare run, the decision-provenance
+//! tracker may cost at most 5 % over plain observation, and a
+//! reclaim-heavy probe fails if `core.reclaim` burns too large a share
+//! of span self time. Every run *appends* its overhead probes to the
+//! `history` array inside `BENCH_scheduler.json`, so regressions show as
+//! a trend across runs; the file's other fields are the frozen
+//! scheduler-epoch baseline and are never rewritten. Wall-time timing of
+//! the simulator, end to end and layer by layer, is `lyra-benchmark`'s
+//! job.
 
 use crate::Scale;
-use lyra_obs::{PhaseStat, Profile};
+use lyra_obs::Profile;
 use lyra_sim::{run_scenario, run_scenario_observed, ObserverConfig, Scenario, SimReport};
 use lyra_trace::{InferenceTrace, JobTrace};
 use serde::{Serialize, Value};
-
-/// Span names surfaced in the per-phase comparison table.
-const PHASES: &[&str] = &[
-    "sim.scheduler_tick",
-    "sim.snapshot_refresh",
-    "core.allocation",
-    "core.mckp",
-    "core.placement",
-    "core.placement.gang",
-    "core.placement.flex",
-    "core.reclaim",
-    "cluster.reclaim",
-];
-
-/// Timing of one engine configuration (`BENCH_scheduler.json` schema).
-#[derive(Debug, Serialize)]
-pub struct ModeStats {
-    /// Scheduler epochs executed by the timed run.
-    pub epochs: u64,
-    /// Total wall time inside `sim.scheduler_tick`, seconds.
-    pub total_s: f64,
-    /// Mean wall time per scheduler epoch, milliseconds.
-    pub mean_ms: f64,
-    /// Full span profile of the timed run (`name`/`calls`/`total_s`/
-    /// `self_s` per phase, descending self time).
-    pub phases: Vec<PhaseStat>,
-}
 
 /// Wall time of the telemetry/observer overhead probe: the same
 /// scenario run bare and under full observation (event log, metrics,
 /// audit, telemetry sampling — everything `ObserverConfig::default()`
 /// turns on).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Serialize)]
 pub struct ObserverOverhead {
     /// Wall time of the unobserved run, seconds.
     pub unobserved_s: f64,
@@ -72,7 +36,7 @@ pub struct ObserverOverhead {
 /// observed with the decision-provenance tracker off and on. The
 /// tracker rides the existing emission path (one graph update per
 /// event), so its cost must stay marginal next to observation itself.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Serialize)]
 pub struct ProvenanceOverhead {
     /// Wall time of the observed run with provenance tracking off,
     /// seconds.
@@ -170,8 +134,6 @@ fn provenance_overhead(
 /// of a single `perf` invocation.
 #[derive(Debug, Serialize)]
 pub struct HistoryEntry {
-    /// `"smoke"` or `"full"`.
-    pub mode: String,
     /// Trace/cluster scale the probes ran at.
     pub scale: String,
     /// Bare vs observed wall time.
@@ -182,10 +144,8 @@ pub struct HistoryEntry {
 
 /// Appends `entry` to the `history` array of `BENCH_scheduler.json`,
 /// creating the file or the array as needed and leaving every other
-/// field of the report intact. With `report`, the top-level benchmark
-/// fields are replaced first (the full run refreshing its numbers)
-/// while `history` still accumulates.
-fn record_run(report: Option<&PerfReport>, entry: &HistoryEntry) -> Result<(), String> {
+/// field intact.
+fn record_run(entry: &HistoryEntry) -> Result<(), String> {
     let path = "BENCH_scheduler.json";
     let prior = std::fs::read_to_string(path)
         .ok()
@@ -195,10 +155,7 @@ fn record_run(report: Option<&PerfReport>, entry: &HistoryEntry) -> Result<(), S
         _ => Vec::new(),
     };
     history.push(entry.to_value());
-    let mut root = match report {
-        Some(r) => r.to_value(),
-        None => prior.unwrap_or(Value::Object(Vec::new())),
-    };
+    let mut root = prior.unwrap_or(Value::Object(Vec::new()));
     let Value::Object(pairs) = &mut root else {
         return Err(format!("{path}: top level is not an object"));
     };
@@ -207,54 +164,6 @@ fn record_run(report: Option<&PerfReport>, entry: &HistoryEntry) -> Result<(), S
     let json =
         serde_json::to_string_pretty(&root).map_err(|e| format!("serialise {path}: {e:?}"))?;
     std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
-}
-
-/// The benchmark result written to `BENCH_scheduler.json`.
-#[derive(Debug, Serialize)]
-pub struct PerfReport {
-    /// Trace/cluster scale the timing ran at.
-    pub scale: String,
-    /// Trace seed (same for both configurations).
-    pub seed: u64,
-    /// Jobs in the trace.
-    pub jobs: usize,
-    /// Timing with the incremental snapshot cache.
-    pub incremental: ModeStats,
-    /// Timing with the from-scratch rebuild every epoch.
-    pub from_scratch: ModeStats,
-    /// Mean from-scratch epoch time over mean incremental epoch time.
-    pub speedup: f64,
-    /// The observed same-seed runs produced equal `SimReport`s.
-    pub identical_reports: bool,
-    /// ... and byte-identical event logs.
-    pub identical_event_logs: bool,
-    /// Telemetry/observer overhead probe (bare vs observed wall time).
-    pub observer: ObserverOverhead,
-    /// Provenance overhead probe (observed wall time with the
-    /// decision-provenance tracker off vs on).
-    pub provenance: ProvenanceOverhead,
-}
-
-fn epoch_stat(profile: &Profile) -> (u64, f64) {
-    profile
-        .0
-        .iter()
-        .find(|p| p.name == "sim.scheduler_tick")
-        .map_or((0, 0.0), |p| (p.calls, p.total_s))
-}
-
-fn mode_stats(profile: Profile) -> ModeStats {
-    let (epochs, total_s) = epoch_stat(&profile);
-    ModeStats {
-        epochs,
-        total_s,
-        mean_ms: if epochs > 0 {
-            1000.0 * total_s / epochs as f64
-        } else {
-            0.0
-        },
-        phases: profile.0,
-    }
 }
 
 /// Runs the scenario with span profiling on (no observer: the event log
@@ -331,88 +240,18 @@ fn reclaim_probe() -> i32 {
     0
 }
 
-fn phase_row(stats: &[PhaseStat], name: &str) -> Option<(u64, f64)> {
-    stats
-        .iter()
-        .find(|p| p.name == name)
-        .map(|p| (p.calls, p.total_s))
-}
+/// Runs the three gates and appends their probes to the history in
+/// `BENCH_scheduler.json`; returns the process exit code.
+pub fn run() -> i32 {
+    let scale = Scale::Small;
+    let (jobs, inference) = scale.traces(5);
+    let mut scenario = Scenario::basic();
+    scenario.cluster = scale.cluster_config();
 
-/// Runs the benchmark; returns the process exit code. `smoke` restricts
-/// to the Small-scale divergence gate (used by ci.sh).
-pub fn run(smoke: bool) -> i32 {
-    // Full is the paper's configuration (15 days, 443 + 520 servers,
-    // ~50k jobs): the trace-scale regime where the legacy from-scratch
-    // rebuild pays an O(all jobs) scan every epoch.
-    let scale = if smoke { Scale::Small } else { Scale::Full };
-    let seed = 5;
-    let (jobs, inference) = if smoke {
-        scale.traces(seed)
-    } else {
-        // Saturate the cluster: with offered load above capacity the
-        // pending queue stays deep, which is the regime where snapshot
-        // maintenance dominates the scheduler epoch — precisely the hot
-        // path this benchmark guards.
-        let mut trace_config = scale.trace_config(seed);
-        trace_config.target_load = 1.4;
-        (
-            JobTrace::generate(trace_config),
-            InferenceTrace::generate(scale.inference_config(seed ^ 0x5A5A)),
-        )
-    };
-    let mut incremental = Scenario::basic();
-    incremental.cluster = scale.cluster_config();
-    incremental.sim.incremental_snapshot = true;
-    incremental.sim.incremental_reclaim = true;
-    let mut from_scratch = incremental.clone();
-    from_scratch.sim.incremental_snapshot = false;
-    from_scratch.sim.incremental_reclaim = false;
-
-    // Time each configuration FIRST, while the process heap is fresh:
-    // the divergence and overhead passes below run fully observed at
-    // trace scale, and the allocator churn they leave behind inflates
-    // timings taken afterwards by ~25% (measured). The modes alternate
-    // across repetitions and each keeps its *fastest* repetition:
-    // transient machine noise (frequency scaling, neighbours) only ever
-    // slows a run down, so the minimum is the stable estimate.
-    let timed = if smoke {
-        None
-    } else {
-        const REPS: usize = 3;
-        run_scenario(&incremental, &jobs, &inference).expect("warmup run");
-        let mut inc: Option<ModeStats> = None;
-        let mut scr: Option<ModeStats> = None;
-        for _ in 0..REPS {
-            let i = mode_stats(timed_run(&incremental, &jobs, &inference));
-            if inc.as_ref().is_none_or(|best| i.mean_ms < best.mean_ms) {
-                inc = Some(i);
-            }
-            let s = mode_stats(timed_run(&from_scratch, &jobs, &inference));
-            if scr.as_ref().is_none_or(|best| s.mean_ms < best.mean_ms) {
-                scr = Some(s);
-            }
-        }
-        Some((inc.expect("timed reps"), scr.expect("timed reps")))
-    };
-
-    // Divergence gate: under the same seed the two engine configurations
-    // must be observationally indistinguishable.
-    let a = observed(&incremental, &jobs, &inference);
-    let b = observed(&from_scratch, &jobs, &inference);
-    let identical_event_logs = a.events == b.events;
-    let identical_reports = a == b;
-    if !identical_event_logs || !identical_reports {
-        eprintln!(
-            "perf: incremental snapshot DIVERGED from the from-scratch rebuild \
-             (identical logs: {identical_event_logs}, identical reports: {identical_reports})"
-        );
-        return 1;
-    }
     // Telemetry overhead budget: full observation (event log + metrics
     // + audit + telemetry sampling) must stay within a generous
-    // multiple of the bare run. Gated in smoke (ci.sh), reported in the
-    // full benchmark.
-    let overhead = observer_overhead(&incremental, &jobs, &inference);
+    // multiple of the bare run.
+    let overhead = observer_overhead(&scenario, &jobs, &inference);
     println!(
         "observer overhead: {:.3}s bare vs {:.3}s observed ({:.2}x, budget {}x + {}s)",
         overhead.unobserved_s,
@@ -421,10 +260,18 @@ pub fn run(smoke: bool) -> i32 {
         OVERHEAD_BUDGET_RATIO,
         OVERHEAD_BUDGET_SLACK_S
     );
+    if overhead.observed_s > OVERHEAD_BUDGET_RATIO * overhead.unobserved_s + OVERHEAD_BUDGET_SLACK_S
+    {
+        eprintln!(
+            "perf: telemetry overhead budget EXCEEDED \
+             ({:.3}s observed vs {:.3}s bare)",
+            overhead.observed_s, overhead.unobserved_s
+        );
+        return 1;
+    }
     // Provenance overhead budget: the decision-provenance tracker may
-    // cost at most 5 % (plus slack) over plain observation. Gated in
-    // smoke, reported in the full benchmark.
-    let prov_overhead = provenance_overhead(&incremental, &jobs, &inference);
+    // cost at most 5 % (plus slack) over plain observation.
+    let prov_overhead = provenance_overhead(&scenario, &jobs, &inference);
     println!(
         "provenance overhead: {:.3}s observed vs {:.3}s with provenance \
          ({:.2}x, budget {}x + {}s)",
@@ -434,108 +281,32 @@ pub fn run(smoke: bool) -> i32 {
         PROVENANCE_BUDGET_RATIO,
         PROVENANCE_BUDGET_SLACK_S
     );
+    if prov_overhead.provenance_s
+        > PROVENANCE_BUDGET_RATIO * prov_overhead.observed_s + PROVENANCE_BUDGET_SLACK_S
+    {
+        eprintln!(
+            "perf: provenance overhead budget EXCEEDED \
+             ({:.3}s with provenance vs {:.3}s observed)",
+            prov_overhead.provenance_s, prov_overhead.observed_s
+        );
+        return 1;
+    }
+    let rc = reclaim_probe();
+    if rc != 0 {
+        return rc;
+    }
     let entry = HistoryEntry {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
         scale: format!("{scale:?}").to_lowercase(),
-        observer: overhead.clone(),
-        provenance: prov_overhead.clone(),
-    };
-    if smoke {
-        if overhead.observed_s
-            > OVERHEAD_BUDGET_RATIO * overhead.unobserved_s + OVERHEAD_BUDGET_SLACK_S
-        {
-            eprintln!(
-                "perf: telemetry overhead budget EXCEEDED \
-                 ({:.3}s observed vs {:.3}s bare)",
-                overhead.observed_s, overhead.unobserved_s
-            );
-            return 1;
-        }
-        if prov_overhead.provenance_s
-            > PROVENANCE_BUDGET_RATIO * prov_overhead.observed_s + PROVENANCE_BUDGET_SLACK_S
-        {
-            eprintln!(
-                "perf: provenance overhead budget EXCEEDED \
-                 ({:.3}s with provenance vs {:.3}s observed)",
-                prov_overhead.provenance_s, prov_overhead.observed_s
-            );
-            return 1;
-        }
-        let rc = reclaim_probe();
-        if rc != 0 {
-            return rc;
-        }
-        if let Err(e) = record_run(None, &entry) {
-            eprintln!("perf: {e}");
-            return 1;
-        }
-        println!(
-            "perf smoke: incremental and from-scratch runs identical \
-             ({} jobs, {} events, scale {:?}); telemetry, provenance and \
-             reclaim overheads within budget; probes appended to \
-             BENCH_scheduler.json history",
-            a.completed,
-            a.events.len(),
-            scale
-        );
-        return 0;
-    }
-
-    let (inc, scr) = timed.expect("timed benchmark runs in the full configuration");
-    let speedup = if inc.mean_ms > 0.0 {
-        scr.mean_ms / inc.mean_ms
-    } else {
-        0.0
-    };
-
-    println!(
-        "scheduler-epoch benchmark ({:?}, seed {seed}, {} jobs, {} epochs)\n",
-        scale,
-        jobs.jobs.len(),
-        inc.epochs
-    );
-    println!(
-        "{:<24} {:>10} {:>14} {:>14}",
-        "phase", "calls", "incremental_s", "from_scratch_s"
-    );
-    for name in PHASES {
-        let i = phase_row(&inc.phases, name);
-        let s = phase_row(&scr.phases, name);
-        if i.is_none() && s.is_none() {
-            continue;
-        }
-        println!(
-            "{:<24} {:>10} {:>14.6} {:>14.6}",
-            name,
-            i.or(s).map_or(0, |(c, _)| c),
-            i.map_or(0.0, |(_, t)| t),
-            s.map_or(0.0, |(_, t)| t),
-        );
-    }
-    println!(
-        "\nepoch mean: {:.3} ms incremental vs {:.3} ms from scratch → speedup {speedup:.2}x",
-        inc.mean_ms, scr.mean_ms
-    );
-    if speedup < 2.0 {
-        eprintln!("perf: warning: speedup below the 2x target (timing noise or regression)");
-    }
-
-    let report = PerfReport {
-        scale: format!("{scale:?}").to_lowercase(),
-        seed,
-        jobs: jobs.jobs.len(),
-        incremental: inc,
-        from_scratch: scr,
-        speedup,
-        identical_reports,
-        identical_event_logs,
         observer: overhead,
         provenance: prov_overhead,
     };
-    if let Err(e) = record_run(Some(&report), &entry) {
+    if let Err(e) = record_run(&entry) {
         eprintln!("perf: {e}");
         return 1;
     }
-    println!("wrote BENCH_scheduler.json (history appended)");
+    println!(
+        "perf: telemetry, provenance and reclaim overheads within budget; \
+         probes appended to BENCH_scheduler.json history"
+    );
     0
 }

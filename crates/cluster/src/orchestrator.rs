@@ -17,7 +17,7 @@ use crate::state::{ClusterError, ClusterState};
 use lyra_core::job::JobId;
 use lyra_core::reclaim::{
     reclaim_exhaustive_optimal, reclaim_random, reclaim_scf, reclaim_servers, CostModel,
-    ReclaimEngine, ReclaimOutcome, ReclaimRequest,
+    ReclaimEngine, ReclaimOutcome,
 };
 use lyra_core::snapshot::ServerId;
 use rand::rngs::StdRng;
@@ -85,13 +85,8 @@ pub struct Orchestrator {
     pub policy: ReclaimPolicy,
     /// Tick interval in seconds (the paper: every five minutes).
     pub interval_s: f64,
-    /// Whether cost-model reclaims (`Lyra`, `GpuFraction`) run through
-    /// the incremental [`ReclaimEngine`] instead of the from-scratch
-    /// greedy. Outcomes are identical (pinned by the core equivalence
-    /// proptest and the perf harness's divergence gate); the flag exists
-    /// as a differential baseline.
-    pub incremental: bool,
     rng: StdRng,
+    /// Runs every cost-model reclaim (`Lyra`, `GpuFraction`).
     engine: ReclaimEngine,
 }
 
@@ -102,12 +97,10 @@ impl Orchestrator {
     pub const OPTIMAL_JOB_LIMIT: usize = 16;
 
     /// Creates an orchestrator with a seeded RNG (used by `Random`).
-    /// Cost-model reclaims default to the incremental engine.
     pub fn new(policy: ReclaimPolicy, seed: u64) -> Self {
         Orchestrator {
             policy,
             interval_s: 300.0,
-            incremental: true,
             rng: StdRng::seed_from_u64(seed),
             engine: ReclaimEngine::new(),
         }
@@ -122,16 +115,6 @@ impl Orchestrator {
     /// reclaims resume the identical draw sequence.
     pub fn restore_rng_state(&mut self, state: u64) {
         self.rng = StdRng::seed_from_u64(state);
-    }
-
-    /// Runs a cost-model reclaim through the incremental engine or the
-    /// from-scratch greedy, per [`Orchestrator::incremental`].
-    fn cost_reclaim(&mut self, request: &ReclaimRequest, model: CostModel) -> ReclaimOutcome {
-        if self.incremental {
-            self.engine.reclaim(request, model)
-        } else {
-            reclaim_servers(request, model)
-        }
     }
 
     /// Executes a loan of up to `n` servers (bounded by idle inference
@@ -201,8 +184,8 @@ impl Orchestrator {
         let outcome = if remaining > 0 {
             let request = state.reclaim_request(remaining);
             let outcome = match self.policy {
-                ReclaimPolicy::Lyra => self.cost_reclaim(&request, CostModel::ServerFraction),
-                ReclaimPolicy::GpuFraction => self.cost_reclaim(&request, CostModel::GpuFraction),
+                ReclaimPolicy::Lyra => self.engine.reclaim(&request, CostModel::ServerFraction),
+                ReclaimPolicy::GpuFraction => self.engine.reclaim(&request, CostModel::GpuFraction),
                 ReclaimPolicy::Random => reclaim_random(&request, &mut self.rng),
                 ReclaimPolicy::Scf => reclaim_scf(&request),
                 ReclaimPolicy::Optimal => {

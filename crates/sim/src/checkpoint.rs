@@ -38,8 +38,9 @@ use std::path::Path;
 /// speed factors, malleable resize costs and job deadlines; version 5
 /// added the observer's decision-provenance tracker (and the
 /// provenance-bearing event schema: `ReclaimDemand`, `JobPreempt.
-/// decision`, `JobScaleOut.{on_loan,servers}`).
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// decision`, `JobScaleOut.{on_loan,servers}`); version 6 dropped the
+/// `incremental_*` engine switches from the serialised `SimConfig`.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

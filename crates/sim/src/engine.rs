@@ -98,19 +98,6 @@ pub struct SimConfig {
     /// Deadline for a carried-forward reclaim demand; missing it is
     /// counted as a reclaim-deadline violation in the report.
     pub reclaim_deadline_s: f64,
-    /// Maintain the scheduler snapshot incrementally across epochs
-    /// (dirty-tracking the jobs and servers each event touched) instead
-    /// of rebuilding it from scratch every tick. Scheduling decisions
-    /// are identical either way; `false` keeps the from-scratch path as
-    /// the perf baseline and CI divergence gate.
-    pub incremental_snapshot: bool,
-    /// Run cost-model server reclaims (`Lyra`, `GpuFraction`) through
-    /// the orchestrator's incremental preemption-cost engine instead of
-    /// the from-scratch greedy. Outcomes are identical either way
-    /// (pinned by proptests and the perf harness's divergence gate);
-    /// `false` keeps the from-scratch path as the differential
-    /// baseline.
-    pub incremental_reclaim: bool,
 }
 
 impl Default for SimConfig {
@@ -130,8 +117,6 @@ impl Default for SimConfig {
             checkpoint_interval_work: 600.0,
             reclaim_retry_backoff_s: 300.0,
             reclaim_deadline_s: 1_800.0,
-            incremental_snapshot: true,
-            incremental_reclaim: true,
         }
     }
 }
@@ -516,8 +501,7 @@ pub struct Simulation {
     /// Carried-forward reclaim debt (deadline + backoff state machine,
     /// see [`crate::faults::ReclaimLedger`]).
     reclaim_ledger: ReclaimLedger,
-    /// The snapshot maintained incrementally across scheduler epochs
-    /// (unused when `config.incremental_snapshot` is off).
+    /// The snapshot maintained incrementally across scheduler epochs.
     cache: SnapshotCache,
     /// The next scheduler epoch validates its snapshot (debug builds):
     /// armed at the invariant-auditor cadence instead of every tick.
@@ -646,9 +630,6 @@ impl Simulation {
             attribution: lyra_obs::AttributionSummary::default(),
             pending_preempt_decisions: std::collections::BTreeMap::new(),
         };
-        if let Some(orch) = sim.orchestrator.as_mut() {
-            orch.incremental = sim.config.incremental_reclaim;
-        }
         let n = specs.len();
         for (i, spec) in specs.into_iter().enumerate() {
             if spec.id.0 as usize != i {
@@ -1006,9 +987,7 @@ impl Simulation {
     }
 
     fn enqueue(&mut self, idx: usize) {
-        if self.config.incremental_snapshot {
-            self.flush_pending_dead();
-        }
+        self.flush_pending_dead();
         let pos = self
             .queue
             .binary_search_by(|&j| {
@@ -1023,25 +1002,9 @@ impl Simulation {
         self.pending_gpus += u64::from(self.jobs[idx].spec.base_gpus());
         self.pending_fungible_gpus += fungible_demand_gpus(&self.jobs[idx].spec);
         self.jobs[idx].enqueued_at_s = self.now_s.max(self.jobs[idx].spec.submit_time_s);
-        if self.config.incremental_snapshot {
-            // Mirror the queue insert. A pending view is static while
-            // queued (work_left and preemptions only change before a job
-            // re-enters the queue), so it is computed once here.
-            let j = &self.jobs[idx];
-            let est_full = self
-                .estimator
-                .estimate(j.spec.id, j.spec.base_running_time());
-            let work = j.spec.work().max(f64::MIN_POSITIVE);
-            self.cache.snap.pending.insert(
-                pos,
-                PendingJobView {
-                    spec: j.spec.clone(),
-                    est_running_time_s: est_full * (j.work_left / work),
-                    work_left: j.work_left,
-                    preemptions: j.record.preemptions,
-                },
-            );
-        }
+        // Mirror the queue insert.
+        let view = self.pending_view(idx);
+        self.cache.snap.pending.insert(pos, view);
     }
 
     /// Removes the launched job `idx` from the queue (and its mirrored
@@ -1061,72 +1024,72 @@ impl Simulation {
             self.queue.remove(pos);
             self.pending_gpus -= u64::from(self.jobs[idx].spec.base_gpus());
             self.pending_fungible_gpus -= fungible_demand_gpus(&self.jobs[idx].spec);
-            if self.config.incremental_snapshot {
-                self.cache.pending_dead.insert(id);
-            }
+            self.cache.pending_dead.insert(id);
         }
     }
 
     /// Marks the servers of an assignment occupancy-dirty.
     fn mark_servers_dirty(&mut self, assignment: &[(ServerId, u32)]) {
-        if self.config.incremental_snapshot {
-            for (sid, _) in assignment {
-                self.cache.dirty_servers.insert(*sid);
-            }
+        for (sid, _) in assignment {
+            self.cache.dirty_servers.insert(*sid);
         }
     }
 
     /// Marks a job's running view as membership/shape-dirty.
     fn mark_running_dirty(&mut self, idx: usize) {
-        if self.config.incremental_snapshot {
-            self.cache.dirty_running.insert(idx);
-        }
+        self.cache.dirty_running.insert(idx);
     }
 
     /// Marks the server whitelist as changed: positions in the cached
     /// server views are invalid, so the next refresh rebuilds them.
     fn mark_structural(&mut self) {
-        if self.config.incremental_snapshot {
-            self.cache.structural = true;
+        self.cache.structural = true;
+    }
+
+    /// The scheduler's view of queued job `idx`. It is static while the
+    /// job is queued (work_left and preemptions only change before a job
+    /// re-enters the queue), so the cache computes it once per enqueue.
+    fn pending_view(&self, idx: usize) -> PendingJobView {
+        let j = &self.jobs[idx];
+        let est_full = self
+            .estimator
+            .estimate(j.spec.id, j.spec.base_running_time());
+        let work = j.spec.work().max(f64::MIN_POSITIVE);
+        PendingJobView {
+            spec: j.spec.clone(),
+            est_running_time_s: est_full * (j.work_left / work),
+            work_left: j.work_left,
+            preemptions: j.record.preemptions,
         }
     }
 
+    /// The scheduler's view of running elastic job `j` with `work_left`
+    /// remaining.
+    fn running_view(j: &SimJob, work_left: f64) -> RunningJobView {
+        RunningJobView {
+            spec: j.spec.clone(),
+            workers: j.workers,
+            work_left,
+            placement: j.placement.clone(),
+            flexible_workers: j.flexible_workers,
+            flex_placement: j.flex_placement.clone(),
+        }
+    }
+
+    /// Rebuilds the snapshot from scratch: the reference that test
+    /// builds assert the incremental cache equals after every refresh.
+    #[cfg(test)]
     fn build_snapshot(&self) -> Snapshot {
-        let pending = self
-            .queue
-            .iter()
-            .map(|&i| {
-                let j = &self.jobs[i];
-                let est_full = self
-                    .estimator
-                    .estimate(j.spec.id, j.spec.base_running_time());
-                let work = j.spec.work().max(f64::MIN_POSITIVE);
-                PendingJobView {
-                    spec: j.spec.clone(),
-                    est_running_time_s: est_full * (j.work_left / work),
-                    work_left: j.work_left,
-                    preemptions: j.record.preemptions,
-                }
-            })
-            .collect();
-        let running = self
-            .jobs
-            .iter()
-            .filter(|j| j.state == JobState::Running && j.spec.is_elastic())
-            .map(|j| RunningJobView {
-                spec: j.spec.clone(),
-                workers: j.workers,
-                work_left: j.work_left_at(self.now_s),
-                placement: j.placement.clone(),
-                flexible_workers: j.flexible_workers,
-                flex_placement: j.flex_placement.clone(),
-            })
-            .collect();
         Snapshot {
             time_s: self.now_s,
             servers: self.cluster.server_views(),
-            pending,
-            running,
+            pending: self.queue.iter().map(|&i| self.pending_view(i)).collect(),
+            running: self
+                .jobs
+                .iter()
+                .filter(|j| j.state == JobState::Running && j.spec.is_elastic())
+                .map(|j| Self::running_view(j, j.work_left_at(self.now_s)))
+                .collect(),
         }
     }
 
@@ -1160,14 +1123,7 @@ impl Simulation {
                 self.jobs
                     .iter()
                     .filter(|j| j.state == JobState::Running && j.spec.is_elastic())
-                    .map(|j| RunningJobView {
-                        spec: j.spec.clone(),
-                        workers: j.workers,
-                        work_left: j.work_left,
-                        placement: j.placement.clone(),
-                        flexible_workers: j.flexible_workers,
-                        flex_placement: j.flex_placement.clone(),
-                    }),
+                    .map(|j| Self::running_view(j, j.work_left)),
             );
         } else {
             // Running views are job-id-ordered (trace ids are dense and
@@ -1192,17 +1148,10 @@ impl Simulation {
                         cache.snap.running.remove(i);
                     }
                     Err(i) if wanted => {
-                        cache.snap.running.insert(
-                            i,
-                            RunningJobView {
-                                spec: j.spec.clone(),
-                                workers: j.workers,
-                                work_left: j.work_left,
-                                placement: j.placement.clone(),
-                                flexible_workers: j.flexible_workers,
-                                flex_placement: j.flex_placement.clone(),
-                            },
-                        );
+                        cache
+                            .snap
+                            .running
+                            .insert(i, Self::running_view(j, j.work_left));
                     }
                     Err(_) => {}
                 }
@@ -2025,28 +1974,19 @@ impl Simulation {
         // assertion below under `cfg(test)`.
         let validate_due = self.validate_snapshot;
         self.validate_snapshot = false;
-        let actions = if self.config.incremental_snapshot {
-            self.refresh_snapshot();
-            #[cfg(test)]
-            assert_eq!(
-                self.cache.snap,
-                self.build_snapshot(),
-                "incremental snapshot diverged from a from-scratch rebuild at t={}",
-                self.now_s
-            );
-            if cfg!(debug_assertions) && validate_due {
-                let v = self.cache.snap.validate();
-                assert!(v.is_ok(), "inconsistent snapshot: {v:?}");
-            }
-            self.policy.schedule(&self.cache.snap)
-        } else {
-            let snapshot = self.build_snapshot();
-            if cfg!(debug_assertions) && validate_due {
-                let v = snapshot.validate();
-                assert!(v.is_ok(), "inconsistent snapshot: {v:?}");
-            }
-            self.policy.schedule(&snapshot)
-        };
+        self.refresh_snapshot();
+        #[cfg(test)]
+        assert_eq!(
+            self.cache.snap,
+            self.build_snapshot(),
+            "incremental snapshot diverged from a from-scratch rebuild at t={}",
+            self.now_s
+        );
+        if cfg!(debug_assertions) && validate_due {
+            let v = self.cache.snap.validate();
+            assert!(v.is_ok(), "inconsistent snapshot: {v:?}");
+        }
+        let actions = self.policy.schedule(&self.cache.snap);
         // Phase-1 / MCKP / placement decisions were just recorded by the
         // policy; surface them before the actions they explain.
         self.drain_audit();
@@ -2418,12 +2358,10 @@ impl Simulation {
             "finish event with {} work left",
             self.jobs[idx].work_left
         );
-        if self.config.incremental_snapshot {
-            for (sid, _) in &self.jobs[idx].placement {
-                self.cache.dirty_servers.insert(*sid);
-            }
-            self.cache.dirty_running.insert(idx);
+        for (sid, _) in &self.jobs[idx].placement {
+            self.cache.dirty_servers.insert(*sid);
         }
+        self.cache.dirty_running.insert(idx);
         self.cluster.evict_job(self.jobs[idx].spec.id);
         if self.running_jobs.remove(&idx) {
             self.elastic_headroom_gpus -= Self::headroom_gpus(&self.jobs[idx]);
@@ -2562,9 +2500,6 @@ impl Simulation {
         if let (Some(orch), Some(s)) = (self.orchestrator.as_mut(), state.orchestrator_rng) {
             orch.restore_rng_state(s);
         }
-        if let Some(orch) = self.orchestrator.as_mut() {
-            orch.incremental = self.config.incremental_reclaim;
-        }
         self.observer = match state.observer {
             Some(os) => Some(Observer {
                 log: EventLog::from_state(os.log)
@@ -2611,21 +2546,7 @@ impl Simulation {
         // it must be reconstructed from the restored queue here (a
         // pending view is static while queued).
         self.cache = SnapshotCache::default();
-        if self.config.incremental_snapshot {
-            for &i in &self.queue {
-                let j = &self.jobs[i];
-                let est_full = self
-                    .estimator
-                    .estimate(j.spec.id, j.spec.base_running_time());
-                let work = j.spec.work().max(f64::MIN_POSITIVE);
-                self.cache.snap.pending.push(PendingJobView {
-                    spec: j.spec.clone(),
-                    est_running_time_s: est_full * (j.work_left / work),
-                    work_left: j.work_left,
-                    preemptions: j.record.preemptions,
-                });
-            }
-        }
+        self.cache.snap.pending = self.queue.iter().map(|&i| self.pending_view(i)).collect();
         self.validate_snapshot = true;
         self.profile = lyra_obs::Profile::default();
         self.attribution = lyra_obs::AttributionSummary::default();

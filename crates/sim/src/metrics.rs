@@ -369,7 +369,7 @@ pub struct SimReport {
     /// Per-epoch scheduler-health time series (ring series with
     /// deterministic decimation plus the epoch-span / decision-latency
     /// histograms; empty without an observer). Fully deterministic, so
-    /// it participates in report equality and the perf divergence gate.
+    /// it participates in report equality and the crash-storm gate.
     pub telemetry: lyra_obs::Telemetry,
     /// Decision-provenance graph built online by the observer (empty
     /// without an observer or with provenance tracking disabled). A

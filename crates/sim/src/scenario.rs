@@ -1079,22 +1079,22 @@ mod tests {
             .all(|j| j.curve == ScalingCurve::PerWorkerLoss { loss: 0.2 }));
     }
 
-    // Satellite invariant of the incremental-snapshot overhaul and the
-    // incremental reclaim engine: after an arbitrary event sequence
-    // (arrivals, launches, scaling, loaning, reclaims, crashes, worker
-    // failures, stragglers, dropped ticks) the incrementally-maintained
-    // snapshot *and* the incremental preemption-cost engine must drive
-    // the exact same run as rebuilding from scratch every epoch / every
-    // reclaim. The engine's `cfg(test)` per-epoch assertion additionally
-    // checks snapshot equality at every single tick of the incremental
-    // run.
+    // Drives the incrementally-maintained snapshot through arbitrary
+    // event sequences (arrivals, launches, scaling, loaning, reclaims,
+    // crashes, worker failures, stragglers, dropped ticks). The check
+    // itself is the engine's `cfg(test)` assertion that the cache equals
+    // `build_snapshot()` at every scheduler epoch; a divergence panics
+    // the run. Per-request reclaim equivalence (the incremental
+    // `ReclaimEngine` against the from-scratch `reclaim_servers`) is
+    // pinned in `lyra-core`'s `incremental_engine_matches_from_scratch`
+    // differential test and by `lyra-oracle`'s `check_reclaim_optimality`.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 8,
             ..proptest::prelude::ProptestConfig::default()
         })]
         #[test]
-        fn incremental_snapshot_reproduces_from_scratch_runs(
+        fn snapshot_cache_matches_rebuild_every_epoch(
             seed in 0u64..1024,
             elastic_fraction in 0.0f64..1.0,
             checkpoint_fraction in 0.0f64..1.0,
@@ -1122,15 +1122,8 @@ mod tests {
                     seed ^ 0xFA11,
                 ));
             }
-            let mut incremental = s.clone();
-            incremental.sim.incremental_snapshot = true;
-            incremental.sim.incremental_reclaim = true;
-            let mut from_scratch = s;
-            from_scratch.sim.incremental_snapshot = false;
-            from_scratch.sim.incremental_reclaim = false;
-            let a = run_scenario(&incremental, &jobs, &inf).expect("incremental runs");
-            let b = run_scenario(&from_scratch, &jobs, &inf).expect("from-scratch runs");
-            proptest::prop_assert_eq!(a, b);
+            let r = run_scenario(&s, &jobs, &inf).expect("runs");
+            proptest::prop_assert_eq!(r.completed, jobs.jobs.len());
         }
     }
 }
