@@ -107,6 +107,14 @@ status=0
   exit 1
 }
 
+# Benchmark correctness check: every benchmark workload, shrunk, runs
+# once observed and once unobserved (under a second). It fails if the
+# observed run makes different decisions from the unobserved one, if
+# delay attribution misses a job, if the provenance graph has a cycle or
+# if the Chrome export is invalid, so an encode-path regression fails
+# here, not only in the benchmark pipeline.
+cargo run --release --offline --quiet --manifest-path lyra-benchmark/Cargo.toml -- --check
+
 # Golden-trace gate: the pinned scenarios must reproduce the committed
 # JSONL logs byte-for-byte (each case runs twice, so nondeterminism
 # fails here too). `lyra-bench golden --bless` regenerates them after

@@ -66,8 +66,10 @@ fn phase_rank(ph: &str) -> u8 {
     }
 }
 
+/// Trace events as `(ts, phase rank, push order, JSON text)`. Each
+/// event is rendered when pushed, so only its text is kept.
 struct TraceBuilder {
-    events: Vec<(u64, u8, usize, Value)>,
+    events: Vec<(u64, u8, usize, String)>,
     next: usize,
 }
 
@@ -80,7 +82,9 @@ impl TraceBuilder {
     }
 
     fn push(&mut self, ts_us: u64, ph: &str, value: Value) {
-        self.events.push((ts_us, phase_rank(ph), self.next, value));
+        let mut text = String::new();
+        serde::write_compact(&mut text, &value);
+        self.events.push((ts_us, phase_rank(ph), self.next, text));
         self.next += 1;
     }
 
@@ -103,11 +107,11 @@ impl TraceBuilder {
         self.events
             .sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, (_, _, _, v)) in self.events.iter().enumerate() {
+        for (i, (_, _, _, text)) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
-            out.push_str(&serde_json::to_string(v).expect("trace event serialises"));
+            out.push_str(text);
         }
         out.push_str("\n]}\n");
         out

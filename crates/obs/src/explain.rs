@@ -21,16 +21,16 @@ use crate::audit::AuditRecord;
 /// corruption rather than a cut.
 pub fn parse_log(jsonl: &str) -> Result<Vec<TimedEvent>, String> {
     let torn_tail_possible = !jsonl.is_empty() && !jsonl.ends_with('\n');
-    let total = jsonl.lines().count();
     let mut events = Vec::new();
-    for (no, line) in jsonl.lines().enumerate() {
+    let mut lines = jsonl.lines().enumerate().peekable();
+    while let Some((no, line)) = lines.next() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         match serde_json::from_str::<TimedEvent>(line) {
             Ok(ev) => events.push(ev),
-            Err(e) if torn_tail_possible && no + 1 == total => {
+            Err(e) if torn_tail_possible && lines.peek().is_none() => {
                 eprintln!(
                     "warning: skipping torn final log line {} (crash artifact): {e:?}",
                     no + 1

@@ -1,11 +1,15 @@
 //! The event log: JSON Lines into a ring buffer plus an optional file
 //! sink.
 //!
-//! Events are serialised eagerly to one JSON line each. The ring buffer
-//! keeps the most recent `capacity` lines for in-process inspection
-//! (`--explain`, tests); the file sink, when configured, receives every
-//! line. Serialisation is deterministic — map-free payloads, fields in
-//! declaration order — so same-seed runs yield byte-identical logs.
+//! Events are serialised eagerly to one JSON line each. The vendored
+//! serde's direct writer (`Serialize::write_json`) encodes each event
+//! from its typed fields into one reused buffer, with no intermediate
+//! `Value` tree; the ring then keeps an exact-size copy of the line. The
+//! ring buffer keeps the most recent `capacity` lines for in-process
+//! inspection (`--explain`, tests, the run report); the file sink, when
+//! configured, receives every line. Serialisation is deterministic —
+//! map-free payloads, fields in declaration order — so same-seed runs
+//! yield byte-identical logs.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -47,6 +51,8 @@ pub struct EventLog {
     seq: u64,
     emitted: u64,
     dropped: u64,
+    /// Encode buffer reused across events; not checkpointed.
+    buf: String,
 }
 
 impl EventLog {
@@ -60,6 +66,7 @@ impl EventLog {
             seq: 0,
             emitted: 0,
             dropped: 0,
+            buf: String::new(),
         }
     }
 
@@ -90,9 +97,9 @@ impl EventLog {
             event,
         };
         self.seq += 1;
-        let line = serde_json::to_string(&timed)
-            .expect("event serialisation is infallible for in-tree types");
-        self.push_line(line);
+        self.buf.clear();
+        timed.write_json(&mut self.buf);
+        self.push_line();
         seq
     }
 
@@ -101,11 +108,15 @@ impl EventLog {
         self.seq
     }
 
-    fn push_line(&mut self, line: String) {
+    /// Appends the line in `buf` to the sink and the ring.
+    fn push_line(&mut self) {
         if let Some(sink) = &mut self.sink {
             // A full disk shouldn't kill a simulation; drop the sink and
             // keep the ring.
-            if writeln!(sink, "{line}").is_err() {
+            let written = sink
+                .write_all(self.buf.as_bytes())
+                .and_then(|()| sink.write_all(b"\n"));
+            if written.is_err() {
                 self.sink = None;
             }
         }
@@ -113,13 +124,20 @@ impl EventLog {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(line);
+        // An exact-size copy: the buffer's growth slack stays behind.
+        self.ring.push_back(self.buf.as_str().to_owned());
         self.emitted += 1;
     }
 
     /// Lines currently held in the ring, oldest first.
     pub fn lines(&self) -> impl Iterator<Item = &str> {
         self.ring.iter().map(String::as_str)
+    }
+
+    /// Moves the ring's lines out, oldest first, leaving the ring empty.
+    /// Counters are untouched.
+    pub fn take_lines(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.ring).into()
     }
 
     /// The ring contents joined into one JSONL string (trailing
@@ -196,6 +214,7 @@ impl EventLog {
             seq: state.seq,
             emitted: state.emitted,
             dropped: state.dropped,
+            buf: String::new(),
         })
     }
 }
@@ -252,6 +271,243 @@ impl Drop for EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attribution::DelayCause;
+    use crate::audit::{
+        AuditRecord, MckpGroupAudit, Phase1Entry, PlacementAlternative, ReclaimCandidate,
+    };
+    use crate::event::KIND_NAMES;
+
+    /// Variant name of an audit record. Exhaustive on purpose: a new
+    /// variant fails to compile here until it gets a sample below.
+    fn audit_kind(rec: &AuditRecord) -> &'static str {
+        match rec {
+            AuditRecord::Phase1Order { .. } => "Phase1Order",
+            AuditRecord::Phase2Mckp { .. } => "Phase2Mckp",
+            AuditRecord::PlacementDecision { .. } => "PlacementDecision",
+            AuditRecord::ReclaimChoice { .. } => "ReclaimChoice",
+        }
+    }
+
+    /// One sample of every audit record variant.
+    fn audit_samples() -> Vec<AuditRecord> {
+        vec![
+            AuditRecord::Phase1Order {
+                capacity_gpus: 64,
+                order: vec![
+                    Phase1Entry {
+                        job: 3,
+                        est_running_time_s: 0.1 + 0.2,
+                        base_gpus: 8,
+                        admitted: true,
+                        cause: None,
+                    },
+                    Phase1Entry {
+                        job: u64::MAX,
+                        est_running_time_s: 1e21,
+                        base_gpus: 0,
+                        admitted: false,
+                        cause: Some(DelayCause::GpuScarcity),
+                    },
+                ],
+            },
+            AuditRecord::Phase2Mckp {
+                capacity_gpus: 16,
+                groups: vec![
+                    MckpGroupAudit {
+                        job: 4,
+                        values: vec![0.0, 1e-7, 2.5],
+                        chosen_extra: 2,
+                        chosen_value: 2.5,
+                        cause: None,
+                    },
+                    MckpGroupAudit {
+                        job: 5,
+                        values: vec![],
+                        chosen_extra: 0,
+                        chosen_value: -0.0,
+                        cause: Some(DelayCause::MckpDenial),
+                    },
+                ],
+                total_value: 2.5,
+                total_weight: 2,
+            },
+            AuditRecord::PlacementDecision {
+                job: 6,
+                role: "elastic_flexible".to_string(),
+                gpus: 1,
+                chosen: Some(9),
+                chosen_free_gpus: 1,
+                alternatives: vec![PlacementAlternative {
+                    server: 10,
+                    free_gpus: 7,
+                }],
+            },
+            AuditRecord::PlacementDecision {
+                job: 7,
+                role: "inelastic".to_string(),
+                gpus: 8,
+                chosen: None,
+                chosen_free_gpus: 0,
+                alternatives: vec![],
+            },
+            AuditRecord::ReclaimChoice {
+                need: 2,
+                candidates: vec![ReclaimCandidate {
+                    server: 11,
+                    cost: 1.0 / 3.0,
+                    collateral_gpus: 4,
+                }],
+                chosen: 11,
+                preempted: vec![8, 9],
+                cause: Some(DelayCause::ReclaimPreemption),
+            },
+        ]
+    }
+
+    /// One sample of every event variant (audits: every record variant).
+    fn event_samples() -> Vec<SchedEvent> {
+        let mut events = vec![
+            SchedEvent::JobAdmit { job: 0 },
+            SchedEvent::JobStart {
+                job: 1,
+                workers: 4,
+                on_loan: true,
+                servers: vec![1, 4],
+            },
+            SchedEvent::JobScaleOut {
+                job: 1,
+                delta: 2,
+                workers: 6,
+                on_loan: false,
+                servers: vec![],
+            },
+            SchedEvent::JobScaleIn {
+                job: 1,
+                delta: 1,
+                workers: 5,
+            },
+            SchedEvent::ControllerRescale {
+                job: 1,
+                workers: 5,
+                pause_s: 12.75,
+            },
+            SchedEvent::FlexRelease {
+                job: 1,
+                server: u32::MAX,
+                workers: 1,
+            },
+            SchedEvent::JobPreempt {
+                job: 2,
+                checkpointed: true,
+                decision: Some(41),
+            },
+            SchedEvent::JobPreempt {
+                job: 2,
+                checkpointed: false,
+                decision: None,
+            },
+            SchedEvent::JobComplete {
+                job: 1,
+                jct_s: 3600.000_000_1,
+            },
+            SchedEvent::DeadlineMiss {
+                job: 1,
+                deadline_s: 1e-7,
+                late_s: 86_400.0,
+            },
+            SchedEvent::LoanGrant {
+                servers: vec![7, 8, 9],
+            },
+            SchedEvent::ReclaimDemand { servers: 3 },
+            SchedEvent::ReclaimGrant {
+                demanded: 3,
+                returned_flex: 1,
+                returned_idle: 1,
+                returned_preempt: 1,
+                preempted: vec![2],
+                collateral_gpus: 6,
+            },
+            SchedEvent::ReclaimCarryover {
+                servers: 1,
+                deadline_s: 0.1 + 0.2,
+            },
+            SchedEvent::ReclaimDeadlineMiss { servers: 1 },
+            SchedEvent::JobStall {
+                job: 3,
+                cause: DelayCause::Rendezvous,
+                pause_ms: 0,
+            },
+            SchedEvent::JobStraggle {
+                job: 3,
+                factor: 0.625,
+            },
+            SchedEvent::SchedulerEpoch {
+                launches: 0,
+                queued: 17,
+                running: 4,
+            },
+            SchedEvent::Fault {
+                kind: "job_killed \"quoted\" \\ \n\t\u{1} é".to_string(),
+                target: 5,
+            },
+            SchedEvent::Alert {
+                rule: "queue-backlog".to_string(),
+                series: "queue.depth".to_string(),
+                value: -0.0,
+                threshold: 4.0,
+                fired: true,
+            },
+        ];
+        events.extend(audit_samples().into_iter().map(SchedEvent::Audit));
+        events
+    }
+
+    #[test]
+    fn samples_cover_every_event_and_audit_variant() {
+        let kinds: std::collections::BTreeSet<&str> =
+            event_samples().iter().map(SchedEvent::kind_name).collect();
+        let all: std::collections::BTreeSet<&str> = KIND_NAMES.iter().copied().collect();
+        assert_eq!(kinds, all, "every SchedEvent variant needs a sample");
+        let audits: std::collections::BTreeSet<&str> =
+            audit_samples().iter().map(audit_kind).collect();
+        assert_eq!(audits.len(), 4, "every AuditRecord variant needs a sample");
+    }
+
+    #[test]
+    fn every_event_encodes_like_the_tree_writer_and_round_trips() {
+        let mut log = EventLog::new(64);
+        let samples = event_samples();
+        for (i, event) in samples.iter().enumerate() {
+            log.emit(i as u64 * 250, event.clone());
+        }
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), samples.len());
+        for (line, (i, event)) in lines.iter().zip(samples.iter().enumerate()) {
+            let timed = TimedEvent {
+                time_ms: i as u64 * 250,
+                seq: i as u64,
+                event: event.clone(),
+            };
+            let mut tree = String::new();
+            serde::write_compact(&mut tree, &timed.to_value());
+            assert_eq!(*line, tree, "{}", event.kind_name());
+        }
+        let parsed = crate::explain::parse_log(&log.to_jsonl()).expect("parses");
+        let events: Vec<SchedEvent> = parsed.into_iter().map(|t| t.event).collect();
+        assert_eq!(events, samples);
+    }
+
+    #[test]
+    fn take_lines_moves_the_ring_out_and_keeps_counters() {
+        let mut log = EventLog::new(2);
+        for id in 0..3u64 {
+            log.emit(id, SchedEvent::JobAdmit { job: id });
+        }
+        let expected: Vec<String> = log.lines().map(str::to_string).collect();
+        assert_eq!(log.take_lines(), expected);
+        assert_eq!(log.lines().count(), 0);
+        assert_eq!((log.emitted(), log.dropped(), log.next_seq()), (3, 1, 3));
+    }
 
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {

@@ -2788,7 +2788,11 @@ impl Simulation {
         }
     }
 
-    fn report(&self, name: &str) -> SimReport {
+    /// Assembles the run's report. The observer's products (event lines,
+    /// snapshots, telemetry, provenance graph), the span profile and the
+    /// attribution summary are moved out rather than copied: the report
+    /// is the run's last step.
+    fn report(&mut self, name: &str) -> SimReport {
         let mut records: Vec<JobRecord> = self.jobs.iter().map(|j| j.record).collect();
         // Jobs still queued at the end accrued queue time that was never
         // folded in (it is normally added at launch).
@@ -2823,6 +2827,17 @@ impl Simulation {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
+        let (events, metrics, telemetry, provenance) = match self.observer.take() {
+            Some(mut o) => (
+                o.log.take_lines(),
+                o.snapshots,
+                o.telemetry,
+                o.provenance
+                    .map(lyra_obs::ProvenanceTracker::into_graph)
+                    .unwrap_or_default(),
+            ),
+            None => Default::default(),
+        };
         SimReport {
             name: name.to_string(),
             queuing: percentiles(&queuing),
@@ -2849,29 +2864,12 @@ impl Simulation {
             fault: self.fault_stats,
             deadlines: DeadlineStats::from_records(&records),
             records,
-            events: self
-                .observer
-                .as_ref()
-                .map(|o| o.log.lines().map(str::to_string).collect())
-                .unwrap_or_default(),
-            metrics: self
-                .observer
-                .as_ref()
-                .map(|o| o.snapshots.clone())
-                .unwrap_or_default(),
-            profile: self.profile.clone(),
-            attribution: self.attribution.clone(),
-            telemetry: self
-                .observer
-                .as_ref()
-                .map(|o| o.telemetry.clone())
-                .unwrap_or_default(),
-            provenance: self
-                .observer
-                .as_ref()
-                .and_then(|o| o.provenance.as_ref())
-                .map(|p| p.graph().clone())
-                .unwrap_or_default(),
+            events,
+            metrics,
+            profile: std::mem::take(&mut self.profile),
+            attribution: std::mem::take(&mut self.attribution),
+            telemetry,
+            provenance,
         }
     }
 }
