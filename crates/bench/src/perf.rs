@@ -191,10 +191,11 @@ fn reclaim_probe() -> i32 {
     let scale = Scale::Small;
     let seed = 7;
     let mut trace_config = scale.trace_config(seed);
-    // Saturate training over four days: with the queue always deep,
+    // Saturate training over eight days: with the queue always deep,
     // every loaned server is wanted and every inference spike forces a
-    // reclaim.
-    trace_config.days = 4;
+    // reclaim. Eight days keep the total self time well above
+    // `RECLAIM_SHARE_MIN_TOTAL_S`, so the gate applies on fast hosts too.
+    trace_config.days = 8;
     trace_config.target_load = 1.4;
     let jobs = JobTrace::generate(trace_config);
     let mut inf_config = scale.inference_config(seed ^ 0xA5A5);
@@ -228,7 +229,14 @@ fn reclaim_probe() -> i32 {
         100.0 * share,
         100.0 * RECLAIM_SHARE_BUDGET
     );
-    if total_self >= RECLAIM_SHARE_MIN_TOTAL_S && share > RECLAIM_SHARE_BUDGET {
+    if total_self < RECLAIM_SHARE_MIN_TOTAL_S {
+        println!(
+            "reclaim share gate skipped (total self {total_self:.4}s < floor \
+             {RECLAIM_SHARE_MIN_TOTAL_S}s)"
+        );
+        return 0;
+    }
+    if share > RECLAIM_SHARE_BUDGET {
         eprintln!(
             "perf: reclaim share budget EXCEEDED: core.reclaim burned {:.1}% of \
              self time under reclaim churn (budget {:.0}%)",

@@ -17,10 +17,11 @@
 //! preempting anyone.
 
 use crate::job::JobId;
-use crate::mckp::{solve_mckp_with, McKnapsackGroup, McKnapsackItem, MckpScratch};
+use crate::mckp::{
+    effective_capacity, solve_mckp_with, McKnapsackGroup, McKnapsackItem, MckpScratch,
+};
 use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How phase 1 orders the pending queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -134,8 +135,8 @@ pub fn two_phase_allocate(snapshot: &Snapshot, config: AllocationConfig) -> Allo
 /// [`two_phase_allocate`] over a caller-owned phase-2 DP scratch.
 ///
 /// Policies that run every scheduling epoch should hold one
-/// [`MckpScratch`] and pass it here so the knapsack's DP table and choice
-/// matrix are reused across ticks instead of reallocated.
+/// [`MckpScratch`] and pass it here so the knapsack's DP and choice rows
+/// are reused across ticks instead of reallocated.
 pub fn two_phase_allocate_with(
     mckp_scratch: &mut MckpScratch,
     snapshot: &Snapshot,
@@ -238,10 +239,6 @@ pub fn two_phase_allocate_with(
 
     let mut launches: Vec<(JobId, u32)> = Vec::new();
     let mut launch_indices: Vec<u32> = Vec::new();
-    // Launched job → (pending index, position in `launches`). The position
-    // lets phase 2 back-patch awards by direct index instead of rescanning
-    // the launch list per award.
-    let mut launched_set: HashMap<JobId, (usize, usize)> = HashMap::new();
     let mut skipped: Vec<JobId> = Vec::new();
     let phase1_capacity = capacity.min(u64::from(u32::MAX)) as u32;
     let mut phase1_audit: Vec<lyra_obs::audit::Phase1Entry> = Vec::new();
@@ -250,7 +247,6 @@ pub fn two_phase_allocate_with(
         let admitted = need <= capacity;
         if admitted {
             capacity -= need;
-            launched_set.insert(r.id, (r.idx as usize, launches.len()));
             launches.push((r.id, r.w_min));
             launch_indices.push(r.idx);
         } else {
@@ -314,11 +310,12 @@ pub fn two_phase_allocate_with(
             paired.push((McKnapsackGroup { key: id.0, items }, src));
         };
 
-        for (id, &(idx, launch)) in &launched_set {
+        for (launch, &idx) in launch_indices.iter().enumerate() {
+            let idx = idx as usize;
             let p = &snapshot.pending[idx];
             if p.spec.is_elastic() {
                 push_group(
-                    *id,
+                    p.spec.id,
                     p.spec.w_min(),
                     p.spec.w_max(),
                     p.spec.gpus_per_worker,
@@ -347,21 +344,15 @@ pub fn two_phase_allocate_with(
             }
         }
 
-        // Deterministic group order (HashMap iteration above is not).
-        // Keys are job ids, hence unique; sorting the pairs moves the
-        // groups rather than cloning their item vectors.
+        // Deterministic group order: by job id, which is unique (launches
+        // come in phase-1 order). Sorting the pairs moves the groups
+        // rather than cloning their item vectors.
         paired.sort_by_key(|(g, _)| g.key);
         let (groups_sorted, sources): (Vec<McKnapsackGroup>, Vec<Source>) =
             paired.into_iter().unzip();
 
-        // The DP clamps its table width by the per-group max-weight sum
-        // internally; recompute the clamp here only because the audit
-        // records the effective capacity.
-        let total_max_weight: u64 = groups_sorted
-            .iter()
-            .map(|g| u64::from(g.items.iter().map(|i| i.weight).max().unwrap_or(0)))
-            .sum();
-        let cap_u32 = capacity.min(total_max_weight).min(u64::from(u32::MAX)) as u32;
+        // The capacity the DP clamps to; the audit records it.
+        let cap_u32 = effective_capacity(&groups_sorted, capacity);
         let solution = match config.phase2 {
             Phase2Solver::Mckp => solve_mckp_with(mckp_scratch, &groups_sorted, cap_u32),
             Phase2Solver::Greedy => solve_greedy(&groups_sorted, cap_u32),
@@ -376,8 +367,7 @@ pub fn two_phase_allocate_with(
                 .iter()
                 .zip(&solution.chosen)
                 .map(|(g, chosen)| {
-                    let gpw = g.items.first().map_or(1, |i| i.weight.max(1));
-                    let chosen_extra = chosen.map(|i| g.items[i].weight / gpw).unwrap_or(0);
+                    let chosen_extra = chosen.map_or(0, |i| i as u32 + 1);
                     lyra_obs::audit::MckpGroupAudit {
                         job: g.key,
                         values: g.items.iter().take(AUDIT_VALUES).map(|i| i.value).collect(),
@@ -397,14 +387,8 @@ pub fn two_phase_allocate_with(
         }
 
         for (slot, chosen) in solution.chosen.iter().enumerate() {
-            let extra = chosen
-                .map(|i| {
-                    let item = &groups_sorted[slot].items[i];
-                    item.weight / groups_sorted[slot].items[0].weight.max(1)
-                })
-                .unwrap_or(0);
-            // Recover extra workers from weight: weight = k × gpus/worker,
-            // items[0].weight = gpus/worker.
+            // Item i grants i + 1 extra workers.
+            let extra = chosen.map_or(0, |i| i as u32 + 1);
             match sources[slot] {
                 Source::Pending { idx, launch } => {
                     let p = &snapshot.pending[idx];
@@ -507,6 +491,7 @@ mod tests {
     use crate::gpu::GpuType;
     use crate::job::JobSpec;
     use crate::snapshot::{PendingJobView, PoolKind, RunningJobView, ServerId, ServerView};
+    use std::collections::HashMap;
 
     fn cluster(gpus: u32) -> Vec<ServerView> {
         (0..gpus.div_ceil(8))

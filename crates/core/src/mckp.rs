@@ -8,10 +8,30 @@
 //! taking **exactly one or zero items from each group**, to maximise total
 //! JCT reduction.
 //!
-//! MCKP is NP-hard but admits a pseudo-polynomial dynamic program in
-//! `O(capacity · total items)` time, which the paper reports solving in at
-//! most 0.02 s for 354 items and 245 GPUs; the Criterion bench
-//! `benches/mckp.rs` reproduces that measurement point.
+//! MCKP is NP-hard but admits a pseudo-polynomial dynamic program, which
+//! the paper reports solving in at most 0.02 s for 354 items and 245 GPUs;
+//! the Criterion bench `benches/mckp.rs` reproduces that measurement point.
+//!
+//! The DP here is *banded*. With `maxw_g` the largest item weight of group
+//! `g`, `S_g` the sum of `maxw` over groups `0..=g`, `R_g` the sum over the
+//! groups after `g` and `cap = min(capacity, S_last)`, group `g` fills only
+//! the cells `[cap − R_g, min(cap, S_g)]` (saturating): a cell below the
+//! band cannot reach `cap` even if every later group takes its heaviest
+//! item, and a cell above `S_g` holds exactly what cell `S_g` holds. The
+//! cost is `O(Σ_g |items_g| · band_g)` time and `Σ_g band_g` choice cells;
+//! when the capacity covers every group's heaviest item, each band is one
+//! cell wide.
+//!
+//! The banded result is bit-for-bit the full-width DP's. Induction from
+//! `dp ≡ 0`: for `c ≥ S_g`, "take nothing" reads `dp_{g−1}[c]` with
+//! `c ≥ S_{g−1}`, and every item of weight `w ≤ maxw_g` reads
+//! `dp_{g−1}[c − w]` with `c − w ≥ S_{g−1}`; by hypothesis each of those
+//! equals the cell at `S_{g−1}`, so every cell `c ≥ S_g` sees the same
+//! candidates as `S_g`, summed with the same float additions and compared
+//! in the same order, and ends with the same value and choice. The band
+//! therefore replaces a read above the previous band's top by a read of
+//! that top, and reconstruction reads group `g`'s row at `min(c, hi_g)`;
+//! every cell it does compute runs the full-width recurrence unchanged.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,28 +67,57 @@ pub struct MckpSolution {
 
 /// Reusable buffers for [`solve_mckp_with`].
 ///
-/// The DP table, its double buffer and the (flattened) choice matrix are
-/// the solver's only allocations; a policy that carries a scratch across
-/// scheduling epochs amortises them to zero once the high-water capacity
-/// has been seen. The scratch holds no state between calls — every call
-/// fully reinitialises the region it uses — so one scratch may serve any
-/// sequence of instances.
+/// The DP rows, their double buffer, the group bands and the (flattened)
+/// choice rows are the solver's only allocations; a policy that carries a
+/// scratch across scheduling epochs amortises them to zero once the
+/// high-water band has been seen. The scratch holds no state between
+/// calls — every call rewrites each cell before reading it — so one
+/// scratch may serve any sequence of instances.
 #[derive(Debug, Clone, Default)]
 pub struct MckpScratch {
-    /// `dp[c]`: best value using the groups processed so far with ≤ c GPUs.
+    /// `dp[c − lo]`: best value using the groups processed so far with
+    /// ≤ c GPUs, over the last processed group's band `[lo, hi]`.
     dp: Vec<f64>,
     /// Double buffer for the per-group relaxation.
     next: Vec<f64>,
-    /// Flattened `groups × (cap + 1)` choice matrix; `u32::MAX` = no item.
+    /// Per group, its band and where its row starts in `choice`.
+    bands: Vec<Band>,
+    /// Band rows concatenated (`Σ_g band_g` cells); `u32::MAX` = no item.
     choice: Vec<u32>,
+}
+
+/// The capacity cells `[lo, hi]` one group's DP row covers, and the row's
+/// start in [`MckpScratch::choice`].
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    lo: usize,
+    hi: usize,
+    offset: usize,
+}
+
+/// The largest item weight of `group` (0 if it has no items), counting
+/// every item, as the capacity clamp does.
+fn max_weight(group: &McKnapsackGroup) -> u64 {
+    u64::from(group.items.iter().map(|i| i.weight).max().unwrap_or(0))
+}
+
+/// The knapsack capacity the solver actually uses: `capacity` clamped by
+/// the sum of per-group maximum weights (and to `u32`). Any feasible
+/// solution weighs at most that sum, so a wider table cannot change the
+/// optimum — this keeps cluster-scale epochs cheap when idle capacity
+/// dwarfs the elastic demand.
+pub fn effective_capacity(groups: &[McKnapsackGroup], capacity: u64) -> u32 {
+    let total_max_weight: u64 = groups.iter().map(max_weight).sum();
+    capacity.min(total_max_weight).min(u64::from(u32::MAX)) as u32
 }
 
 /// Solves the multiple-choice knapsack by dynamic programming.
 ///
 /// Items with zero weight and positive value are taken greedily; items with
 /// non-positive value are never chosen (taking nothing from the group
-/// dominates them). Runs in `O(capacity · Σ|items|)` time and
-/// `O(groups · capacity)` space for choice reconstruction.
+/// dominates them). Runs in `O(Σ_g |items_g| · band_g)` time and keeps
+/// `Σ_g band_g` choice cells, where `band_g ≤ capacity + 1` is group
+/// `g`'s band width (see the module docs).
 ///
 /// Allocates fresh buffers per call; hot paths should hold a
 /// [`MckpScratch`] and call [`solve_mckp_with`] instead.
@@ -104,37 +153,147 @@ pub fn solve_mckp(groups: &[McKnapsackGroup], capacity: u32) -> MckpSolution {
 
 /// [`solve_mckp`] over caller-owned scratch buffers.
 ///
-/// The effective DP width is clamped by the sum of per-group maximum
-/// weights: any feasible solution weighs at most that much, so a wider
-/// table cannot change the optimum — this keeps cluster-scale epochs cheap
-/// when idle capacity dwarfs the elastic demand.
+/// The DP runs at [`effective_capacity`] and fills only each group's band
+/// (module docs). Each filled cell sees the same additions and comparisons
+/// as in the full-width table, so the solution is bit-for-bit the
+/// full-width one.
 pub fn solve_mckp_with(
     scratch: &mut MckpScratch,
     groups: &[McKnapsackGroup],
     capacity: u32,
 ) -> MckpSolution {
     let _timing = lyra_obs::span::span("core.mckp");
-    let total_max_weight: u64 = groups
+    let cap = effective_capacity(groups, u64::from(capacity)) as usize;
+    const NONE: u32 = u32::MAX;
+    let MckpScratch {
+        dp,
+        next,
+        bands,
+        choice,
+    } = scratch;
+
+    // Bands: `hi` first holds the prefix sum `S_g`; once the total is
+    // known it becomes `min(cap, S_g)` and `lo` becomes `cap − R_g`.
+    bands.clear();
+    let mut prefix = 0usize;
+    for group in groups {
+        prefix += max_weight(group) as usize;
+        bands.push(Band {
+            lo: 0,
+            hi: prefix,
+            offset: 0,
+        });
+    }
+    let mut cells = 0;
+    let mut widest = 1;
+    for band in bands.iter_mut() {
+        band.lo = cap.saturating_sub(prefix - band.hi);
+        band.hi = band.hi.min(cap);
+        band.offset = cells;
+        let width = band.hi - band.lo + 1;
+        cells += width;
+        widest = widest.max(width);
+    }
+    choice.clear();
+    choice.resize(cells, NONE);
+    if dp.len() < widest {
+        dp.resize(widest, 0.0);
+        next.resize(widest, 0.0);
+    }
+
+    // Before any group the table is all zeros: one cell, band [0, 0].
+    dp[0] = 0.0;
+    let (mut prev_lo, mut prev_hi) = (0, 0);
+    for (group, &Band { lo, hi, offset }) in groups.iter().zip(bands.iter()) {
+        let width = hi - lo + 1;
+        // `row[c − lo]`: item chosen by this group when the DP table for
+        // the groups so far holds capacity c.
+        let row = &mut choice[offset..offset + width];
+        let prev = &dp[..prev_hi - prev_lo + 1];
+        // The previous table at `prev_hi`, which every cell above repeats.
+        let top = prev[prev_hi - prev_lo];
+        let cur = &mut next[..width];
+        // Taking nothing from the group is always allowed.
+        let split = (prev_hi + 1).clamp(lo, hi + 1);
+        if split > lo {
+            cur[..split - lo].copy_from_slice(&prev[lo - prev_lo..split - prev_lo]);
+        }
+        cur[split - lo..].fill(top);
+        for (i, item) in group.items.iter().enumerate() {
+            let w = item.weight as usize;
+            if item.value <= 0.0 || w > hi {
+                continue;
+            }
+            let start = lo.max(w);
+            // Cells up to `prev_hi + w` read the previous row; above, every
+            // candidate is the same `top + value`.
+            let split = (prev_hi + w + 1).clamp(start, hi + 1);
+            if split > start {
+                let below = start - lo..split - lo;
+                let reads = &prev[start - w - prev_lo..split - w - prev_lo];
+                for ((best, pick), &base) in cur[below.clone()]
+                    .iter_mut()
+                    .zip(&mut row[below])
+                    .zip(reads)
+                {
+                    let cand = base + item.value;
+                    if cand > *best {
+                        *best = cand;
+                        *pick = i as u32;
+                    }
+                }
+            }
+            let cand = top + item.value;
+            for (best, pick) in cur[split - lo..].iter_mut().zip(&mut row[split - lo..]) {
+                if cand > *best {
+                    *best = cand;
+                    *pick = i as u32;
+                }
+            }
+        }
+        std::mem::swap(dp, next);
+        (prev_lo, prev_hi) = (lo, hi);
+    }
+
+    // The DP value is monotone in capacity, so the optimum sits at `cap`,
+    // which is the last band's only cell.
+    let total_value = dp[0];
+    let mut chosen = vec![None; groups.len()];
+    let mut c = cap;
+    for (g, band) in bands.iter().enumerate().rev() {
+        let pick = choice[band.offset + c.min(band.hi) - band.lo];
+        if pick != NONE {
+            let i = pick as usize;
+            chosen[g] = Some(i);
+            c -= groups[g].items[i].weight as usize;
+        }
+    }
+    let total_weight = chosen
         .iter()
-        .map(|g| u64::from(g.items.iter().map(|i| i.weight).max().unwrap_or(0)))
+        .enumerate()
+        .filter_map(|(g, c)| c.map(|i| groups[g].items[i].weight))
         .sum();
-    let cap = u64::from(capacity).min(total_max_weight) as usize;
+    MckpSolution {
+        total_value,
+        total_weight,
+        chosen,
+    }
+}
+
+/// The full-width DP the banded solver replaced: every cell `0..=cap` for
+/// every group. Kept as the reference the banded solver must match bit
+/// for bit.
+#[cfg(test)]
+fn solve_mckp_reference(groups: &[McKnapsackGroup], capacity: u32) -> MckpSolution {
+    let cap = effective_capacity(groups, u64::from(capacity)) as usize;
     const NONE: u32 = u32::MAX;
     let width = cap + 1;
-    let MckpScratch { dp, next, choice } = scratch;
-    dp.clear();
-    dp.resize(width, 0.0);
-    next.clear();
-    next.resize(width, 0.0);
-    choice.clear();
-    choice.resize(groups.len() * width, NONE);
-
+    let mut dp = vec![0.0; width];
+    let mut next = vec![0.0; width];
+    let mut choice = vec![NONE; groups.len() * width];
     for (g, group) in groups.iter().enumerate() {
-        // `choice_row[c]`: item chosen by group g when the DP table for
-        // prefix g+1 holds capacity c.
         let choice_row = &mut choice[g * width..(g + 1) * width];
-        // Taking nothing from the group is always allowed.
-        next.copy_from_slice(dp);
+        next.copy_from_slice(&dp);
         for (i, item) in group.items.iter().enumerate() {
             if item.value <= 0.0 {
                 continue;
@@ -151,10 +310,8 @@ pub fn solve_mckp_with(
                 }
             }
         }
-        std::mem::swap(dp, next);
+        std::mem::swap(&mut dp, &mut next);
     }
-
-    // The DP value is monotone in capacity, so the optimum sits at `cap`.
     let total_value = dp[cap];
     let mut chosen = vec![None; groups.len()];
     let mut c = cap;
@@ -317,7 +474,113 @@ mod tests {
         assert_eq!(sol.chosen, vec![Some(1)]);
     }
 
+    /// Banded and full-width solutions must agree bit for bit.
+    fn assert_matches_reference(groups: &[McKnapsackGroup], capacity: u32) {
+        let banded = solve_mckp(groups, capacity);
+        let reference = solve_mckp_reference(groups, capacity);
+        assert_eq!(
+            banded.total_value.to_bits(),
+            reference.total_value.to_bits()
+        );
+        assert_eq!(banded.chosen, reference.chosen);
+        assert_eq!(banded.total_weight, reference.total_weight);
+    }
+
+    #[test]
+    fn covering_capacity_fills_one_cell_per_group() {
+        let groups = vec![
+            McKnapsackGroup {
+                key: 0,
+                items: vec![item(2, 5.0), item(4, 9.0)],
+            },
+            McKnapsackGroup {
+                key: 1,
+                items: vec![],
+            },
+            McKnapsackGroup {
+                key: 2,
+                items: vec![item(3, 4.0), item(1, 4.0)],
+            },
+        ];
+        // Σ max weight = 4 + 0 + 3 = 7; any capacity from 7 up covers it.
+        for capacity in [7, 8, 1000] {
+            let mut scratch = MckpScratch::default();
+            let sol = solve_mckp_with(&mut scratch, &groups, capacity);
+            assert_eq!(scratch.choice.len(), groups.len());
+            assert_eq!(sol.total_value, 13.0);
+            assert_eq!(sol.chosen, vec![Some(1), None, Some(0)]);
+            assert_matches_reference(&groups, capacity);
+        }
+    }
+
+    #[test]
+    fn zero_capacity_keeps_one_cell_and_zero_weight_items() {
+        let groups = vec![
+            McKnapsackGroup {
+                key: 0,
+                items: vec![item(1, 100.0), item(0, 3.0)],
+            },
+            McKnapsackGroup {
+                key: 1,
+                items: vec![item(2, 7.0)],
+            },
+        ];
+        let mut scratch = MckpScratch::default();
+        let sol = solve_mckp_with(&mut scratch, &groups, 0);
+        assert_eq!(scratch.choice.len(), groups.len());
+        assert_eq!(sol.total_value, 3.0);
+        assert_eq!(sol.chosen, vec![Some(1), None]);
+        assert_eq!(sol.total_weight, 0);
+        assert_matches_reference(&groups, 0);
+    }
+
+    #[test]
+    fn zero_weight_positive_item_is_taken_inside_a_band() {
+        // Capacity 3 < Σ max weight 5, so the bands are wider than one
+        // cell; the zero-weight item must still ride along for free.
+        let groups = vec![
+            McKnapsackGroup {
+                key: 0,
+                items: vec![item(2, 6.0), item(3, 8.0)],
+            },
+            McKnapsackGroup {
+                key: 1,
+                items: vec![item(0, 1.5), item(2, 1.0)],
+            },
+        ];
+        let sol = solve_mckp(&groups, 3);
+        assert_eq!(sol.total_value, 9.5);
+        assert_eq!(sol.chosen, vec![Some(1), Some(0)]);
+        assert_eq!(sol.total_weight, 3);
+        assert_matches_reference(&groups, 3);
+    }
+
+    #[test]
+    fn one_scratch_serves_wide_then_narrow_instances() {
+        let wide = vec![
+            McKnapsackGroup {
+                key: 0,
+                items: vec![item(5, 2.0), item(9, 3.0)],
+            },
+            McKnapsackGroup {
+                key: 1,
+                items: vec![item(4, 2.5)],
+            },
+        ];
+        let narrow = vec![McKnapsackGroup {
+            key: 0,
+            items: vec![item(1, 1.0)],
+        }];
+        let mut scratch = MckpScratch::default();
+        for (groups, capacity) in [(&wide, 10), (&narrow, 5), (&wide, 6), (&narrow, 0)] {
+            let sol = solve_mckp_with(&mut scratch, groups, capacity);
+            assert_eq!(sol, solve_mckp_reference(groups, capacity));
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
         #[test]
         fn dp_matches_bruteforce(
             groups in prop::collection::vec(
@@ -349,6 +612,41 @@ mod tests {
                 .filter_map(|(g, c)| c.map(|i| groups[g].items[i].value))
                 .sum();
             prop_assert!((value - sol.total_value).abs() < 1e-9);
+        }
+
+        /// Tie-heavy instances: integer values (so equal sums are common),
+        /// zero and oversized weights, non-positive values and empty
+        /// groups. The banded solver must reproduce the full-width DP's
+        /// value bits, choices and weight exactly.
+        #[test]
+        fn banded_matches_full_width_reference(
+            groups in prop::collection::vec(
+                prop::collection::vec((0u32..8, 0u32..12, -3i32..10), 0..6),
+                0..8,
+            ),
+            capacity in 0u32..48,
+        ) {
+            let groups: Vec<McKnapsackGroup> = groups
+                .into_iter()
+                .enumerate()
+                .map(|(k, items)| McKnapsackGroup {
+                    key: k as u64,
+                    items: items
+                        .into_iter()
+                        .map(|(w, oversize, v)| McKnapsackItem {
+                            // One item in twelve is far heavier than any
+                            // capacity drawn here.
+                            weight: if oversize == 0 { w + 60 } else { w },
+                            value: f64::from(v),
+                        })
+                        .collect(),
+                })
+                .collect();
+            let banded = solve_mckp(&groups, capacity);
+            let reference = solve_mckp_reference(&groups, capacity);
+            prop_assert_eq!(banded.total_value.to_bits(), reference.total_value.to_bits());
+            prop_assert_eq!(&banded.chosen, &reference.chosen);
+            prop_assert_eq!(banded.total_weight, reference.total_weight);
         }
     }
 }

@@ -44,7 +44,7 @@ impl LyraConfig {
 /// nothing but allocation traffic.
 #[derive(Debug, Clone, Default)]
 struct SchedScratch {
-    /// Phase-2 knapsack DP table + choice matrix.
+    /// Phase-2 knapsack DP rows + banded choice rows.
     mckp: MckpScratch,
     /// Gang-placement server copy + audit candidate list.
     placement: PlacementScratch,

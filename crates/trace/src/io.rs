@@ -120,6 +120,13 @@ pub fn jobs_to_csv(trace: &JobTrace) -> String {
 ///
 /// The returned trace carries `config` (CSV does not embed it — pass the
 /// one used for generation, or a default for foreign traces).
+///
+/// # Errors
+///
+/// [`TraceIoError::BadHeader`] for a foreign header;
+/// [`TraceIoError::BadRow`] for a malformed field, an invalid elasticity
+/// range, `gpus_per_worker = 0`, or a row whose largest GPU demand
+/// (`max(demand, w_max) × gpus_per_worker`) does not fit in `u32`.
 pub fn jobs_from_csv(csv: &str, config: TraceConfig) -> Result<JobTrace, TraceIoError> {
     let mut lines = csv.lines().enumerate();
     match lines.next() {
@@ -175,6 +182,15 @@ pub fn jobs_from_csv(csv: &str, config: TraceConfig) -> Result<JobTrace, TraceIo
             }
             Some(Elasticity::new(w_min, w_max))
         };
+        // Phase 2 weighs items as workers × GPUs per worker in `u32`: a
+        // zero factor or a product past `u32::MAX` would hand the knapsack
+        // weightless or wrapped (tiny) items.
+        if gpw == 0 {
+            return Err(bad("gpus_per_worker must be positive"));
+        }
+        if demand.max(w_max).checked_mul(gpw).is_none() {
+            return Err(bad("max workers × gpus_per_worker overflows u32"));
+        }
         jobs.push(JobSpec {
             id: JobId(id),
             submit_time_s: submit,
@@ -240,12 +256,30 @@ mod tests {
 
     #[test]
     fn job_trace_roundtrips() {
-        let trace = JobTrace::generate(TraceConfig::small(2));
-        let csv = jobs_to_csv(&trace);
-        let parsed = jobs_from_csv(&csv, trace.config).expect("roundtrip parses");
-        assert_eq!(parsed.jobs.len(), trace.jobs.len());
-        for (a, b) in trace.jobs.iter().zip(&parsed.jobs) {
-            assert_eq!(a, b);
+        // The second trace is paper-shaped with every flag the generator
+        // samples (elastic, fungible, hetero, checkpointing) present, and
+        // must pass the GPU-demand bounds.
+        let small = JobTrace::generate(TraceConfig::small(2));
+        let flagged = JobTrace::generate(TraceConfig {
+            days: 1,
+            frac_elastic: 0.2,
+            frac_hetero: 0.1,
+            frac_checkpoint: 0.3,
+            ..TraceConfig::default()
+        });
+        for flag in [
+            |j: &JobSpec| j.is_elastic(),
+            |j: &JobSpec| j.fungible,
+            |j: &JobSpec| j.hetero_capable,
+            |j: &JobSpec| j.checkpointing,
+        ] {
+            assert!(flagged.jobs.iter().any(flag));
+            assert!(!flagged.jobs.iter().all(flag));
+        }
+        for trace in [small, flagged] {
+            let csv = jobs_to_csv(&trace);
+            let parsed = jobs_from_csv(&csv, trace.config).expect("roundtrip parses");
+            assert_eq!(parsed.jobs, trace.jobs);
         }
     }
 
@@ -289,6 +323,37 @@ mod tests {
             assert_eq!(parse_curve(&tag), Some(curve));
         }
         assert_eq!(parse_curve("nonsense"), None);
+    }
+
+    fn row_error(row: &str) -> String {
+        let csv = format!("{JOB_HEADER}\n{row}\n");
+        match jobs_from_csv(&csv, TraceConfig::small(1)) {
+            Err(TraceIoError::BadRow { line, reason }) => {
+                assert_eq!(line, 2);
+                reason
+            }
+            other => panic!("expected BadRow, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_gpus_per_worker_rejected() {
+        let reason = row_error("0,0,0,2,2,4,10,0,0,0,generic,linear");
+        assert!(reason.contains("gpus_per_worker"), "{reason}");
+    }
+
+    #[test]
+    fn overflowing_gpu_demand_rejected() {
+        // Elastic: w_max × gpw = 2^16 × 2^16 = 2^32.
+        let reason = row_error("0,0,65536,1,1,65536,10,0,0,0,generic,linear");
+        assert!(reason.contains("overflows"), "{reason}");
+        // Inelastic: the demand field carries the size.
+        let reason = row_error("0,0,8,536870912,0,0,10,0,0,0,generic,linear");
+        assert!(reason.contains("overflows"), "{reason}");
+        // The largest product that fits is accepted.
+        let csv = format!("{JOB_HEADER}\n0,0,65535,65537,0,0,10,0,0,0,generic,linear\n");
+        let trace = jobs_from_csv(&csv, TraceConfig::small(1)).expect("fits in u32");
+        assert_eq!(trace.jobs[0].max_gpus(), u32::MAX);
     }
 
     #[test]
