@@ -150,18 +150,10 @@ impl Orchestrator {
         let mut remaining = n as usize;
         let mut flex_releases: Vec<(JobId, ServerId, u32)> = Vec::new();
         let mut returned_flex: Vec<ServerId> = Vec::new();
-        let mut returned_idle: Vec<ServerId> = Vec::new();
 
         // Phase 0: already-idle loaned servers are free to return.
-        for sid in state.loaned_ids() {
-            if remaining == 0 {
-                break;
-            }
-            if state.server(sid).is_some_and(|s| s.is_empty()) {
-                returned_idle.push(sid);
-                remaining -= 1;
-            }
-        }
+        let returned_idle: Vec<ServerId> = state.idle_loaned_ids().take(remaining).collect();
+        remaining -= returned_idle.len();
         // Phase 1: release whole flexible-group servers, fewest GPUs
         // lost first.
         let mut flex = state.flexible_group_servers();

@@ -256,6 +256,13 @@ impl ClusterState {
         self.loaned.len() as u32
     }
 
+    /// Number of loaned servers hosting at least one worker. O(1): the
+    /// idle-loan index holds exactly the empty loaned servers (checked by
+    /// [`ClusterState::audit`]).
+    pub fn busy_loaned_count(&self) -> u32 {
+        self.loaned.len().saturating_sub(self.idle_loaned.len()) as u32
+    }
+
     /// Whether `id` is on loan to training.
     pub fn is_loaned(&self, id: ServerId) -> bool {
         self.loaned.contains(&id)
@@ -384,13 +391,136 @@ impl ClusterState {
     /// * down servers are neither whitelisted nor loaned, and host no
     ///   workers;
     /// * no orphaned assignments: servers outside the whitelist host no
-    ///   workers.
+    ///   workers;
+    /// * every id in the whitelist, loan ledger, idle-loan index and down
+    ///   set names an existing server;
+    /// * the derived indices agree with the servers: the idle-loan index
+    ///   holds exactly the empty loaned servers, the job-footprint index
+    ///   equals a rebuild from every server's job table, and the pool
+    ///   usage counters equal a whitelist walk.
+    ///
+    /// One pass over the servers in id order, with the four id sets
+    /// stepped alongside as cursors, then one pass over the footprint
+    /// index. Nothing is allocated unless a violation is reported.
     ///
     /// Release builds call this explicitly where they want degradation
     /// instead of a crash; debug builds additionally run it after every
     /// mutation (via `debug_audit`) so tests fail fast at the corrupting
     /// operation.
     pub fn audit(&self) -> Result<(), ClusterError> {
+        let _timing = lyra_obs::span::span("cluster.audit");
+        let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
+        // All four sets are sorted by `ServerId`, like `servers`: an id a
+        // cursor has to skip names no server.
+        let mut sets = [
+            ("whitelisted", self.whitelist.iter().peekable()),
+            ("loaned", self.loaned.iter().peekable()),
+            ("idle-loaned", self.idle_loaned.iter().peekable()),
+            ("down", self.down.iter().peekable()),
+        ];
+        let mut training = (0u32, 0u32);
+        let mut on_loan = (0u32, 0u32);
+        let mut placements = 0usize;
+        for (&id, s) in &self.servers {
+            let mut member = [false; 4];
+            for (is_member, (set, cursor)) in member.iter_mut().zip(&mut sets) {
+                if let Some(unknown) = cursor.next_if(|&&next| next < id) {
+                    return violation(format!("{set} {unknown} does not exist"));
+                }
+                *is_member = cursor.next_if_eq(&&id).is_some();
+            }
+            let [whitelisted, loaned, idle, down] = member;
+            let mut used = 0u32;
+            for (job, gpus) in s.jobs() {
+                placements += 1;
+                used += gpus;
+                let indexed = self.occupancy.get(&job).and_then(|o| o.hosts.get(&id));
+                if indexed != Some(&gpus) {
+                    return violation(format!(
+                        "job-footprint index out of lockstep: {job} holds {gpus} GPUs \
+                         on {id}, indexed {indexed:?}"
+                    ));
+                }
+            }
+            if used > s.total_gpus {
+                return violation(format!("{id}: {used} GPUs used of {}", s.total_gpus));
+            }
+            let empty = s.is_empty();
+            if down && whitelisted {
+                return violation(format!("down {id} is still whitelisted"));
+            }
+            if down && loaned {
+                return violation(format!("down {id} is still on the loan ledger"));
+            }
+            if down && !empty {
+                return violation(format!("down {id} still hosts workers"));
+            }
+            if loaned && !whitelisted {
+                return violation(format!("loaned {id} is not whitelisted"));
+            }
+            if loaned && s.gpu_type != GpuType::T4 {
+                return violation(format!("loaned {id} is a dedicated training server"));
+            }
+            if !whitelisted && !empty {
+                return violation(format!("{id} hosts workers but is outside the whitelist"));
+            }
+            if idle && !loaned {
+                return violation(format!("idle-loan index holds non-loaned {id}"));
+            }
+            if loaned && idle != empty {
+                return violation(format!(
+                    "idle-loan index out of lockstep for {id} (empty: {empty})"
+                ));
+            }
+            if whitelisted {
+                let slot = match s.pool {
+                    PoolKind::Training => &mut training,
+                    PoolKind::OnLoan => &mut on_loan,
+                };
+                slot.0 += used;
+                slot.1 += s.total_gpus;
+            }
+        }
+        for (set, mut cursor) in sets {
+            if let Some(unknown) = cursor.next() {
+                return violation(format!("{set} {unknown} does not exist"));
+            }
+        }
+        if (training, on_loan) != (self.usage_training, self.usage_on_loan) {
+            return violation(format!(
+                "pool GPU-usage counters out of lockstep: training {:?} vs {:?}, \
+                 on-loan {:?} vs {:?}",
+                self.usage_training, training, self.usage_on_loan, on_loan
+            ));
+        }
+        // Every placement matched its host entry above. With no empty or
+        // mis-summed entry and no host entry beyond those placements, the
+        // index equals a rebuild from the servers' job tables.
+        let mut host_entries = 0usize;
+        for (job, occ) in &self.occupancy {
+            if occ.hosts.is_empty() || occ.gpus != occ.hosts.values().sum::<u32>() {
+                return violation(format!(
+                    "job-footprint index out of lockstep: {job} indexes {} GPUs on {:?}",
+                    occ.gpus, occ.hosts
+                ));
+            }
+            host_entries += occ.hosts.len();
+        }
+        if host_entries != placements {
+            return violation(format!(
+                "job-footprint index out of lockstep: {host_entries} host entries for \
+                 {placements} placements"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The same invariants checked the direct way: one pass per
+    /// invariant with set lookups, and the job-footprint index compared
+    /// with a full rebuild. The oracle that [`Self::audit`]'s verdicts
+    /// are tested against.
+    #[cfg(test)]
+    fn audit_reference(&self) -> Result<(), ClusterError> {
         let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
         for s in self.servers.values() {
             if s.used_gpus() > s.total_gpus {
@@ -1011,5 +1141,384 @@ mod tests {
         c.recover_server(loaned[1]).unwrap();
         c.evict_job(JobId(1));
         c.audit().expect("after recover/evict");
+    }
+
+    /// A job no mutator ever places.
+    const STRAY: JobId = JobId(u64::MAX);
+
+    /// One way to corrupt the bookkeeping behind the mutators' backs.
+    /// [`Corruption::apply`] picks its target among the eligible servers
+    /// or index entries by `pick`, and does nothing when none is eligible.
+    #[derive(Debug, Clone, Copy)]
+    enum Corruption {
+        /// Drops one host entry of a job's footprint, with its GPUs.
+        DropHost,
+        /// Adds a host entry on a server the job does not run on.
+        AddHost,
+        /// Gives one host entry, and its job's total, one GPU too many.
+        WrongHostGpus,
+        /// Indexes a job that runs nowhere.
+        EmptyHosts,
+        /// Makes a job's GPU total disagree with the sum of its hosts.
+        GpusNotSum,
+        /// Drops an empty loaner from the idle-loan index.
+        IdleMissing,
+        /// Adds a busy loaner to the idle-loan index.
+        IdleBusy,
+        /// Adds a server that is not on loan to the idle-loan index.
+        IdleNotLoaned,
+        /// The four pool usage counters, each one too high.
+        TrainingUsed,
+        TrainingTotal,
+        OnLoanUsed,
+        OnLoanTotal,
+        /// Takes an idle loaner, and its capacity, off the whitelist.
+        LoanedNotWhitelisted,
+        /// Puts a dedicated V100 server on the loan ledger.
+        LoanedV100,
+        /// Marks a whitelisted training server down.
+        DownWhitelisted,
+        /// Takes an idle loaner off the whitelist and marks it down while
+        /// it stays on the loan ledger.
+        DownLoaned,
+        /// Places a worker on a down server.
+        DownHostsWorkers,
+        /// Places a worker on a server outside the whitelist.
+        OrphanWorkers,
+        /// Shrinks a busy server below the GPUs it has in use.
+        OverCapacity,
+        /// Adds an id no server has to one of the id sets.
+        UnknownWhitelisted,
+        UnknownLoaned,
+        UnknownIdle,
+    }
+
+    impl Corruption {
+        const ALL: [Corruption; 22] = [
+            Corruption::DropHost,
+            Corruption::AddHost,
+            Corruption::WrongHostGpus,
+            Corruption::EmptyHosts,
+            Corruption::GpusNotSum,
+            Corruption::IdleMissing,
+            Corruption::IdleBusy,
+            Corruption::IdleNotLoaned,
+            Corruption::TrainingUsed,
+            Corruption::TrainingTotal,
+            Corruption::OnLoanUsed,
+            Corruption::OnLoanTotal,
+            Corruption::LoanedNotWhitelisted,
+            Corruption::LoanedV100,
+            Corruption::DownWhitelisted,
+            Corruption::DownLoaned,
+            Corruption::DownHostsWorkers,
+            Corruption::OrphanWorkers,
+            Corruption::OverCapacity,
+            Corruption::UnknownWhitelisted,
+            Corruption::UnknownLoaned,
+            Corruption::UnknownIdle,
+        ];
+
+        fn apply(self, c: &mut ClusterState, pick: usize) {
+            use Corruption::*;
+            let unknown = ServerId(u32::MAX);
+            match self {
+                DropHost => {
+                    if let Some((job, host)) = pick_host(c, pick) {
+                        let occ = c.occupancy.get_mut(&job).expect("picked");
+                        occ.gpus -= occ.hosts.remove(&host).expect("picked");
+                    }
+                }
+                AddHost => {
+                    if let Some((job, _)) = pick_host(c, pick) {
+                        let occ = c.occupancy.get_mut(&job).expect("picked");
+                        if let Some(&id) = c.servers.keys().find(|id| !occ.hosts.contains_key(id)) {
+                            occ.hosts.insert(id, 1);
+                            occ.gpus += 1;
+                        }
+                    }
+                }
+                WrongHostGpus => {
+                    if let Some((job, host)) = pick_host(c, pick) {
+                        let occ = c.occupancy.get_mut(&job).expect("picked");
+                        *occ.hosts.get_mut(&host).expect("picked") += 1;
+                        occ.gpus += 1;
+                    }
+                }
+                EmptyHosts => {
+                    c.occupancy.insert(STRAY, JobOccupancy::default());
+                }
+                GpusNotSum => {
+                    let n = c.occupancy.len().max(1);
+                    if let Some(occ) = c.occupancy.values_mut().nth(pick % n) {
+                        occ.gpus += 1;
+                    }
+                }
+                IdleMissing => {
+                    if let Some(id) = pick_server(c, pick, |c, s| c.idle_loaned.contains(&s.id)) {
+                        c.idle_loaned.remove(&id);
+                    }
+                }
+                IdleBusy => {
+                    if let Some(id) =
+                        pick_server(c, pick, |c, s| c.loaned.contains(&s.id) && !s.is_empty())
+                    {
+                        c.idle_loaned.insert(id);
+                    }
+                }
+                IdleNotLoaned => {
+                    if let Some(id) = pick_server(c, pick, |c, s| !c.loaned.contains(&s.id)) {
+                        c.idle_loaned.insert(id);
+                    }
+                }
+                TrainingUsed => c.usage_training.0 += 1,
+                TrainingTotal => c.usage_training.1 += 1,
+                OnLoanUsed => c.usage_on_loan.0 += 1,
+                OnLoanTotal => c.usage_on_loan.1 += 1,
+                LoanedNotWhitelisted | DownLoaned => {
+                    if let Some(id) = pick_server(c, pick, |c, s| c.idle_loaned.contains(&s.id)) {
+                        c.whitelist.remove(&id);
+                        c.usage_on_loan.1 -= c.servers[&id].total_gpus;
+                        if matches!(self, DownLoaned) {
+                            c.down.insert(id);
+                        }
+                    }
+                }
+                LoanedV100 => {
+                    if let Some(id) = pick_server(c, pick, |_, s| s.gpu_type == GpuType::V100) {
+                        c.loaned.insert(id);
+                    }
+                }
+                DownWhitelisted => {
+                    if let Some(id) = pick_server(c, pick, |c, s| {
+                        c.whitelist.contains(&s.id) && !c.loaned.contains(&s.id)
+                    }) {
+                        c.down.insert(id);
+                    }
+                }
+                DownHostsWorkers => {
+                    if let Some(id) = pick_server(c, pick, |c, s| c.down.contains(&s.id)) {
+                        place_stray(c, id);
+                    }
+                }
+                OrphanWorkers => {
+                    if let Some(id) = pick_server(c, pick, |c, s| {
+                        !c.whitelist.contains(&s.id) && !c.down.contains(&s.id)
+                    }) {
+                        place_stray(c, id);
+                    }
+                }
+                OverCapacity => {
+                    if let Some(id) = pick_server(c, pick, |_, s| !s.is_empty()) {
+                        let s = c.servers.get_mut(&id).expect("picked");
+                        s.total_gpus = s.used_gpus() - 1;
+                    }
+                }
+                UnknownWhitelisted => {
+                    c.whitelist.insert(unknown);
+                }
+                UnknownLoaned => {
+                    c.loaned.insert(unknown);
+                }
+                UnknownIdle => {
+                    c.idle_loaned.insert(unknown);
+                }
+            }
+        }
+    }
+
+    /// The `pick`-th (modulo) server that `keep` accepts.
+    fn pick_server(
+        c: &ClusterState,
+        pick: usize,
+        keep: impl Fn(&ClusterState, &Server) -> bool,
+    ) -> Option<ServerId> {
+        let ids: Vec<ServerId> = c
+            .servers
+            .values()
+            .filter(|s| keep(c, s))
+            .map(|s| s.id)
+            .collect();
+        (!ids.is_empty()).then(|| ids[pick % ids.len()])
+    }
+
+    /// The `pick`-th (modulo) `(job, host)` entry of the footprint index.
+    fn pick_host(c: &ClusterState, pick: usize) -> Option<(JobId, ServerId)> {
+        let entries: Vec<(JobId, ServerId)> = c
+            .occupancy
+            .iter()
+            .flat_map(|(&job, occ)| occ.hosts.keys().map(move |&id| (job, id)))
+            .collect();
+        (!entries.is_empty()).then(|| entries[pick % entries.len()])
+    }
+
+    /// Places one GPU of [`STRAY`] on `id`, footprint index included, so
+    /// only the placement rules are broken.
+    fn place_stray(c: &mut ClusterState, id: ServerId) {
+        let s = c.servers.get_mut(&id).expect("picked");
+        s.allocate(STRAY, 1)
+            .expect("a server off the whitelist is empty");
+        c.occupancy_add(STRAY, id, 1);
+    }
+
+    /// Every kind of server: busy training servers 0 and 1, a busy loaner
+    /// 2, an idle loaner 3, a down loaner 4 and the inference-owned 5.
+    fn fixture() -> ClusterState {
+        let mut c = ClusterState::new(ClusterConfig {
+            training_servers: 2,
+            inference_servers: 4,
+            gpus_per_server: 8,
+            speed: SpeedFactors::default(),
+        });
+        c.loan(3).unwrap();
+        c.allocate(
+            JobId(1),
+            &[(ServerId(0), 2), (ServerId(2), 1)],
+            2,
+            ServerGroup::Base,
+        )
+        .unwrap();
+        c.allocate(JobId(2), &[(ServerId(1), 1)], 4, ServerGroup::Base)
+            .unwrap();
+        c.crash_server(ServerId(4)).unwrap();
+        c
+    }
+
+    /// Corrupts the fixture and requires both audits to reject it, the
+    /// single-pass one with a message containing `expect`, so the check
+    /// meant for the corruption is the one that fires.
+    fn assert_rejected(corruption: Corruption, expect: &str) {
+        let mut c = fixture();
+        assert_eq!((c.audit(), c.audit_reference()), (Ok(()), Ok(())));
+        corruption.apply(&mut c, 0);
+        match c.audit() {
+            Err(ClusterError::AuditViolation(msg)) => {
+                assert!(msg.contains(expect), "{corruption:?}: {msg}");
+            }
+            other => panic!("{corruption:?}: audit returned {other:?}"),
+        }
+        assert!(
+            matches!(c.audit_reference(), Err(ClusterError::AuditViolation(_))),
+            "{corruption:?}: the reference audit accepted it"
+        );
+    }
+
+    macro_rules! corruption_matrix {
+        ($($name:ident: $corruption:ident => $expect:literal,)*) => {$(
+            #[test]
+            fn $name() {
+                assert_rejected(Corruption::$corruption, $expect);
+            }
+        )*};
+    }
+
+    corruption_matrix! {
+        audit_rejects_dropped_host_entry: DropHost => "job-1 holds 4 GPUs on server-0, indexed None",
+        audit_rejects_added_host_entry: AddHost => "4 host entries for 3 placements",
+        audit_rejects_wrong_host_gpus: WrongHostGpus => "job-1 holds 4 GPUs on server-0, indexed Some(5)",
+        audit_rejects_empty_footprint: EmptyHosts => "indexes 0 GPUs on {}",
+        audit_rejects_footprint_total_not_host_sum: GpusNotSum => "job-1 indexes 7 GPUs",
+        audit_rejects_idle_index_missing_empty_loaner: IdleMissing => "out of lockstep for server-3 (empty: true)",
+        audit_rejects_idle_index_holding_busy_loaner: IdleBusy => "out of lockstep for server-2 (empty: false)",
+        audit_rejects_idle_index_holding_non_loaned: IdleNotLoaned => "holds non-loaned server-0",
+        audit_rejects_training_used_off_by_one: TrainingUsed => "pool GPU-usage counters",
+        audit_rejects_training_total_off_by_one: TrainingTotal => "pool GPU-usage counters",
+        audit_rejects_on_loan_used_off_by_one: OnLoanUsed => "pool GPU-usage counters",
+        audit_rejects_on_loan_total_off_by_one: OnLoanTotal => "pool GPU-usage counters",
+        audit_rejects_loaned_not_whitelisted: LoanedNotWhitelisted => "loaned server-3 is not whitelisted",
+        audit_rejects_loaned_v100: LoanedV100 => "loaned server-0 is a dedicated training server",
+        audit_rejects_down_whitelisted: DownWhitelisted => "down server-0 is still whitelisted",
+        audit_rejects_down_loaned: DownLoaned => "down server-3 is still on the loan ledger",
+        audit_rejects_down_hosting_workers: DownHostsWorkers => "down server-4 still hosts workers",
+        audit_rejects_orphaned_workers: OrphanWorkers => "server-5 hosts workers but is outside the whitelist",
+        audit_rejects_over_capacity: OverCapacity => "server-0: 4 GPUs used of 3",
+        audit_rejects_unknown_whitelisted_id: UnknownWhitelisted => "whitelisted server-4294967295 does not exist",
+        audit_rejects_unknown_loaned_id: UnknownLoaned => "loaned server-4294967295 does not exist",
+        audit_rejects_unknown_idle_loaned_id: UnknownIdle => "idle-loaned server-4294967295 does not exist",
+    }
+
+    #[test]
+    fn audit_rejects_id_of_a_vanished_server_below_the_last() {
+        // The cursor has to skip an id smaller than the next server's.
+        let mut c = fixture();
+        c.servers.remove(&ServerId(0));
+        assert_eq!(
+            c.audit(),
+            Err(ClusterError::AuditViolation(
+                "whitelisted server-0 does not exist".to_string()
+            ))
+        );
+        assert!(c.audit_reference().is_err());
+    }
+
+    #[test]
+    fn audit_rejects_unknown_down_id() {
+        // Stricter than the reference audit, which ignores it; no mutator
+        // can create one (`crash_server` refuses unknown servers).
+        let mut c = fixture();
+        c.down.insert(ServerId(u32::MAX));
+        assert!(c.audit().is_err());
+        assert_eq!(c.audit_reference(), Ok(()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        // Random legal histories; after each step a copy of the state
+        // takes one random corruption (or none), and the two audits must
+        // agree on whether it is consistent. They may name different
+        // first violations: the engine only counts `is_err()`. An unknown
+        // id in `down` is not among the corruptions, because only the
+        // single-pass audit rejects it (`audit_rejects_unknown_down_id`).
+        #[test]
+        fn audit_verdicts_match_reference(
+            steps in proptest::collection::vec(
+                (
+                    0u8..8,
+                    0u32..8,
+                    1u32..4,
+                    0u64..4,
+                    0usize..=Corruption::ALL.len(),
+                    proptest::prelude::any::<usize>(),
+                ),
+                1..40,
+            ),
+        ) {
+            let mut c = ClusterState::new(ClusterConfig {
+                training_servers: 3,
+                inference_servers: 4,
+                gpus_per_server: 8,
+                speed: SpeedFactors::default(),
+            });
+            for (op, server, n, job, corruption, pick) in steps {
+                let (id, job) = (ServerId(server), JobId(job));
+                let group = if n % 2 == 0 { ServerGroup::Flexible } else { ServerGroup::Base };
+                // Server 7 does not exist; refused operations change nothing.
+                let _ = match op {
+                    0 => c.loan(n).map(drop),
+                    1 => c.allocate(job, &[(id, n)], 2, group),
+                    2 => c.release(job, &[(id, n)], 2),
+                    3 => c.vacate_server(id).map(drop),
+                    4 => {
+                        c.evict_job(job);
+                        Ok(())
+                    }
+                    5 => c.crash_server(id).map(drop),
+                    6 => c.recover_server(id),
+                    _ => c.return_servers(&[id]),
+                };
+                proptest::prop_assert_eq!((c.audit(), c.audit_reference()), (Ok(()), Ok(())));
+                if let Some(&corruption) = Corruption::ALL.get(corruption) {
+                    let mut bad = c.clone();
+                    corruption.apply(&mut bad, pick);
+                    proptest::prop_assert_eq!(
+                        bad.audit().is_ok(),
+                        bad.audit_reference().is_ok(),
+                        "{:?} after op {}",
+                        corruption,
+                        op
+                    );
+                }
+            }
+        }
     }
 }

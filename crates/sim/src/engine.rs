@@ -956,13 +956,11 @@ impl Simulation {
             .advance(now, f64::from(t_used), f64::from(t_total));
         self.on_loan_usage
             .advance(now, f64::from(l_used), f64::from(l_total));
-        let loaned_ids = self.cluster.loaned_ids();
-        let busy_servers = loaned_ids
-            .iter()
-            .filter(|sid| self.cluster.server(**sid).is_some_and(|s| !s.is_empty()))
-            .count();
-        self.on_loan_servers
-            .advance(now, busy_servers as f64, loaned_ids.len() as f64);
+        self.on_loan_servers.advance(
+            now,
+            f64::from(self.cluster.busy_loaned_count()),
+            f64::from(self.cluster.loaned_count()),
+        );
         let inf_busy = self
             .inference
             .as_ref()
