@@ -41,22 +41,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
 # Bench smoke: one observed end-to-end run; exits non-zero unless the
 # event log, metric snapshots, span profile and delay attribution all
 # came out non-empty and the exported Chrome trace passes the
-# trace_event schema check. The saved log then drives the attribution
-# and export tooling end-to-end.
+# trace_event schema check. The saved log then drives the log-replay
+# tooling end-to-end.
 smoke_dir=$(mktemp -d)
 ./target/release/lyra-bench smoke --log "$smoke_dir/smoke.jsonl"
 ./target/release/lyra-bench events --filter job=0,kind=JobStart \
   --log "$smoke_dir/smoke.jsonl" >/dev/null
-./target/release/lyra-bench attribute --top 5 --log "$smoke_dir/smoke.jsonl"
-./target/release/lyra-bench attribute 0 --log "$smoke_dir/smoke.jsonl" >/dev/null
-./target/release/lyra-bench export-trace --log "$smoke_dir/smoke.jsonl" \
-  --out "$smoke_dir/smoke.trace.json"
+./target/release/lyra-bench blame --top 5 --log "$smoke_dir/smoke.jsonl"
 
-# Provenance smoke: the decision-provenance tooling must run end to end
-# — `why` for a job known to exist, the `blame` ranking from two fresh
-# same-seed runs (must be byte-identical), the filter's cause taxonomy
-# validation (unknown cause must exit 2 and list the alternatives), and
-# the flow-annotated trace export.
+# Provenance smoke: the log-replay tooling must run end to end — `why`
+# for a job known to exist (ranked causes, intervals with their causal
+# chains, the audited decision chain), the `blame` rankings from two
+# fresh same-seed runs (must be byte-identical), the filter's cause
+# taxonomy validation (unknown cause must exit 2 and list the
+# alternatives), and the trace export, whose provenance flow arrows
+# must be present.
 ./target/release/lyra-bench why 0 --log "$smoke_dir/smoke.jsonl" >/dev/null
 ./target/release/lyra-bench blame --top 5 >"$smoke_dir/blame-a.txt"
 ./target/release/lyra-bench blame --top 5 >"$smoke_dir/blame-b.txt"
@@ -64,8 +63,12 @@ cmp "$smoke_dir/blame-a.txt" "$smoke_dir/blame-b.txt" || {
   echo "ci: blame from two same-seed runs is not byte-identical" >&2
   exit 1
 }
-./target/release/lyra-bench export-provenance --log "$smoke_dir/smoke.jsonl" \
-  --out "$smoke_dir/smoke.provenance.json"
+./target/release/lyra-bench export-trace --log "$smoke_dir/smoke.jsonl" \
+  --out "$smoke_dir/smoke.trace.json"
+grep -q '"ph":"s"' "$smoke_dir/smoke.trace.json" || {
+  echo "ci: export-trace wrote no provenance flow events" >&2
+  exit 1
+}
 status=0
 ./target/release/lyra-bench events --filter cause=no-such-cause \
   --log "$smoke_dir/smoke.jsonl" >/dev/null 2>"$smoke_dir/cause-err.txt" || status=$?
@@ -79,6 +82,18 @@ grep -q 'known causes' "$smoke_dir/cause-err.txt" || {
 }
 ./target/release/lyra-bench events --filter cause=reclaim-preemption \
   --log "$smoke_dir/smoke.jsonl" >/dev/null
+
+# Argument strictness: a removed subcommand and a stray flag must each
+# exit 2 with the usage text rather than run.
+# (`$bad` is unquoted on purpose: it word-splits into the arguments.)
+for bad in "explain 0" "why 0 --bogus"; do
+  status=0
+  ./target/release/lyra-bench $bad >/dev/null 2>"$smoke_dir/bad-err.txt" || status=$?
+  [ "$status" -eq 2 ] && grep -q '^usage: ' "$smoke_dir/bad-err.txt" || {
+    echo "ci: lyra-bench $bad exited $status without usage, want 2 with usage" >&2
+    exit 1
+  }
+done
 
 # Telemetry smoke: the sparkline dashboard must render from both a live
 # run and a replayed log, and the Prometheus exposition must come out

@@ -6,7 +6,8 @@
 //! cargo run -p lyra-bench --release -- fig10 --full    # paper scale
 //! cargo run -p lyra-bench --release -- list
 //! cargo run -p lyra-bench --release -- smoke           # observed end-to-end run
-//! cargo run -p lyra-bench --release -- explain 17      # one job's decision chain
+//! cargo run -p lyra-bench --release -- why 17          # one job: causes, intervals, decisions
+//! cargo run -p lyra-bench --release -- blame --top 5   # cluster-wide delay rankings
 //! cargo run -p lyra-bench --release -- timeline        # sparkline telemetry dashboard
 //! cargo run -p lyra-bench --release -- prom --out m.prom  # Prometheus exposition
 //! ```
@@ -15,67 +16,393 @@
 //! tables and `--json [dir]` replaces them with one machine-readable
 //! JSON line per experiment (and, when a directory is given, one JSON
 //! file per experiment). `plot <file.json>...` renders archived results
-//! as SVG line charts next to the JSON. `explain <job-id> [--log
-//! <file.jsonl>]` reconstructs the scheduler's causal chain for one job
-//! from a recorded event log (or from a fresh small observed run).
+//! as SVG line charts next to the JSON. The log-replay commands (`why`,
+//! `blame`, `export-trace`, `events`, `timeline`) read the JSONL event
+//! log named by `--log <file.jsonl>`, or a fresh small observed run's.
+//!
+//! Every subcommand's operand and flags are declared once, in
+//! [`COMMANDS`]; that table drives parsing, dispatch and the usage
+//! text. An unknown or extra argument is a usage error (exit 2); a
+//! command that fails prints why and exits 1.
 
 use lyra_bench::{experiments, Scale};
-use lyra_obs::OutputMode;
+use lyra_obs::{OutputMode, TimedEvent};
 use lyra_sim::{run_scenario_observed, ObserverConfig, Scenario};
-use std::io::Write as _;
+use std::path::Path;
+use std::str::FromStr;
 
-/// The complete usage listing — every subcommand, including the
-/// telemetry pair (`timeline`, `prom`). One source of truth for both
-/// the help path and the bad-arguments path.
-fn usage_text() -> String {
-    format!(
-        "usage: lyra-bench <id>... [--small|--medium|--full] [--quiet] [--json [dir]]\n\
-         \x20      lyra-bench help | --help | list\n\
-         \x20      lyra-bench plot <file.json>... | smoke [--log <file.jsonl>]\n\
-         \x20      lyra-bench explain <job-id> [--log <file.jsonl>]\n\
-         \x20      lyra-bench attribute <job-id>|--top <n> [--log <file.jsonl>]\n\
-         \x20      lyra-bench export-trace [--log <file.jsonl>] [--out <file.json>]\n\
-         \x20      lyra-bench events --filter job=<id>,kind=<kind>,cause=<cause> [--log <file.jsonl>]\n\
-         \x20      lyra-bench why <job-id> [--log <file.jsonl>]\n\
-         \x20      lyra-bench blame [--top <n>] [--log <file.jsonl>]\n\
-         \x20      lyra-bench export-provenance [--log <file.jsonl>] [--out <file.json>]\n\
-         \x20      lyra-bench timeline [--log <file.jsonl>] [--width <cols>]\n\
-         \x20      lyra-bench prom [--out <file.prom>]\n\
-         \x20      lyra-bench perf\n\
-         \x20      lyra-bench golden [--bless|--mutate]\n\
-         \x20      lyra-bench ablate [--smoke] [--policy <name>] [--seed <s>] [--out <file>]\n\
-         \x20      lyra-bench checkpoint --at <seconds> --out <file.ckpt> [--log <file.jsonl>]\n\
-         \x20      lyra-bench resume --ckpt <file.ckpt>\n\
-         \x20      lyra-bench crash-storm [--kills <n>] [--seed <s>] [--dir <path>]\n\
-         ids: {}  (or `all`)\n\
-         event kinds: {}\n\
-         delay causes: {}",
-        experiments::ALL.join(" "),
-        lyra_obs::KIND_NAMES.join(" "),
-        lyra_obs::DelayCause::ALL
-            .iter()
-            .map(|c| c.label())
-            .collect::<Vec<_>>()
-            .join(" ")
-    )
+/// Why a command did not run to completion.
+#[derive(Debug)]
+enum CliError {
+    /// Bad arguments: the message and the usage text on stderr, exit 2.
+    Usage(String),
+    /// The command itself failed: the message on stderr, exit 1.
+    Failed(String),
 }
 
-/// Bad arguments: usage on stderr, exit 2.
-fn usage() -> ! {
-    eprintln!("{}", usage_text());
-    std::process::exit(2);
+fn usage_err(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+fn failed(msg: impl Into<String>) -> CliError {
+    CliError::Failed(msg.into())
+}
+
+/// A subcommand's exit code, or why it could not produce one.
+type CmdResult = Result<i32, CliError>;
+
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// `[--flag]` alone.
+    Switch,
+    /// `[--flag <meta>]`.
+    Value(&'static str),
+    /// `--flag <meta>`, which must be given.
+    Required(&'static str),
+    /// `[--flag [meta]]`: takes the next argument unless it
+    /// [looks like an operand](is_operand_like) of its own.
+    Optional(&'static str),
+}
+use Arity::{Optional, Required, Switch, Value};
+
+/// A flag's name and how it takes its value.
+#[derive(Clone, Copy)]
+struct Flag(&'static str, Arity);
+
+const LOG: Flag = Flag("--log", Value("<file.jsonl>"));
+
+/// The positional operands a command takes.
+#[derive(Clone, Copy)]
+enum Operand {
+    None,
+    /// Exactly one.
+    One(&'static str),
+    /// One or more.
+    Many(&'static str),
+    /// One or more experiment ids (or `all`).
+    Experiments,
+}
+
+struct Command {
+    /// Subcommand name; empty for the experiment runner.
+    name: &'static str,
+    operand: Operand,
+    flags: &'static [Flag],
+    run: fn(&Invocation) -> CmdResult,
+}
+
+const fn cmd(
+    name: &'static str,
+    operand: Operand,
+    flags: &'static [Flag],
+    run: fn(&Invocation) -> CmdResult,
+) -> Command {
+    Command {
+        name,
+        operand,
+        flags,
+        run,
+    }
+}
+
+/// `lyra-bench <id>...`: the experiment runner, taken whenever the first
+/// argument names no subcommand.
+#[rustfmt::skip]
+const EXPERIMENTS: Command = cmd("", Operand::Experiments, &[Flag("--small", Switch),
+    Flag("--medium", Switch), Flag("--full", Switch), Flag("--quiet", Switch),
+    Flag("--json", Optional("dir"))], experiments_cmd);
+
+/// Every subcommand, in usage order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    cmd("help", Operand::None, &[], help_cmd),
+    cmd("list", Operand::None, &[], list_cmd),
+    cmd("plot", Operand::Many("<file.json>"), &[], plot_cmd),
+    cmd("smoke", Operand::None, &[LOG], smoke_cmd),
+    cmd("why", Operand::One("<job-id>"), &[LOG], why_cmd),
+    cmd("blame", Operand::None, &[Flag("--top", Value("<n>")), LOG], blame_cmd),
+    cmd("export-trace", Operand::None, &[LOG, Flag("--out", Value("<file.json>"))],
+        export_trace_cmd),
+    cmd("events", Operand::None, &[Flag("--filter", Required(FILTER)), LOG], events_cmd),
+    cmd("timeline", Operand::None, &[LOG, Flag("--width", Value("<cols>"))], timeline_cmd),
+    cmd("prom", Operand::None, &[Flag("--out", Value("<file.prom>"))], prom_cmd),
+    cmd("perf", Operand::None, &[], perf_cmd),
+    cmd("golden", Operand::None, &[Flag("--bless", Switch), Flag("--mutate", Switch)],
+        golden_cmd),
+    cmd("ablate", Operand::None, &[Flag("--smoke", Switch), Flag("--policy", Value("<name>")),
+        Flag("--seed", Value("<s>")), Flag("--out", Value("<file>"))], ablate_cmd),
+    cmd("checkpoint", Operand::None, &[Flag("--at", Required("<seconds>")),
+        Flag("--out", Required("<file.ckpt>")), LOG], checkpoint_cmd),
+    cmd("resume", Operand::None, &[Flag("--ckpt", Required("<file.ckpt>"))], resume_cmd),
+    cmd("crash-storm", Operand::None, &[Flag("--kills", Value("<n>")),
+        Flag("--seed", Value("<s>")), Flag("--dir", Value("<path>"))], crash_storm_cmd),
+];
+
+/// The `events --filter` syntax.
+const FILTER: &str = "job=<id>,kind=<kind>,cause=<cause>";
+
+impl Command {
+    /// One usage line, e.g. `lyra-bench why <job-id> [--log <file.jsonl>]`.
+    fn synopsis(&self) -> String {
+        let mut line = String::from("lyra-bench");
+        let mut add = |s: &str| {
+            line.push(' ');
+            line.push_str(s);
+        };
+        if !self.name.is_empty() {
+            add(self.name);
+        }
+        match self.operand {
+            Operand::None => {}
+            Operand::One(meta) => add(meta),
+            Operand::Many(meta) => add(&format!("{meta}...")),
+            Operand::Experiments => add("<id>..."),
+        }
+        for Flag(name, arity) in self.flags {
+            add(&match arity {
+                Switch => format!("[{name}]"),
+                Value(meta) => format!("[{name} {meta}]"),
+                Required(meta) => format!("{name} {meta}"),
+                Optional(meta) => format!("[{name} [{meta}]]"),
+            });
+        }
+        line
+    }
+}
+
+/// The complete usage listing, generated from [`COMMANDS`]. One source
+/// of truth for both the help path and the bad-arguments path.
+fn usage_text() -> String {
+    let mut out = String::new();
+    for (i, cmd) in std::iter::once(&EXPERIMENTS).chain(COMMANDS).enumerate() {
+        out.push_str(if i == 0 { "usage: " } else { "       " });
+        out.push_str(&cmd.synopsis());
+        out.push('\n');
+    }
+    out.push_str(&format!(
+        "ids: {}  (or `all`)\nevent kinds: {}\ndelay causes: {}",
+        experiments::ALL.join(" "),
+        lyra_obs::KIND_NAMES.join(" "),
+        cause_labels().join(" ")
+    ));
+    out
+}
+
+fn cause_labels() -> Vec<&'static str> {
+    lyra_obs::DelayCause::ALL
+        .iter()
+        .map(|c| c.label())
+        .collect()
+}
+
+/// True if `arg` is a flag, subcommand or experiment id — i.e. not a
+/// directory operand for `--json [dir]`.
+fn is_operand_like(arg: &str) -> bool {
+    arg.starts_with("--")
+        || arg == "all"
+        || COMMANDS.iter().any(|c| c.name == arg)
+        || experiments::ALL.contains(&arg)
+}
+
+/// One parsed command line: the command, its operands and its flags
+/// (in the order given; a repeated flag's last value wins).
+struct Invocation<'a> {
+    cmd: &'static Command,
+    operands: Vec<&'a str>,
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Invocation<'a> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, v)| *v)
+    }
+
+    /// The value of `flag` converted to `T`, or `default` when absent.
+    fn parsed<T: FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        self.value(flag)
+            .map_or(Ok(default), |raw| self.convert(flag, raw))
+    }
+
+    fn convert<T: FromStr>(&self, what: &str, raw: &str) -> Result<T, CliError> {
+        raw.parse()
+            .map_err(|_| usage_err(format!("{}: bad value {raw:?} for {what}", self.cmd.name)))
+    }
+}
+
+/// Parses a command line against [`COMMANDS`]. Checks the shape only
+/// (known flags, values present, operand count, required flags,
+/// experiment ids); commands convert values themselves.
+fn parse(args: &[String]) -> Result<Invocation<'_>, CliError> {
+    let first = args.first().ok_or_else(|| usage_err("no command given"))?;
+    let (cmd, rest) = match COMMANDS
+        .iter()
+        .find(|c| c.name == first || (c.name == "help" && first == "--help"))
+    {
+        Some(cmd) => (cmd, &args[1..]),
+        None => (&EXPERIMENTS, args),
+    };
+    let label = format!("lyra-bench {}", cmd.name);
+    let label = label.trim_end();
+    let mut inv = Invocation {
+        cmd,
+        operands: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut rest = rest.iter().map(String::as_str).peekable();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            inv.operands.push(arg);
+            continue;
+        }
+        let Some(flag) = cmd.flags.iter().find(|f| f.0 == arg) else {
+            return Err(usage_err(format!("{label}: unknown argument {arg:?}")));
+        };
+        let value = match flag.1 {
+            Switch => None,
+            Value(meta) | Required(meta) => Some(
+                rest.next()
+                    .ok_or_else(|| usage_err(format!("{label}: {arg} expects {meta}")))?,
+            ),
+            Optional(_) => rest.next_if(|next| !is_operand_like(next)),
+        };
+        inv.flags.push((flag.0, value));
+    }
+    let (min, max) = match cmd.operand {
+        Operand::None => (0, 0),
+        Operand::One(_) => (1, 1),
+        Operand::Many(_) | Operand::Experiments => (1, usize::MAX),
+    };
+    if let Some(extra) = inv.operands.get(max) {
+        return Err(usage_err(format!("{label}: unexpected argument {extra:?}")));
+    }
+    if inv.operands.len() < min {
+        return Err(usage_err(format!("{label}: missing operand")));
+    }
+    if let Operand::Experiments = cmd.operand {
+        let unknown = |id: &&&str| **id != "all" && !experiments::ALL.contains(id);
+        if let Some(id) = inv.operands.iter().find(unknown) {
+            return Err(usage_err(format!("unknown experiment or command: {id}")));
+        }
+    }
+    let missing = cmd
+        .flags
+        .iter()
+        .find(|f| matches!(f.1, Required(_)) && !inv.has(f.0));
+    if let Some(Flag(name, _)) = missing {
+        return Err(usage_err(format!("{label}: {name} is required")));
+    }
+    Ok(inv)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let code = match parse(&args).and_then(|inv| (inv.cmd.run)(&inv)) {
+        Ok(code) => code,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("{msg}\n{}", usage_text());
+            2
+        }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("{msg}");
+            1
+        }
+    };
+    std::process::exit(code);
+}
+
+fn write_file(path: impl AsRef<Path>, contents: &str) -> Result<(), CliError> {
+    let path = path.as_ref();
+    std::fs::write(path, contents)
+        .map_err(|e| failed(format!("cannot write {}: {e}", path.display())))
+}
+
+/// `<id>... [--small|--medium|--full] [--quiet] [--json [dir]]`: run
+/// experiments; the last scale flag wins.
+fn experiments_cmd(inv: &Invocation) -> CmdResult {
+    let mut scale = Scale::Medium;
+    let mut json_dir: Option<&str> = None;
+    for (flag, value) in &inv.flags {
+        match *flag {
+            "--small" => scale = Scale::Small,
+            "--medium" => scale = Scale::Medium,
+            "--full" => scale = Scale::Full,
+            "--quiet" => lyra_obs::output::set_mode(OutputMode::Quiet),
+            _ => {
+                // `--json`; with a directory it also archives one JSON
+                // file per experiment there.
+                lyra_obs::output::set_mode(OutputMode::Json);
+                json_dir = value.or(json_dir);
+            }
+        }
+    }
+    let ids = inv.operands.iter().flat_map(|id| match *id {
+        "all" => experiments::ALL,
+        _ => std::slice::from_ref(id),
+    });
+    for id in ids {
+        lyra_obs::emitln!("==== {id} ({scale:?}) ====");
+        let start = std::time::Instant::now();
+        let result = experiments::run(id, scale)
+            .ok_or_else(|| usage_err(format!("unknown experiment: {id}")))?;
+        lyra_obs::emitln!("[{id} done in {:.1}s]\n", start.elapsed().as_secs_f64());
+        let encode_err = |e: serde_json::Error| failed(format!("cannot encode {id}: {e}"));
+        lyra_obs::output::emit_json(&serde_json::to_string(&result).map_err(encode_err)?);
+        if let Some(dir) = json_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| failed(format!("cannot create {dir}: {e}")))?;
+            let path = format!("{dir}/{id}.json");
+            write_file(
+                &path,
+                &serde_json::to_string_pretty(&result).map_err(encode_err)?,
+            )?;
+            lyra_obs::emitln!("wrote {path}");
+        }
+    }
+    Ok(0)
 }
 
 /// `help` / `--help`: usage on stdout, exit 0 — asking for help is not
 /// an error.
-fn help() -> ! {
+fn help_cmd(_: &Invocation) -> CmdResult {
     println!("{}", usage_text());
-    std::process::exit(0);
+    Ok(0)
+}
+
+fn list_cmd(_: &Invocation) -> CmdResult {
+    for id in experiments::ALL {
+        println!("{id}");
+    }
+    Ok(0)
+}
+
+/// `plot <file.json>...`: one SVG chart per archived result, written
+/// next to it.
+fn plot_cmd(inv: &Invocation) -> CmdResult {
+    for path in &inv.operands {
+        let json = std::fs::read_to_string(path)
+            .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+        let result: lyra_bench::ExperimentResult = serde_json::from_str(&json)
+            .map_err(|e| failed(format!("{path} is not an experiment result: {e}")))?;
+        let out = Path::new(path).with_extension("svg");
+        write_file(&out, &lyra_bench::plot::plot_experiment(&result))?;
+        println!("wrote {}", out.display());
+    }
+    Ok(0)
 }
 
 /// Runs one small observed Basic scenario and returns its report; used
-/// by `smoke` and by `explain` when no `--log` file is given.
-fn observed_small_run(sink: Option<&str>) -> lyra_sim::SimReport {
+/// by `smoke`, `prom`, and the log-replay commands when no `--log` file
+/// is given.
+fn observed_small_run(sink: Option<&str>) -> Result<lyra_sim::SimReport, CliError> {
     // Seed 5 and the Small cluster match tab5's Basic row, which
     // exercises loaning, reclaiming and preemption even at Small scale.
     let (jobs, inference) = Scale::Small.traces(5);
@@ -86,18 +413,34 @@ fn observed_small_run(sink: Option<&str>) -> lyra_sim::SimReport {
         ..ObserverConfig::default()
     };
     run_scenario_observed(&scenario, &jobs, &inference, observer)
-        .unwrap_or_else(|e| panic!("observed run failed: {e}"))
+        .map_err(|e| failed(format!("observed run failed: {e}")))
+}
+
+fn parse_events(jsonl: &str) -> Result<Vec<TimedEvent>, CliError> {
+    lyra_obs::parse_log(jsonl).map_err(|e| failed(format!("event log does not parse: {e}")))
+}
+
+/// The JSONL event log named by `--log` (or a fresh small observed
+/// run's), as text and parsed — read and parsed once per command.
+fn read_log(inv: &Invocation) -> Result<(String, Vec<TimedEvent>), CliError> {
+    let jsonl = match inv.value("--log") {
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| failed(format!("cannot read event log {path}: {e}")))?,
+        None => observed_small_run(None)?.events.join("\n"),
+    };
+    let events = parse_events(&jsonl)?;
+    Ok((jsonl, events))
 }
 
 /// `smoke [--log <file>]`: one observed end-to-end run with every
 /// observability pillar checked — used by ci.sh as the bench smoke
-/// test. Exits non-zero if the run produced no events, no metric
-/// snapshots, no span profile or no delay attribution, or if the
-/// exported Chrome trace fails the `trace_event` schema check. With
-/// `--log`, also writes the JSONL event log to `file` (feed it to
-/// `explain`/`attribute`/`export-trace`/`events --log <file>`).
-fn smoke(log_path: Option<&str>) -> ! {
-    let report = observed_small_run(log_path);
+/// test. Fails if the run produced no events, no metric snapshots, no
+/// span profile or no delay attribution, or if the exported Chrome
+/// trace fails the `trace_event` schema check. With `--log`, also
+/// writes the JSONL event log to `file` (feed it to the log-replay
+/// commands with `--log <file>`).
+fn smoke_cmd(inv: &Invocation) -> CmdResult {
+    let report = observed_small_run(inv.value("--log"))?;
     println!(
         "smoke: {} jobs completed, {} events, {} metric snapshots, {} profiled phases",
         report.completed,
@@ -107,14 +450,13 @@ fn smoke(log_path: Option<&str>) -> ! {
     );
     print!("{}", report.profile.render());
     print!("{}", report.attribution.render_table());
-    let events = lyra_obs::parse_log(&report.events.join("\n"))
-        .unwrap_or_else(|e| panic!("smoke: event log does not parse: {e}"));
-    let trace = lyra_obs::export_chrome_trace(&events);
+    let events = parse_events(&report.events.join("\n"))?;
+    let trace = lyra_obs::export_provenance_trace(&events);
     let stats = lyra_obs::validate_chrome_trace(&trace)
-        .unwrap_or_else(|e| panic!("smoke: exported Chrome trace is malformed: {e}"));
+        .map_err(|e| failed(format!("smoke: exported Chrome trace is malformed: {e}")))?;
     println!(
-        "smoke: chrome trace ok ({} events, {} tracks, {} span pairs)",
-        stats.events, stats.tracks, stats.span_pairs
+        "smoke: chrome trace ok ({} events, {} tracks, {} span pairs, {} flow events)",
+        stats.events, stats.tracks, stats.span_pairs, stats.flow_events
     );
     let ok = report.completed > 0
         && !report.events.is_empty()
@@ -123,142 +465,120 @@ fn smoke(log_path: Option<&str>) -> ! {
         && report.attribution.jobs > 0
         && stats.span_pairs > 0;
     if !ok {
-        eprintln!("smoke: missing observability output");
-        std::process::exit(1);
+        return Err(failed("smoke: missing observability output"));
     }
-    std::process::exit(0);
+    Ok(0)
 }
 
-/// The JSONL event log named by `--log`, or a fresh small observed run.
-/// A bad path is a clean user error, not a panic.
-fn load_log(log_path: Option<&str>) -> String {
-    match log_path {
-        Some(path) => std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read event log {path}: {e}");
-            std::process::exit(1);
-        }),
-        None => observed_small_run(None).events.join("\n"),
-    }
-}
-
-/// Parses a JSONL event log, exiting cleanly on malformed input.
-fn parse_log_or_exit(jsonl: &str) -> Vec<lyra_obs::TimedEvent> {
-    lyra_obs::parse_log(jsonl).unwrap_or_else(|e| {
-        eprintln!("event log does not parse: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// `explain <job-id>`: narrate the causal chain for one job from a
-/// recorded event log, or from a fresh small observed run.
-fn explain(job: u64, log_path: Option<&str>) -> ! {
-    let jsonl = load_log(log_path);
-    let events = parse_log_or_exit(&jsonl);
-    print!("{}", lyra_obs::explain_job(&events, job));
-    std::process::exit(0);
-}
-
-/// `attribute <job-id>` / `attribute --top <n>`: the per-job JCT
-/// decomposition (ranked causes + timeline) or the cluster-wide ranking
-/// by time lost, derived by replaying the event log.
-fn attribute(job: Option<u64>, top: Option<usize>, log_path: Option<&str>) -> ! {
-    let jsonl = load_log(log_path);
-    let events = parse_log_or_exit(&jsonl);
+/// `why <job-id>`: everything the log says about one job's delay, in
+/// three sections — its ranked delay causes, each delay interval with
+/// the causal chain of decisions (victim ranking, loan demand,
+/// faults, …) behind it, and the audited decision chain (the inputs
+/// of every scheduler decision that touched the job).
+fn why_cmd(inv: &Invocation) -> CmdResult {
+    let job: u64 = inv.convert("<job-id>", inv.operands[0])?;
+    let (_, events) = read_log(inv)?;
     let attrs = lyra_obs::attribute_log(&events);
-    match (job, top) {
-        (Some(id), _) => {
-            let Some(attr) = attrs.iter().find(|a| a.job == id) else {
-                eprintln!("attribute: job {id} does not appear in the event log");
-                std::process::exit(1);
-            };
-            print!("{}", lyra_obs::render_job(attr, 40));
-        }
-        (None, Some(n)) => {
-            print!("{}", lyra_obs::render_top(&attrs, n));
-            print!("{}", lyra_obs::summarize(&attrs).render_table());
-        }
-        (None, None) => usage(),
-    }
-    std::process::exit(0);
+    let graph = lyra_obs::build_provenance(&events);
+    let intervals =
+        lyra_obs::render_why(&graph, &attrs, job).map_err(|e| failed(format!("why: {e}")))?;
+    let causes = attrs
+        .iter()
+        .find(|a| a.job == job)
+        .map(lyra_obs::render_job)
+        .unwrap_or_default();
+    print!(
+        "{causes}\n{intervals}\n{}",
+        lyra_obs::explain_job(&events, job)
+    );
+    Ok(0)
+}
+
+/// `blame [--top <n>]`: the cluster-wide views — the per-cause
+/// attribution table, the jobs that lost the most non-productive
+/// time, and the reclaim decisions ranked by the victim delay they
+/// caused (with the loan-demand decision each ranking answered). Same
+/// seed, same bytes.
+fn blame_cmd(inv: &Invocation) -> CmdResult {
+    let top: usize = inv.parsed("--top", 10)?;
+    let (_, events) = read_log(inv)?;
+    let attrs = lyra_obs::attribute_log(&events);
+    let graph = lyra_obs::build_provenance(&events);
+    print!(
+        "{}\n{}\n{}",
+        lyra_obs::summarize(&attrs).render_table(),
+        lyra_obs::render_top(&attrs, top),
+        lyra_obs::render_blame(&graph, &attrs, top)
+    );
+    Ok(0)
 }
 
 /// `export-trace`: write the event log as Chrome/Perfetto `trace_event`
-/// JSON (open in `chrome://tracing` or <https://ui.perfetto.dev>). The
-/// exported file is schema-validated before the command reports success.
-fn export_trace(log_path: Option<&str>, out: &str) -> ! {
-    let jsonl = load_log(log_path);
-    let events = parse_log_or_exit(&jsonl);
-    let trace = lyra_obs::export_chrome_trace(&events);
-    let stats = lyra_obs::validate_chrome_trace(&trace)
-        .unwrap_or_else(|e| panic!("exported trace failed validation: {e}"));
-    std::fs::write(out, &trace).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
+/// JSON (open in `chrome://tracing` or <https://ui.perfetto.dev>), with
+/// provenance flow arrows — each reclaim preemption linked back to the
+/// victim-ranking decision that chose it, each loan-enabled scale-out
+/// to its grant. Schema-validated before the command reports success.
+fn export_trace_cmd(inv: &Invocation) -> CmdResult {
+    let out = inv.value("--out").unwrap_or("trace.json");
+    let (_, events) = read_log(inv)?;
+    let trace = lyra_obs::export_provenance_trace(&events);
+    let stats = lyra_obs::validate_chrome_trace(&trace).map_err(|e| {
+        failed(format!(
+            "export-trace: exported trace failed validation: {e}"
+        ))
+    })?;
+    write_file(out, &trace)?;
     println!(
-        "wrote {out}: {} events, {} tracks, {} span pairs",
-        stats.events, stats.tracks, stats.span_pairs
+        "wrote {out}: {} events, {} tracks, {} span pairs, {} flow events",
+        stats.events, stats.tracks, stats.span_pairs, stats.flow_events
     );
-    std::process::exit(0);
+    Ok(0)
 }
 
 /// `events --filter job=<id>,kind=<kind>,cause=<cause>`: slice a JSONL
 /// event log, printing the raw lines that match every criterion (a job
 /// filter matches any event touching that job, audit records included;
 /// a cause filter matches events naming that [`lyra_obs::DelayCause`]).
-fn events_cmd(filter: &str, log_path: Option<&str>) -> ! {
+fn events_cmd(inv: &Invocation) -> CmdResult {
+    let filter = inv.value("--filter").unwrap_or_default();
     let mut job: Option<u64> = None;
-    let mut kind: Option<String> = None;
+    let mut kind: Option<&str> = None;
     let mut cause: Option<lyra_obs::DelayCause> = None;
     for part in filter.split(',').filter(|p| !p.is_empty()) {
         match part.split_once('=') {
-            Some(("job", v)) => {
-                job = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("events: bad job id in filter: {v}");
-                    std::process::exit(2);
-                }));
-            }
+            Some(("job", v)) => job = Some(inv.convert("job=<id>", v)?),
             Some(("kind", v)) => {
                 // Validate against the authoritative event-kind list so a
                 // typo fails loudly instead of silently matching nothing.
                 if !lyra_obs::KIND_NAMES.contains(&v) {
-                    eprintln!(
+                    return Err(usage_err(format!(
                         "events: unknown event kind {v:?} (known kinds: {})",
                         lyra_obs::KIND_NAMES.join(", ")
-                    );
-                    std::process::exit(2);
+                    )));
                 }
-                kind = Some(v.to_string());
+                kind = Some(v);
             }
             Some(("cause", v)) => {
                 // Same deal for the delay-cause taxonomy.
-                cause = Some(lyra_obs::DelayCause::from_label(v).unwrap_or_else(|| {
-                    eprintln!(
+                cause = Some(lyra_obs::DelayCause::from_label(v).ok_or_else(|| {
+                    usage_err(format!(
                         "events: unknown delay cause {v:?} (known causes: {})",
-                        lyra_obs::DelayCause::ALL
-                            .iter()
-                            .map(|c| c.label())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    std::process::exit(2);
-                }));
+                        cause_labels().join(", ")
+                    ))
+                })?);
             }
             _ => {
-                eprintln!(
-                    "events: bad filter term {part:?} (use job=<id>,kind=<kind>,cause=<cause>)"
-                );
-                std::process::exit(2);
+                return Err(usage_err(format!(
+                    "events: bad filter term {part:?} (use {FILTER})"
+                )))
             }
         }
     }
     if job.is_none() && kind.is_none() && cause.is_none() {
-        eprintln!("events: empty filter (use job=<id>,kind=<kind>,cause=<cause>)");
-        std::process::exit(2);
+        return Err(usage_err(format!("events: empty filter (use {FILTER})")));
     }
-    let jsonl = load_log(log_path);
+    let (jsonl, events) = read_log(inv)?;
     let lines: Vec<&str> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
-    let events = parse_log_or_exit(&jsonl);
     // A torn final line (crash-cut log) parses to one fewer event than
     // there are lines; the zip below then skips it.
     if lines.len() != events.len() {
@@ -271,7 +591,7 @@ fn events_cmd(filter: &str, log_path: Option<&str>) -> ! {
     let mut matched = 0usize;
     for (line, ev) in lines.iter().zip(&events) {
         let job_ok = job.is_none_or(|id| ev.event.touches_job(id));
-        let kind_ok = kind.as_deref().is_none_or(|k| ev.event.kind_name() == k);
+        let kind_ok = kind.is_none_or(|k| ev.event.kind_name() == k);
         let cause_ok = cause.is_none_or(|c| ev.event.cause() == Some(c));
         if job_ok && kind_ok && cause_ok {
             println!("{line}");
@@ -279,57 +599,7 @@ fn events_cmd(filter: &str, log_path: Option<&str>) -> ! {
         }
     }
     eprintln!("events: {matched} of {} lines matched", lines.len());
-    std::process::exit(0);
-}
-
-/// `why <job-id>`: render the decision provenance for one job — each
-/// delay interval annotated with the causal chain of scheduler
-/// decisions (victim ranking, loan demand, faults, …) that produced
-/// it, walked back through the provenance graph.
-fn why_cmd(job: u64, log_path: Option<&str>) -> ! {
-    let jsonl = load_log(log_path);
-    let events = parse_log_or_exit(&jsonl);
-    match lyra_obs::why_from_log(&events, job) {
-        Ok(text) => {
-            print!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("why: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `blame [--top <n>]`: the reclaim decisions ranked by the victim
-/// delay they caused, with the loan-demand decision each ranking
-/// answered. Same seed, same bytes.
-fn blame_cmd(top: usize, log_path: Option<&str>) -> ! {
-    let jsonl = load_log(log_path);
-    let events = parse_log_or_exit(&jsonl);
-    print!("{}", lyra_obs::blame_from_log(&events, top));
-    std::process::exit(0);
-}
-
-/// `export-provenance`: the Chrome/Perfetto trace with provenance flow
-/// arrows — each reclaim preemption linked back to the victim-ranking
-/// decision that chose it, each loan-enabled scale-out to its grant.
-/// Schema-validated before the command reports success.
-fn export_provenance(log_path: Option<&str>, out: &str) -> ! {
-    let jsonl = load_log(log_path);
-    let events = parse_log_or_exit(&jsonl);
-    let trace = lyra_obs::export_provenance_trace(&events);
-    let stats = lyra_obs::validate_chrome_trace(&trace)
-        .unwrap_or_else(|e| panic!("provenance trace failed validation: {e}"));
-    std::fs::write(out, &trace).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "wrote {out}: {} events, {} tracks, {} span pairs, {} flow events",
-        stats.events, stats.tracks, stats.span_pairs, stats.flow_events
-    );
-    std::process::exit(0);
+    Ok(0)
 }
 
 /// `timeline [--log <file.jsonl>] [--width <cols>]`: the sparkline
@@ -337,487 +607,213 @@ fn export_provenance(log_path: Option<&str>, out: &str) -> ! {
 /// charts the live telemetry; with `--log` it replays a recorded event
 /// log, deriving the (smaller) series set the log supports. Alert
 /// transitions are listed under the chart in both modes.
-fn timeline_cmd(log_path: Option<&str>, width: usize) -> ! {
-    let (telemetry, alerts) = match log_path {
+fn timeline_cmd(inv: &Invocation) -> CmdResult {
+    use lyra_bench::timeline;
+    let width = inv.parsed("--width", timeline::DEFAULT_WIDTH)?;
+    let (telemetry, events) = match inv.value("--log") {
         Some(_) => {
-            let jsonl = load_log(log_path);
-            let events = parse_log_or_exit(&jsonl);
-            (
-                lyra_bench::timeline::telemetry_from_log(&events),
-                lyra_bench::timeline::alerts_from_log(&events),
-            )
+            let (_, events) = read_log(inv)?;
+            (timeline::telemetry_from_log(&events), events)
         }
         None => {
-            let report = observed_small_run(None);
-            let events = parse_log_or_exit(&report.events.join("\n"));
-            (
-                report.telemetry,
-                lyra_bench::timeline::alerts_from_log(&events),
-            )
+            let report = observed_small_run(None)?;
+            let events = parse_events(&report.events.join("\n"))?;
+            (report.telemetry, events)
         }
     };
-    print!(
-        "{}",
-        lyra_bench::timeline::render_dashboard(&telemetry, &alerts, width)
-    );
-    std::process::exit(0);
+    let alerts = timeline::alerts_from_log(&events);
+    print!("{}", timeline::render_dashboard(&telemetry, &alerts, width));
+    Ok(0)
 }
 
 /// `prom [--out <file.prom>]`: run one small observed scenario and
 /// write its telemetry + metrics registry in Prometheus text
 /// exposition format 0.0.4 (stdout when `--out` is omitted). Same
 /// seed, same bytes.
-fn prom_cmd(out: Option<&str>) -> ! {
-    let report = observed_small_run(None);
+fn prom_cmd(inv: &Invocation) -> CmdResult {
+    let report = observed_small_run(None)?;
     let text = lyra_obs::render_prometheus(&report.telemetry, report.metrics.last());
-    match out {
+    match inv.value("--out") {
         Some(path) => {
-            std::fs::write(path, &text).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            write_file(path, &text)?;
             println!("wrote {path} ({} lines)", text.lines().count());
         }
         None => print!("{text}"),
     }
-    std::process::exit(0);
+    Ok(0)
 }
 
-/// True if `arg` is a flag, subcommand or experiment id — i.e. not a
-/// directory operand for `--json [dir]`.
-fn is_operand_like(arg: &str) -> bool {
-    arg.starts_with("--")
-        || matches!(
-            arg,
-            "all" | "list"
-                | "help"
-                | "plot"
-                | "smoke"
-                | "explain"
-                | "attribute"
-                | "export-trace"
-                | "export-provenance"
-                | "events"
-                | "why"
-                | "blame"
-                | "timeline"
-                | "prom"
-                | "perf"
-                | "golden"
-                | "ablate"
-                | "checkpoint"
-                | "resume"
-                | "crash-storm"
-        )
-        || experiments::ALL.contains(&arg)
+fn perf_cmd(_: &Invocation) -> CmdResult {
+    Ok(lyra_bench::perf::run())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
+fn golden_cmd(inv: &Invocation) -> CmdResult {
+    let (bless, mutate) = (inv.has("--bless"), inv.has("--mutate"));
+    if bless && mutate {
+        return Err(usage_err("golden: --bless and --mutate are exclusive"));
     }
-    let mut scale = Scale::Medium;
-    let mut json_dir: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--small" => scale = Scale::Small,
-            "--medium" => scale = Scale::Medium,
-            "--full" => scale = Scale::Full,
-            "--quiet" => lyra_obs::output::set_mode(OutputMode::Quiet),
-            "--json" => {
-                lyra_obs::output::set_mode(OutputMode::Json);
-                // Back-compat: `--json results/` also archives one JSON
-                // file per experiment into the directory.
-                if let Some(next) = args.get(i + 1) {
-                    if !is_operand_like(next) {
-                        json_dir = Some(next.clone());
-                        i += 1;
-                    }
-                }
-            }
-            "help" | "--help" => help(),
-            "list" => {
-                for id in experiments::ALL {
-                    println!("{id}");
-                }
-                return;
-            }
-            "timeline" => {
-                let mut log_path: Option<String> = None;
-                let mut width = lyra_bench::timeline::DEFAULT_WIDTH;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--log" => {
-                            log_path = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        "--width" => {
-                            let raw = args.get(k + 1).cloned().unwrap_or_else(|| usage());
-                            width = raw.parse().unwrap_or_else(|_| {
-                                eprintln!("timeline: --width expects columns, got {raw:?}");
-                                std::process::exit(2);
-                            });
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("timeline: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                timeline_cmd(log_path.as_deref(), width);
-            }
-            "prom" => {
-                let mut out: Option<String> = None;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--out" => {
-                            out = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("prom: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                prom_cmd(out.as_deref());
-            }
-            "smoke" => {
-                let log_path = match args.get(i + 1).map(String::as_str) {
-                    Some("--log") => Some(args.get(i + 2).cloned().unwrap_or_else(|| usage())),
-                    _ => None,
-                };
-                smoke(log_path.as_deref());
-            }
-            "perf" => {
-                if let Some(other) = args.get(i + 1) {
-                    eprintln!("perf: unknown argument {other:?}");
-                    usage();
-                }
-                std::process::exit(lyra_bench::perf::run());
-            }
-            "golden" => {
-                let (bless, mutate) = match args.get(i + 1).map(String::as_str) {
-                    Some("--bless") => (true, false),
-                    Some("--mutate") => (false, true),
-                    None => (false, false),
-                    Some(_) => usage(),
-                };
-                std::process::exit(lyra_bench::golden::run(bless, mutate));
-            }
-            "ablate" => {
-                let mut smoke = false;
-                let mut seed: u64 = 0;
-                let mut policy: Option<String> = None;
-                let mut out: Option<String> = None;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--smoke" => {
-                            smoke = true;
-                            k += 1;
-                        }
-                        "--policy" => {
-                            policy = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        "--seed" => {
-                            let raw = args.get(k + 1).cloned().unwrap_or_else(|| usage());
-                            seed = raw.parse().unwrap_or_else(|_| {
-                                eprintln!("ablate: --seed expects an integer, got {raw:?}");
-                                std::process::exit(2);
-                            });
-                            k += 2;
-                        }
-                        "--out" => {
-                            out = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("ablate: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                std::process::exit(lyra_bench::ablate::run(
-                    smoke,
-                    seed,
-                    policy.as_deref(),
-                    out.as_deref(),
-                ));
-            }
-            "checkpoint" => {
-                let mut at: Option<f64> = None;
-                let mut out: Option<String> = None;
-                let mut log: Option<String> = None;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--at" => {
-                            let raw = args.get(k + 1).cloned().unwrap_or_else(|| usage());
-                            at = Some(raw.parse().unwrap_or_else(|_| {
-                                eprintln!("checkpoint: --at expects seconds, got {raw:?}");
-                                std::process::exit(2);
-                            }));
-                            k += 2;
-                        }
-                        "--out" => {
-                            out = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        "--log" => {
-                            log = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("checkpoint: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                let (Some(at), Some(out)) = (at, out) else {
-                    eprintln!("checkpoint: --at and --out are required");
-                    usage();
-                };
-                std::process::exit(lyra_bench::crash::checkpoint_cmd(
-                    at,
-                    std::path::Path::new(&out),
-                    log.as_deref().map(std::path::Path::new),
-                ));
-            }
-            "resume" => {
-                let mut ckpt: Option<String> = None;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--ckpt" => {
-                            ckpt = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("resume: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                let Some(ckpt) = ckpt else {
-                    eprintln!("resume: --ckpt is required");
-                    usage();
-                };
-                std::process::exit(lyra_bench::crash::resume_cmd(std::path::Path::new(&ckpt)));
-            }
-            "crash-storm" => {
-                let mut kills: usize = 10;
-                let mut seed: u64 = 1;
-                let mut dir = std::env::temp_dir().join("lyra-crash-storm");
-                let mut k = i + 1;
-                while k < args.len() {
-                    let parse_next = |what: &str, raw: Option<&String>| -> String {
-                        raw.cloned().unwrap_or_else(|| {
-                            eprintln!("crash-storm: {what} expects a value");
-                            std::process::exit(2);
-                        })
-                    };
-                    match args[k].as_str() {
-                        "--kills" => {
-                            let raw = parse_next("--kills", args.get(k + 1));
-                            kills = raw.parse().unwrap_or_else(|_| {
-                                eprintln!("crash-storm: --kills expects a count, got {raw:?}");
-                                std::process::exit(2);
-                            });
-                            k += 2;
-                        }
-                        "--seed" => {
-                            let raw = parse_next("--seed", args.get(k + 1));
-                            seed = raw.parse().unwrap_or_else(|_| {
-                                eprintln!("crash-storm: --seed expects an integer, got {raw:?}");
-                                std::process::exit(2);
-                            });
-                            k += 2;
-                        }
-                        "--dir" => {
-                            dir = parse_next("--dir", args.get(k + 1)).into();
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("crash-storm: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                std::process::exit(lyra_bench::crash::storm_cmd(kills, seed, &dir));
-            }
-            "explain" => {
-                let job: u64 = args
-                    .get(i + 1)
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| usage());
-                let log_path = match args.get(i + 2).map(String::as_str) {
-                    Some("--log") => Some(args.get(i + 3).cloned().unwrap_or_else(|| usage())),
-                    _ => None,
-                };
-                explain(job, log_path.as_deref());
-            }
-            "attribute" => {
-                let (job, top, next) = match args.get(i + 1).map(String::as_str) {
-                    Some("--top") => {
-                        let n: usize = args
-                            .get(i + 2)
-                            .and_then(|a| a.parse().ok())
-                            .unwrap_or_else(|| usage());
-                        (None, Some(n), i + 3)
-                    }
-                    Some(id) => {
-                        let id: u64 = id.parse().ok().unwrap_or_else(|| usage());
-                        (Some(id), None, i + 2)
-                    }
-                    None => usage(),
-                };
-                let log_path = match args.get(next).map(String::as_str) {
-                    Some("--log") => Some(args.get(next + 1).cloned().unwrap_or_else(|| usage())),
-                    _ => None,
-                };
-                attribute(job, top, log_path.as_deref());
-            }
-            "why" => {
-                let job: u64 = args
-                    .get(i + 1)
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| usage());
-                let log_path = match args.get(i + 2).map(String::as_str) {
-                    Some("--log") => Some(args.get(i + 3).cloned().unwrap_or_else(|| usage())),
-                    _ => None,
-                };
-                why_cmd(job, log_path.as_deref());
-            }
-            "blame" => {
-                let mut top: usize = 10;
-                let mut log_path: Option<String> = None;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--top" => {
-                            let raw = args.get(k + 1).cloned().unwrap_or_else(|| usage());
-                            top = raw.parse().unwrap_or_else(|_| {
-                                eprintln!("blame: --top expects a count, got {raw:?}");
-                                std::process::exit(2);
-                            });
-                            k += 2;
-                        }
-                        "--log" => {
-                            log_path = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        other => {
-                            eprintln!("blame: unknown argument {other:?}");
-                            usage();
-                        }
-                    }
-                }
-                blame_cmd(top, log_path.as_deref());
-            }
-            "export-provenance" => {
-                let mut log_path: Option<String> = None;
-                let mut out = "provenance.json".to_string();
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--log" => {
-                            log_path = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        "--out" => {
-                            out = args.get(k + 1).cloned().unwrap_or_else(|| usage());
-                            k += 2;
-                        }
-                        _ => usage(),
-                    }
-                }
-                export_provenance(log_path.as_deref(), &out);
-            }
-            "export-trace" => {
-                let mut log_path: Option<String> = None;
-                let mut out = "trace.json".to_string();
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--log" => {
-                            log_path = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        "--out" => {
-                            out = args.get(k + 1).cloned().unwrap_or_else(|| usage());
-                            k += 2;
-                        }
-                        _ => usage(),
-                    }
-                }
-                export_trace(log_path.as_deref(), &out);
-            }
-            "events" => {
-                let mut log_path: Option<String> = None;
-                let mut filter: Option<String> = None;
-                let mut k = i + 1;
-                while k < args.len() {
-                    match args[k].as_str() {
-                        "--log" => {
-                            log_path = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        "--filter" => {
-                            filter = Some(args.get(k + 1).cloned().unwrap_or_else(|| usage()));
-                            k += 2;
-                        }
-                        _ => usage(),
-                    }
-                }
-                let filter = filter.unwrap_or_else(|| usage());
-                events_cmd(&filter, log_path.as_deref());
-            }
-            "plot" => {
-                for path in &args[i + 1..] {
-                    let json = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-                    let result: lyra_bench::ExperimentResult = serde_json::from_str(&json)
-                        .unwrap_or_else(|e| panic!("parse {path}: {e}"));
-                    let svg = lyra_bench::plot::plot_experiment(&result);
-                    let out = path.replace(".json", ".svg");
-                    std::fs::write(&out, svg).expect("write svg");
-                    println!("wrote {out}");
-                }
-                return;
-            }
-            "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
-            id => ids.push(id.to_string()),
+    Ok(lyra_bench::golden::run(bless, mutate))
+}
+
+fn ablate_cmd(inv: &Invocation) -> CmdResult {
+    Ok(lyra_bench::ablate::run(
+        inv.has("--smoke"),
+        inv.parsed("--seed", 0)?,
+        inv.value("--policy"),
+        inv.value("--out"),
+    ))
+}
+
+fn checkpoint_cmd(inv: &Invocation) -> CmdResult {
+    Ok(lyra_bench::crash::checkpoint_cmd(
+        inv.parsed("--at", 0.0)?,
+        Path::new(inv.value("--out").unwrap_or_default()),
+        inv.value("--log").map(Path::new),
+    ))
+}
+
+fn resume_cmd(inv: &Invocation) -> CmdResult {
+    Ok(lyra_bench::crash::resume_cmd(Path::new(
+        inv.value("--ckpt").unwrap_or_default(),
+    )))
+}
+
+fn crash_storm_cmd(inv: &Invocation) -> CmdResult {
+    let dir = inv
+        .value("--dir")
+        .map_or_else(|| std::env::temp_dir().join("lyra-crash-storm"), Into::into);
+    Ok(lyra_bench::crash::storm_cmd(
+        inv.parsed("--kills", 10)?,
+        inv.parsed("--seed", 1)?,
+        &dir,
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Invocation<'static>, CliError> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(Box::leak(Box::new(args)))
+    }
+
+    #[test]
+    fn ci_and_documented_invocations_parse() {
+        for line in [
+            // Every invocation in ci.sh.
+            "smoke --log s.jsonl",
+            "events --filter job=0,kind=JobStart --log s.jsonl",
+            "blame --top 5 --log s.jsonl",
+            "why 0 --log s.jsonl",
+            "blame --top 5",
+            "export-trace --log s.jsonl --out s.trace.json",
+            "events --filter cause=no-such-cause --log s.jsonl",
+            "events --filter cause=reclaim-preemption --log s.jsonl",
+            "timeline",
+            "timeline --log s.jsonl",
+            "prom --out s.prom",
+            "perf",
+            "golden",
+            "golden --mutate",
+            "ablate --smoke --out a.txt",
+            "ablate --policy no-such-policy",
+            "crash-storm --kills 10 --seed 1 --dir d",
+            // The forms the README documents.
+            "help",
+            "--help",
+            "list",
+            "tab5",
+            "--small tab5 --json out",
+            "all --json results/",
+            "fig10 --full",
+            "plot results/fig10.json",
+            "checkpoint --at 3600 --out run.ckpt",
+            "resume --ckpt run.ckpt",
+            "timeline --width 48",
+            "golden --bless",
+            "ablate --seed 7 --out sweep.txt",
+        ] {
+            assert!(parse_line(line).is_ok(), "{line}");
         }
-        i += 1;
     }
-    if ids.is_empty() {
-        usage();
+
+    #[test]
+    fn stray_missing_and_removed_arguments_are_usage_errors() {
+        for line in [
+            // Unknown flags and extra operands.
+            "explain 5 --bogus",
+            "why 3 --top 2",
+            "smoke --bogus",
+            "golden --bless extra",
+            "attribute 0 --log f extra",
+            "why 0 --bogus",
+            "why 0 1",
+            "perf --smoke",
+            "list extra",
+            "tab5 --bogus",
+            "tab5 why",
+            // Missing operands and values.
+            "",
+            "why",
+            "why 0 --log",
+            "plot",
+            "checkpoint --at 10",
+            "resume",
+            "events --log s.jsonl",
+            "--small",
+            // Names that are not subcommands.
+            "explain 0",
+            "attribute 0",
+            "attribute --top 5",
+            "export-provenance",
+            "export-provenance --log s.jsonl --out p.json",
+        ] {
+            let result = parse_line(line);
+            assert!(matches!(result, Err(CliError::Usage(_))), "{line:?}");
+        }
     }
-    for id in &ids {
-        lyra_obs::emitln!("==== {id} ({scale:?}) ====");
-        let start = std::time::Instant::now();
-        let Some(result) = experiments::run(id, scale) else {
-            eprintln!("unknown experiment: {id}");
-            std::process::exit(2);
-        };
-        lyra_obs::emitln!("[{id} done in {:.1}s]\n", start.elapsed().as_secs_f64());
-        let payload = serde_json::to_string(&result).expect("serialise result");
-        lyra_obs::output::emit_json(&payload);
-        if let Some(dir) = &json_dir {
-            std::fs::create_dir_all(dir).expect("create output dir");
-            let path = format!("{dir}/{id}.json");
-            let mut f = std::fs::File::create(&path).expect("create json file");
-            let pretty = serde_json::to_string_pretty(&result).expect("serialise result");
-            f.write_all(pretty.as_bytes()).expect("write json");
-            lyra_obs::emitln!("wrote {path}");
+
+    #[test]
+    fn values_convert_or_fail_as_usage_errors() {
+        let why = parse_line("why 17 --log f.jsonl").expect("parses");
+        assert_eq!(
+            why.convert::<u64>("<job-id>", why.operands[0]).expect("id"),
+            17
+        );
+        assert_eq!(why.value("--log"), Some("f.jsonl"));
+        let bad = why.convert::<u64>("<job-id>", "abc");
+        assert!(matches!(bad, Err(CliError::Usage(_))));
+        let blame = parse_line("blame --top 3 --top 4").expect("parses");
+        assert_eq!(blame.parsed("--top", 10).expect("count"), 4, "last wins");
+        let blame = parse_line("blame").expect("parses");
+        assert_eq!(blame.parsed("--top", 10).expect("default"), 10);
+        let json = parse_line("tab5 --json out").expect("parses");
+        assert_eq!(json.value("--json"), Some("out"));
+        // An experiment id after `--json` is an operand, not its directory.
+        let json = parse_line("--json fig1 tab5").expect("parses");
+        assert_eq!(
+            (json.value("--json"), json.operands),
+            (None, vec!["fig1", "tab5"])
+        );
+    }
+
+    #[test]
+    fn the_table_drives_usage_and_lookup() {
+        let names: std::collections::BTreeSet<_> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(
+            (COMMANDS.len(), names.len()),
+            (16, 16),
+            "16 distinct subcommands"
+        );
+        let usage = usage_text();
+        for name in names {
+            assert!(usage.contains(&format!("lyra-bench {name}")) && is_operand_like(name));
+        }
+        assert!(usage.contains("lyra-bench why <job-id> [--log <file.jsonl>]"));
+        assert!(usage.contains("lyra-bench checkpoint --at <seconds> --out <file.ckpt>"));
+        for gone in ["explain", "attribute", "export-provenance"] {
+            assert!(!usage.contains(&format!("lyra-bench {gone}")), "{gone}");
         }
     }
 }

@@ -312,11 +312,9 @@ impl AttributionSummary {
     }
 }
 
-/// Renders the ranked per-job cause breakdown for `attribute <job-id>`.
-///
-/// `max_intervals` caps the timeline section; longer histories elide
-/// the middle (first and last halves are kept).
-pub fn render_job(attr: &JobAttribution, max_intervals: usize) -> String {
+/// Renders one job's arrival, completion and ranked delay causes: the
+/// first section of `why <job-id>`.
+pub fn render_job(attr: &JobAttribution) -> String {
     let mut out = format!("delay attribution for job {}\n", attr.job);
     match attr.completion_ms {
         Some(done) => out.push_str(&format!(
@@ -342,38 +340,10 @@ pub fn render_job(attr: &JobAttribution, max_intervals: usize) -> String {
             ms * 100 / total
         ));
     }
-    out.push_str(&format!("  timeline ({} intervals):\n", attr.intervals.len()));
-    let n = attr.intervals.len();
-    let (head, tail) = if n > max_intervals {
-        (max_intervals / 2, max_intervals - max_intervals / 2)
-    } else {
-        (n, 0)
-    };
-    for iv in &attr.intervals[..head] {
-        out.push_str(&format!(
-            "    [{:>10} .. {:>10}) {:>10} s  {}\n",
-            fmt_s(iv.start_ms),
-            fmt_s(iv.end_ms),
-            fmt_s(iv.len_ms()),
-            iv.cause.label()
-        ));
-    }
-    if tail > 0 {
-        out.push_str(&format!("    ... ({} intervals elided)\n", n - head - tail));
-        for iv in &attr.intervals[n - tail..] {
-            out.push_str(&format!(
-                "    [{:>10} .. {:>10}) {:>10} s  {}\n",
-                fmt_s(iv.start_ms),
-                fmt_s(iv.end_ms),
-                fmt_s(iv.len_ms()),
-                iv.cause.label()
-            ));
-        }
-    }
     out
 }
 
-/// Renders the `attribute --top N` report: jobs ranked by time lost to
+/// Renders the `blame --top N` job ranking: jobs ranked by time lost to
 /// non-productive causes (descending; job id breaks ties).
 pub fn render_top(attrs: &[JobAttribution], n: usize) -> String {
     let mut ranked: Vec<&JobAttribution> = attrs.iter().collect();
@@ -487,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn render_job_ranks_and_elides() {
+    fn render_job_ranks_causes() {
         let mut intervals = Vec::new();
         for i in 0..20u64 {
             let cause = if i % 2 == 0 {
@@ -503,9 +473,9 @@ mod tests {
             completion_ms: Some(200),
             intervals,
         };
-        let text = render_job(&attr, 8);
+        let text = render_job(&attr);
         assert!(text.contains("ranked causes"));
-        assert!(text.contains("intervals elided"));
+        assert!(text.contains("rendezvous") && text.contains("( 50%)"));
         let top = render_top(std::slice::from_ref(&attr), 5);
         assert!(top.contains("rendezvous"));
     }

@@ -1,6 +1,6 @@
 //! Chrome / Perfetto `trace_event` JSON export.
 //!
-//! [`export_chrome_trace`] renders a recorded event log onto one
+//! [`export_provenance_trace`] renders a recorded event log onto one
 //! zoomable timeline loadable in `chrome://tracing` or
 //! <https://ui.perfetto.dev>:
 //!
@@ -14,19 +14,17 @@
 //! * **pid 3 "capacity"** — a loaned-servers counter driven by
 //!   `LoanGrant`/`ReclaimGrant`, with instant markers for reclaim
 //!   grants, carryovers and deadline misses.
+//! * **flow events** (`ph: "s"` / `"f"`) derived from the provenance
+//!   graph: preemption arrows run from the scheduler track to the
+//!   victim's job track, and loan arrows to the launch or scale-out the
+//!   loan enabled — so cross-job causality renders as arrows between
+//!   tracks.
 //!
 //! Timestamps are simulated microseconds (`time_ms * 1000`) — never
 //! wall-clock — so same-seed runs export byte-identical traces.
 //! [`validate_chrome_trace`] is the minimal schema check CI runs against
 //! every exported trace: well-formed JSON, monotone `ts` per
 //! `(pid, tid)` track, and matched `B`/`E` pairs.
-//!
-//! [`export_provenance_trace`] layers Perfetto **flow events** (`ph:
-//! "s"` / `"f"`) derived from the provenance graph on top of the
-//! standard trace: preemption arrows run from the scheduler track to
-//! the victim's job track, and loan arrows to the launch or scale-out
-//! the loan enabled — so cross-job causality renders as arrows between
-//! tracks.
 
 use serde::Value;
 
@@ -118,14 +116,8 @@ impl TraceBuilder {
     }
 }
 
-/// Exports a parsed event log as Chrome `trace_event` JSON (one event
-/// per line inside `traceEvents`, so pinned traces diff readably).
-pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
-    build_trace(events).render()
-}
-
 /// Builds the standard trace (lifelines, markers, counters, epoch
-/// spans) without rendering, so layered exporters can add to it.
+/// spans) without rendering, so the flow events can be added to it.
 fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
     let mut b = TraceBuilder::new();
     b.meta(PID_JOBS, 0, "process_name", "jobs");
@@ -353,8 +345,10 @@ fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
     b
 }
 
-/// Exports the standard Chrome trace plus Perfetto flow events derived
-/// from the provenance graph.
+/// Exports a parsed event log as Chrome `trace_event` JSON (one event
+/// per line inside `traceEvents`, so pinned traces diff readably): the
+/// job lifelines, scheduler and capacity tracks, plus Perfetto flow
+/// events derived from the provenance graph.
 ///
 /// Each `Preemption` edge becomes a `preempt-flow` arrow from the
 /// scheduler track (where the victim ranking ran) to the victim's job
@@ -616,19 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn exported_trace_passes_schema_check_and_is_deterministic() {
-        let log = sample_log();
-        let trace = export_chrome_trace(&log);
-        let stats = validate_chrome_trace(&trace).expect("valid trace");
-        assert!(stats.events > 0);
-        assert!(stats.span_pairs >= 4, "lifeline spans present: {stats:?}");
-        assert!(stats.tracks >= 3);
-        assert!(trace.contains("reclaim-preemption"));
-        assert!(trace.contains("loaned-servers"));
-        assert_eq!(trace, export_chrome_trace(&log), "byte-identical re-export");
-    }
-
-    #[test]
     fn validator_rejects_broken_traces() {
         assert!(validate_chrome_trace("not json").is_err());
         assert!(validate_chrome_trace("{}").is_err());
@@ -670,10 +651,14 @@ mod tests {
     }
 
     #[test]
-    fn provenance_trace_adds_flow_arrows_and_validates() {
+    fn exported_trace_validates_and_carries_lifelines_and_flows() {
         let log = sample_log();
         let trace = export_provenance_trace(&log);
-        validate_chrome_trace(&trace).expect("valid trace");
+        let stats = validate_chrome_trace(&trace).expect("valid trace");
+        assert!(stats.span_pairs >= 4, "lifeline spans present: {stats:?}");
+        assert!(stats.tracks >= 3);
+        assert!(trace.contains("reclaim-preemption"));
+        assert!(trace.contains("loaned-servers"));
         assert!(trace.contains("preempt-flow"), "{trace}");
         assert!(trace.contains("loan-flow"), "{trace}");
         assert!(trace.contains("\"ph\":\"s\""));
@@ -683,7 +668,5 @@ mod tests {
             export_provenance_trace(&log),
             "byte-identical re-export"
         );
-        // The plain exporter stays flow-free.
-        assert!(!export_chrome_trace(&log).contains("\"ph\":\"s\""));
     }
 }

@@ -1,5 +1,5 @@
-//! `--explain <job-id>`: reconstruct the causal chain for one job from
-//! a recorded event log.
+//! The audited decision chain for one job (the last section of
+//! `lyra-bench why <job-id>`), reconstructed from a recorded event log.
 //!
 //! The audit trail records the *inputs* of every decision (SJF keys,
 //! MCKP values, placement costs, reclaim costs); this module replays a

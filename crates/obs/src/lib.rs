@@ -29,14 +29,15 @@
 //!   per-phase self-time profile.
 //! * [`audit`] — a **decision audit trail**: phase-1 orderings, phase-2
 //!   MCKP allocations, placement and reclaim choices record their inputs
-//!   so [`explain`] can reconstruct the causal chain for one job.
+//!   so [`explain`] can narrate every decision that touched one job.
 //!
 //! On top of the event log sits the **causal delay-attribution layer**:
 //! [`lifecycle`] replays the stream through a per-job state machine,
 //! [`attribution`] decomposes every job's completion time into
 //! cause-attributed intervals that reconcile exactly (Σ intervals ==
 //! completion − arrival, checked end-of-run), and [`chrome`] exports
-//! the whole run as Chrome/Perfetto `trace_event` JSON.
+//! the whole run as Chrome/Perfetto `trace_event` JSON with provenance
+//! flow arrows.
 //!
 //! [`provenance`] + [`graph`] add **decision provenance**: every
 //! scheduling decision gets a stable `DecisionId` (its log `seq`) and
@@ -80,9 +81,7 @@ pub use attribution::{
 pub use audit::{
     AuditRecord, MckpGroupAudit, Phase1Entry, PlacementAlternative, ReclaimCandidate,
 };
-pub use chrome::{
-    export_chrome_trace, export_provenance_trace, validate_chrome_trace, ChromeTraceStats,
-};
+pub use chrome::{export_provenance_trace, validate_chrome_trace, ChromeTraceStats};
 pub use event::{SchedEvent, TimedEvent, KIND_NAMES};
 pub use explain::{explain_job, parse_log};
 pub use graph::{

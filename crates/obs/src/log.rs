@@ -6,7 +6,7 @@
 //! from its typed fields into one reused buffer, with no intermediate
 //! `Value` tree; the ring then keeps an exact-size copy of the line. The
 //! ring buffer keeps the most recent `capacity` lines for in-process
-//! inspection (`--explain`, tests, the run report); the file sink, when
+//! inspection (`why`, tests, the run report); the file sink, when
 //! configured, receives every line. Serialisation is deterministic —
 //! map-free payloads, fields in declaration order — so same-seed runs
 //! yield byte-identical logs.

@@ -6,12 +6,11 @@
 //! intended or not — shows up as a diff; intended changes are blessed
 //! with `lyra-bench golden --bless`.
 //!
-//! The faulted case additionally pins five artifacts — the
-//! delay-attribution table (`.attribution.txt`), the Chrome
-//! `trace_event` export (`.trace.json`), the rendered decision
+//! The faulted case additionally pins four artifacts — the
+//! delay-attribution table (`.attribution.txt`), the rendered decision
 //! provenance for one preemption victim (`.provenance.txt`) and the
-//! flow-annotated provenance trace (`.provenance.json`), all *derived*
-//! from its log, plus the telemetry series export (`.series.csv`)
+//! flow-annotated Chrome `trace_event` export (`.provenance.json`), all
+//! *derived* from its log, plus the telemetry series export (`.series.csv`)
 //! from the run's report — so a change to the attribution, export,
 //! provenance or telemetry pipeline is caught even when the
 //! underlying event stream is unchanged. Fired alerts are pinned
@@ -50,8 +49,8 @@ pub struct GoldenCase {
     pub jobs: JobTrace,
     /// The pinned inference trace.
     pub inference: InferenceTrace,
-    /// Also pin the derived artifacts (attribution table + Chrome
-    /// trace) for this case.
+    /// Also pin the derived artifacts (attribution table, `why`
+    /// rendering, Chrome trace, telemetry series) for this case.
     pub pin_artifacts: bool,
 }
 
@@ -84,11 +83,6 @@ impl GoldenCase {
         dir.join(format!("{}.attribution.txt", self.name))
     }
 
-    /// Path of the pinned Chrome trace inside `dir`.
-    pub fn trace_path(&self, dir: &Path) -> PathBuf {
-        dir.join(format!("{}.trace.json", self.name))
-    }
-
     /// Path of the pinned telemetry series export inside `dir`.
     pub fn series_path(&self, dir: &Path) -> PathBuf {
         dir.join(format!("{}.series.csv", self.name))
@@ -100,25 +94,20 @@ impl GoldenCase {
         dir.join(format!("{}.provenance.txt", self.name))
     }
 
-    /// Path of the pinned provenance-annotated Chrome trace inside
-    /// `dir`.
+    /// Path of the pinned (flow-annotated) Chrome trace inside `dir`.
     pub fn provenance_trace_path(&self, dir: &Path) -> PathBuf {
         dir.join(format!("{}.provenance.json", self.name))
     }
 
     /// Derives the pinned artifacts from a JSONL event log: the
-    /// rendered delay-attribution table, the Chrome `trace_event`
-    /// export (schema-validated before it is returned), the `why`
-    /// rendering for the log's first preemption victim, and the
-    /// flow-annotated provenance trace (also schema-validated).
+    /// rendered delay-attribution table, the `why` rendering for the
+    /// log's first preemption victim, and the flow-annotated Chrome
+    /// `trace_event` export (schema-validated before it is returned).
     pub fn artifacts(&self, log: &[String]) -> Result<PinnedArtifacts, String> {
         let events = lyra_obs::parse_log(&log.join("\n"))
             .map_err(|e| format!("{}: event log does not parse: {e}", self.name))?;
         let attrs = lyra_obs::attribute_log(&events);
         let table = lyra_obs::summarize(&attrs).render_table();
-        let trace = lyra_obs::export_chrome_trace(&events);
-        lyra_obs::validate_chrome_trace(&trace)
-            .map_err(|e| format!("{}: exported Chrome trace is malformed: {e}", self.name))?;
         // The provenance artifacts anchor on the first preemption
         // victim in the log; a pinned case without any preemption
         // would leave the reclaim blame chain untested, so fail loud.
@@ -138,7 +127,6 @@ impl GoldenCase {
             .map_err(|e| format!("{}: provenance trace is malformed: {e}", self.name))?;
         Ok(PinnedArtifacts {
             table,
-            trace,
             why,
             provenance_trace: prov_trace,
         })
@@ -149,11 +137,9 @@ impl GoldenCase {
 pub struct PinnedArtifacts {
     /// Rendered delay-attribution table.
     pub table: String,
-    /// Chrome `trace_event` export.
-    pub trace: String,
     /// `why` rendering for the log's first preemption victim.
     pub why: String,
-    /// Flow-annotated provenance trace.
+    /// Flow-annotated Chrome `trace_event` export.
     pub provenance_trace: String,
 }
 
@@ -200,7 +186,7 @@ pub fn cases() -> Vec<GoldenCase> {
         },
         // The faulted case covers the widest cause taxonomy (restarts,
         // restores, preemptions, stragglers), so it also pins the
-        // derived attribution table and Chrome trace.
+        // derived attribution table, `why` rendering and Chrome trace.
         GoldenCase {
             name: "tiny-faulty",
             scenario: faulty,
@@ -334,7 +320,6 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
         };
         for (label, path, got) in [
             ("attribution table", case.attribution_path(dir), arts.table),
-            ("chrome trace", case.trace_path(dir), arts.trace),
             ("series export", case.series_path(dir), series_csv),
             ("provenance rendering", case.provenance_path(dir), arts.why),
             (
@@ -386,7 +371,6 @@ pub fn bless(dir: &Path) -> Result<Vec<String>, String> {
                 .map_err(|e| format!("{}: {e}", spath.display()))?;
             for (path, content) in [
                 (case.attribution_path(dir), arts.table),
-                (case.trace_path(dir), arts.trace),
                 (case.provenance_path(dir), arts.why),
                 (case.provenance_trace_path(dir), arts.provenance_trace),
             ] {

@@ -8,7 +8,7 @@
 //! two paths and same-seed byte-identity of the rendered artifacts.
 
 use lyra_cluster::state::ClusterConfig;
-use lyra_obs::{attribute_log, export_chrome_trace, summarize, validate_chrome_trace};
+use lyra_obs::{attribute_log, export_provenance_trace, summarize, validate_chrome_trace};
 use lyra_sim::{
     run_scenario_observed, transform, FaultConfig, FaultPlan, ObserverConfig, Scenario,
 };
@@ -142,8 +142,8 @@ fn same_seed_runs_yield_identical_tables_and_traces() {
     );
     let parsed_a = lyra_obs::parse_log(&a.events.join("\n")).expect("parses");
     let parsed_b = lyra_obs::parse_log(&b.events.join("\n")).expect("parses");
-    let trace_a = export_chrome_trace(&parsed_a);
-    let trace_b = export_chrome_trace(&parsed_b);
+    let trace_a = export_provenance_trace(&parsed_a);
+    let trace_b = export_provenance_trace(&parsed_b);
     assert_eq!(trace_a, trace_b, "Chrome traces are byte-identical");
     let stats = validate_chrome_trace(&trace_a).expect("trace is well-formed");
     assert!(stats.events > 0 && stats.span_pairs > 0, "trace has content");
