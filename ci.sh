@@ -39,9 +39,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p lyra-oracle
 
 # Bench smoke: one observed end-to-end run; exits non-zero unless the
-# event log, metric snapshots, span profile and delay attribution all
-# came out non-empty and the exported Chrome trace passes the
-# trace_event schema check. The saved log then drives the log-replay
+# event log, span profile and delay attribution all came out non-empty,
+# the telemetry's completed-jobs counter and JCT histogram count both
+# equal the report's completed count, and the exported Chrome trace
+# passes the trace_event schema check. The saved log then drives the log-replay
 # tooling end-to-end.
 smoke_dir=$(mktemp -d)
 ./target/release/lyra-bench smoke --log "$smoke_dir/smoke.jsonl"
@@ -96,15 +97,23 @@ for bad in "explain 0" "why 0 --bogus"; do
 done
 
 # Telemetry smoke: the sparkline dashboard must render from both a live
-# run and a replayed log, and the Prometheus exposition must come out
-# non-empty with the lyra_ namespace.
+# run and a replayed log. The Prometheus exposition must declare every
+# metric name once and carry the completed-jobs counter and the JCT
+# histogram.
 ./target/release/lyra-bench timeline >/dev/null
 ./target/release/lyra-bench timeline --log "$smoke_dir/smoke.jsonl" >/dev/null
 ./target/release/lyra-bench prom --out "$smoke_dir/smoke.prom"
-grep -q '^lyra_' "$smoke_dir/smoke.prom" || {
-  echo "ci: Prometheus exposition is empty or unprefixed" >&2
+dup_types=$(grep '^# TYPE' "$smoke_dir/smoke.prom" | awk '{print $3}' | sort | uniq -d)
+[ -z "$dup_types" ] || {
+  echo "ci: Prometheus exposition declares a metric more than once: $dup_types" >&2
   exit 1
 }
+for family in '^lyra_sim_jobs_completed_total ' '^lyra_sim_jct_s_bucket{le="+Inf"} '; do
+  grep -q "$family" "$smoke_dir/smoke.prom" || {
+    echo "ci: Prometheus exposition lacks $family" >&2
+    exit 1
+  }
+done
 rm -rf "$smoke_dir"
 
 # Perf gates: full observation (event log + telemetry sampling) must fit

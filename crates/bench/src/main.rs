@@ -434,18 +434,21 @@ fn read_log(inv: &Invocation) -> Result<(String, Vec<TimedEvent>), CliError> {
 
 /// `smoke [--log <file>]`: one observed end-to-end run with every
 /// observability pillar checked — used by ci.sh as the bench smoke
-/// test. Fails if the run produced no events, no metric snapshots, no
-/// span profile or no delay attribution, or if the exported Chrome
-/// trace fails the `trace_event` schema check. With `--log`, also
-/// writes the JSONL event log to `file` (feed it to the log-replay
-/// commands with `--log <file>`).
+/// test. Fails if the run produced no events, no span profile or no
+/// delay attribution, if the telemetry's `sim.jobs.completed` counter or
+/// `sim.jct_s` histogram count disagrees with the report's completed
+/// count, or if the exported Chrome trace fails the `trace_event` schema
+/// check. With `--log`, also writes the JSONL event log to `file` (feed
+/// it to the log-replay commands with `--log <file>`).
 fn smoke_cmd(inv: &Invocation) -> CmdResult {
     let report = observed_small_run(inv.value("--log"))?;
+    let counted = report.telemetry.counter("sim.jobs.completed");
+    let jct_count = report.telemetry.jct_s.count;
     println!(
-        "smoke: {} jobs completed, {} events, {} metric snapshots, {} profiled phases",
+        "smoke: {} jobs completed ({counted} counted, {jct_count} in sim.jct_s), {} events, \
+         {} profiled phases",
         report.completed,
         report.events.len(),
-        report.metrics.len(),
         report.profile.0.len()
     );
     print!("{}", report.profile.render());
@@ -460,7 +463,8 @@ fn smoke_cmd(inv: &Invocation) -> CmdResult {
     );
     let ok = report.completed > 0
         && !report.events.is_empty()
-        && !report.metrics.is_empty()
+        && counted == report.completed as u64
+        && jct_count == report.completed as u64
         && !report.profile.0.is_empty()
         && report.attribution.jobs > 0
         && stats.span_pairs > 0;
@@ -627,12 +631,11 @@ fn timeline_cmd(inv: &Invocation) -> CmdResult {
 }
 
 /// `prom [--out <file.prom>]`: run one small observed scenario and
-/// write its telemetry + metrics registry in Prometheus text
-/// exposition format 0.0.4 (stdout when `--out` is omitted). Same
-/// seed, same bytes.
+/// write its telemetry store in Prometheus text exposition format
+/// 0.0.4 (stdout when `--out` is omitted). Same seed, same bytes.
 fn prom_cmd(inv: &Invocation) -> CmdResult {
     let report = observed_small_run(None)?;
-    let text = lyra_obs::render_prometheus(&report.telemetry, report.metrics.last());
+    let text = lyra_obs::render_prometheus(&report.telemetry);
     match inv.value("--out") {
         Some(path) => {
             write_file(path, &text)?;

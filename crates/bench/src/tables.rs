@@ -171,7 +171,6 @@ mod tests {
             deadlines: lyra_sim::DeadlineStats::default(),
             records: vec![],
             events: vec![],
-            metrics: vec![],
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
             telemetry: lyra_obs::Telemetry::default(),

@@ -128,7 +128,7 @@ pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
 }
 
 /// Renders the full dashboard: a header, one sparkline row per series
-/// (name, chart, min/last/max), the two telemetry histograms as
+/// (name, chart, min/last/max), the two epoch histograms as
 /// single-line summaries, and the alert transitions (if any).
 pub fn render_dashboard(t: &Telemetry, alerts: &[AlertLine], width: usize) -> String {
     let mut out = String::new();

@@ -293,13 +293,6 @@ impl JobSpec {
         self
     }
 
-    /// Sets the malleable shrink/expand stall costs in seconds.
-    pub fn with_resize_costs(mut self, shrink_s: f64, expand_s: f64) -> Self {
-        self.shrink_cost_s = shrink_s;
-        self.expand_cost_s = expand_s;
-        self
-    }
-
     /// Sets a completion deadline in seconds from trace start.
     pub fn with_deadline(mut self, deadline_s: f64) -> Self {
         self.deadline_s = Some(deadline_s);

@@ -19,7 +19,6 @@
 
 use crate::job::JobId;
 use crate::snapshot::ServerId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -928,14 +927,6 @@ pub fn reclaim_exhaustive_optimal(request: &ReclaimRequest) -> Option<ReclaimOut
         }
     }
     None
-}
-
-/// Shuffles candidate order — a helper for randomised experiments that want
-/// per-trial candidate permutations without touching the request itself.
-pub fn shuffled_candidates<R: Rng>(request: &ReclaimRequest, rng: &mut R) -> ReclaimRequest {
-    let mut r = request.clone();
-    r.servers.shuffle(rng);
-    r
 }
 
 #[cfg(test)]

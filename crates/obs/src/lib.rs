@@ -13,14 +13,11 @@
 //!   scheduler events emitted as JSON Lines into a ring buffer with an
 //!   optional file sink. Event payloads carry only simulated quantities,
 //!   so two runs with the same seed produce byte-identical logs.
-//! * [`registry`] — a **metrics registry**: counters, gauges and
-//!   fixed-bucket histograms registered by name and snapshotted per
-//!   simulated hour, so time series come from one place instead of
-//!   bespoke report fields.
-//! * [`timeseries`] + [`alerts`] + [`prom`] — **continuous telemetry**:
-//!   per-epoch scheduler health gauges sampled into fixed-capacity ring
-//!   series with deterministic decimation (bounded memory at 1M-job
-//!   scale), fixed log2-bucket histograms, a threshold/sustained-window
+//! * [`timeseries`] + [`alerts`] + [`prom`] — **metrics and continuous
+//!   telemetry** in one store: per-epoch scheduler health gauges
+//!   sampled into fixed-capacity ring series with deterministic
+//!   decimation (bounded memory at 1M-job scale), cumulative event
+//!   counters, fixed-bucket histograms, a threshold/sustained-window
 //!   alert engine emitting typed `Alert` events into the log, and
 //!   Prometheus text exposition + CSV export — all byte-reproducible
 //!   under the same seed.
@@ -69,7 +66,6 @@ pub mod log;
 pub mod output;
 pub mod provenance;
 pub mod prom;
-pub mod registry;
 pub mod span;
 pub mod timeseries;
 
@@ -94,6 +90,5 @@ pub use provenance::{
 };
 pub use output::OutputMode;
 pub use prom::render_prometheus;
-pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_HISTOGRAM_BOUNDS};
 pub use span::{PhaseStat, Profile, SpanGuard};
-pub use timeseries::{Log2Histogram, RingSeries, SeriesPoint, Telemetry};
+pub use timeseries::{Histogram, RingSeries, SeriesPoint, Telemetry};

@@ -8,8 +8,8 @@
 //! boolean read, which keeps the instrumented hot paths within the
 //! overhead budget when no observer is attached.
 //!
-//! Wall-clock readings never enter the event log or the metrics
-//! registry, so timing does not perturb determinism; [`Profile`]
+//! Wall-clock readings never enter the event log or the telemetry
+//! store, so timing does not perturb determinism; [`Profile`]
 //! deliberately compares equal to any other profile for the same reason
 //! (reports carrying profiles stay `==` across same-seed runs).
 

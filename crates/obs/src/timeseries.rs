@@ -1,4 +1,6 @@
-//! Deterministic, bounded-memory time series for scheduler health.
+//! The run's one metrics store: deterministic, bounded-memory time
+//! series for scheduler health, cumulative counters and fixed-bucket
+//! histograms.
 //!
 //! The simulator samples a fixed set of gauges once per scheduler epoch
 //! (queue depth, utilization split, loaned capacity, reclaim backlog,
@@ -9,9 +11,12 @@
 //! export byte-identical series, and memory stays bounded no matter how
 //! long the run is (1M-job scale included).
 //!
-//! Two fixed log2-bucket histograms ride along — simulated epoch span
-//! and modelled decision latency — with bucket bounds frozen at
-//! construction so golden gates can pin exported bytes. Wall-clock
+//! Event counters (`<area>.<object>.<measure>`, e.g.
+//! `sim.jobs.completed`) are cumulative and back the `rate.*` series.
+//! Four [`Histogram`]s ride along — simulated epoch span and modelled
+//! decision latency (log2 buckets), job completion and queuing time
+//! (1 min … 7 days) — with bucket bounds frozen at construction so
+//! golden gates can pin exported bytes. Wall-clock
 //! readings never enter this module (the span profiler owns wall-clock);
 //! every recorded quantity is simulated or modelled.
 
@@ -125,15 +130,14 @@ impl RingSeries {
     }
 }
 
-/// A histogram with fixed power-of-two bucket bounds.
+/// A histogram with fixed bucket bounds.
 ///
-/// Bounds are `2^min_exp ..= 2^max_exp` (inclusive), plus an implicit
-/// overflow bucket; they are frozen at construction so exported bytes
-/// are pinnable by the golden gate. Observations are `f64` but the
-/// intended inputs are simulated/modelled quantities (milliseconds).
+/// Bounds are frozen at construction, plus an implicit overflow bucket,
+/// so exported bytes are pinnable by the golden gate. Observations are
+/// `f64` but the intended inputs are simulated/modelled quantities.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Log2Histogram {
-    /// Ascending bucket upper bounds (powers of two).
+pub struct Histogram {
+    /// Ascending bucket upper bounds.
     pub bounds: Vec<f64>,
     /// Counts per bucket; `bounds.len() + 1` entries, last = overflow.
     pub counts: Vec<u64>,
@@ -143,17 +147,22 @@ pub struct Log2Histogram {
     pub count: u64,
 }
 
-impl Log2Histogram {
-    /// Creates a histogram with bounds `2^min_exp ..= 2^max_exp`.
-    pub fn new(min_exp: u32, max_exp: u32) -> Self {
-        let bounds: Vec<f64> = (min_exp..=max_exp).map(|e| (1u64 << e) as f64).collect();
-        let buckets = bounds.len() + 1;
-        Log2Histogram {
-            bounds,
-            counts: vec![0; buckets],
+impl Histogram {
+    /// Creates a histogram with the given ascending upper bounds.
+    pub fn with_bounds(bounds: &[f64]) -> Self {
+        Histogram {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
             sum: 0.0,
             count: 0,
         }
+    }
+
+    /// Creates a histogram with power-of-two bounds
+    /// `2^min_exp ..= 2^max_exp`.
+    pub fn log2(min_exp: u32, max_exp: u32) -> Self {
+        let bounds: Vec<f64> = (min_exp..=max_exp).map(|e| (1u64 << e) as f64).collect();
+        Histogram::with_bounds(&bounds)
     }
 
     /// Records one observation.
@@ -169,8 +178,14 @@ impl Log2Histogram {
     }
 }
 
-/// The per-run telemetry store: named ring series plus the two fixed
-/// epoch histograms.
+/// Bucket bounds of the job-duration histograms, seconds (1 min …
+/// 7 days, then overflow).
+const DURATION_BOUNDS_S: &[f64] = &[
+    60.0, 300.0, 900.0, 3_600.0, 7_200.0, 21_600.0, 43_200.0, 86_400.0, 172_800.0, 604_800.0,
+];
+
+/// The per-run metrics store: named ring series, cumulative counters,
+/// the two epoch histograms and the two job-duration histograms.
 ///
 /// Everything here is `serde`-serialisable and enters the engine
 /// checkpoint, so a restored run continues sampling exactly where the
@@ -184,14 +199,20 @@ pub struct Telemetry {
     pub epochs: u64,
     /// Named gauge series, in stable (sorted) order.
     series: BTreeMap<String, RingSeries>,
+    /// Cumulative event counters (`sim.jobs.completed`, …), sorted.
+    counters: BTreeMap<String, u64>,
     /// Previous cumulative counter values backing the `rate.*` series.
     prev_counters: BTreeMap<String, u64>,
     /// Simulated time of the previous epoch sample, if any.
     last_sample_ms: Option<u64>,
     /// Simulated span between consecutive epoch samples, milliseconds.
-    pub epoch_span_ms: Log2Histogram,
+    pub epoch_span_ms: Histogram,
     /// Modelled scheduler decision latency per epoch, milliseconds.
-    pub decision_latency_ms: Log2Histogram,
+    pub decision_latency_ms: Histogram,
+    /// Completion time of each finished job, seconds (`sim.jct_s`).
+    pub jct_s: Histogram,
+    /// Queuing time of each finished job, seconds (`sim.queue_s`).
+    pub queue_s: Histogram,
 }
 
 impl Default for Telemetry {
@@ -208,13 +229,16 @@ impl Telemetry {
             capacity,
             epochs: 0,
             series: BTreeMap::new(),
+            counters: BTreeMap::new(),
             prev_counters: BTreeMap::new(),
             last_sample_ms: None,
             // 1 ms .. ~17.9 min covers epoch spans from sub-second
             // control loops to hourly housekeeping ticks.
-            epoch_span_ms: Log2Histogram::new(0, 20),
+            epoch_span_ms: Histogram::log2(0, 20),
             // 1 ms .. ~65 s covers modelled control-plane latencies.
-            decision_latency_ms: Log2Histogram::new(0, 16),
+            decision_latency_ms: Histogram::log2(0, 16),
+            jct_s: Histogram::with_bounds(DURATION_BOUNDS_S),
+            queue_s: Histogram::with_bounds(DURATION_BOUNDS_S),
         }
     }
 
@@ -236,6 +260,26 @@ impl Telemetry {
             .entry(name.to_string())
             .or_insert_with(|| RingSeries::new(cap))
             .record(t_ms, value);
+    }
+
+    /// Increments the cumulative counter `name` by one, creating it on
+    /// first use.
+    pub fn count(&mut self, name: &str) {
+        if let Some(v) = self.counters.get_mut(name) {
+            *v += 1;
+        } else {
+            self.counters.insert(name.to_string(), 1);
+        }
+    }
+
+    /// Current value of counter `name` (0 if never incremented).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Iterates `(name, value)` counter pairs in stable sorted order.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Samples a per-epoch *rate* derived from a cumulative counter: the
@@ -356,13 +400,37 @@ mod tests {
 
     #[test]
     fn log2_histogram_buckets_powers_of_two() {
-        let mut h = Log2Histogram::new(0, 3); // bounds 1,2,4,8
+        let mut h = Histogram::log2(0, 3); // bounds 1,2,4,8
         assert_eq!(h.bounds, vec![1.0, 2.0, 4.0, 8.0]);
         for v in [0.5, 2.0, 3.0, 100.0] {
             h.observe(v);
         }
         assert_eq!(h.counts, vec![1, 1, 1, 0, 1]);
         assert_eq!(h.count, 4);
+    }
+
+    #[test]
+    fn histogram_buckets_by_upper_bound_with_overflow() {
+        let mut h = Histogram::with_bounds(&[60.0, 600.0]);
+        for v in [30.0, 60.0, 100.0, 1e9] {
+            h.observe(v);
+        }
+        assert_eq!(h.counts, vec![2, 1, 1]);
+        assert_eq!(h.count, 4);
+        assert!((h.sum - (30.0 + 60.0 + 100.0 + 1e9)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn counters_accumulate_and_default_to_zero() {
+        let mut t = Telemetry::new(8);
+        assert_eq!(t.counter("sim.jobs.completed"), 0);
+        for _ in 0..3 {
+            t.count("sim.jobs.completed");
+        }
+        t.count("cluster.loan.ops");
+        assert_eq!(t.counter("sim.jobs.completed"), 3);
+        let all: Vec<_> = t.counters().collect();
+        assert_eq!(all, vec![("cluster.loan.ops", 1), ("sim.jobs.completed", 3)]);
     }
 
     #[test]
@@ -414,8 +482,11 @@ mod tests {
             t.sample_gauge("queue.depth", i * 500, (i % 7) as f64);
             t.sample_rate("rate.preempt", i * 500, i / 3);
             t.observe_decision_latency(5.0);
+            t.count("sim.jobs.completed");
+            t.jct_s.observe((i * 60) as f64);
         }
         let json = serde_json::to_string(&t).expect("serialises");
+        assert_eq!(json, serde_json::to_string(&t).expect("serialises"));
         let back: Telemetry = serde_json::from_str(&json).expect("deserialises");
         assert_eq!(t, back);
         assert_eq!(t.to_csv(), back.to_csv());

@@ -101,8 +101,7 @@ struct Baseline {
     /// ring series are checkpointed engine state, so a resumed run must
     /// reproduce the export byte-for-byte.
     series_csv: String,
-    /// Prometheus text exposition rendered from the telemetry store and
-    /// the final registry snapshot.
+    /// Prometheus text exposition rendered from the telemetry store.
     prom: String,
     /// `why` rendering for the first preemption victim, top-5 `blame`
     /// table and flow-annotated provenance trace, all derived from the
@@ -136,7 +135,7 @@ fn provenance_artifacts(events: &[String]) -> Result<(String, String, String), S
 
 /// Renders the Prometheus exposition a finished run would serve.
 fn prom_text(report: &SimReport) -> String {
-    lyra_obs::render_prometheus(&report.telemetry, report.metrics.last())
+    lyra_obs::render_prometheus(&report.telemetry)
 }
 
 /// Serializes a report with its wall-clock profile zeroed; timing data

@@ -39,8 +39,11 @@ use std::path::Path;
 /// added the observer's decision-provenance tracker (and the
 /// provenance-bearing event schema: `ReclaimDemand`, `JobPreempt.
 /// decision`, `JobScaleOut.{on_loan,servers}`); version 6 dropped the
-/// `incremental_*` engine switches from the serialised `SimConfig`.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// `incremental_*` engine switches from the serialised `SimConfig`;
+/// version 7 folded the observer's metrics registry into its telemetry
+/// store (counters and job-duration histograms) and dropped the hourly
+/// snapshots.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";
@@ -427,20 +430,22 @@ mod tests {
             Err(CheckpointError::Malformed(_))
         ));
 
-        // Version bump → typed version refusal.
+        // The previous and the next version → typed version refusal.
         let text = String::from_utf8(good.clone()).unwrap();
-        let bumped = text.replacen(
-            &format!("\"version\":{CHECKPOINT_VERSION}"),
-            &format!("\"version\":{}", CHECKPOINT_VERSION + 1),
-            1,
-        );
-        assert_ne!(text, bumped, "version field must appear in the header");
-        std::fs::write(&path, bumped).unwrap();
-        assert!(matches!(
-            SimCheckpoint::load(&path),
-            Err(CheckpointError::VersionMismatch { found, expected })
-                if found == CHECKPOINT_VERSION + 1 && expected == CHECKPOINT_VERSION
-        ));
+        for other in [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+            let bumped = text.replacen(
+                &format!("\"version\":{CHECKPOINT_VERSION}"),
+                &format!("\"version\":{other}"),
+                1,
+            );
+            assert_ne!(text, bumped, "version field must appear in the header");
+            std::fs::write(&path, bumped).unwrap();
+            assert!(matches!(
+                SimCheckpoint::load(&path),
+                Err(CheckpointError::VersionMismatch { found, expected })
+                    if found == other && expected == CHECKPOINT_VERSION
+            ));
+        }
 
         // Not a checkpoint at all → malformed, and a missing file → Io.
         std::fs::write(&path, "{\"magic\":\"something-else\",\"version\":1,\"checksum\":\"0\"}\n{}\n").unwrap();

@@ -40,7 +40,7 @@ use lyra_core::snapshot::{
 use lyra_core::tuning::GoodputModel;
 use lyra_elastic::controller::ElasticController;
 use lyra_elastic::hetero::{hetero_rate_scaled, HeteroGroup};
-use lyra_obs::{EventLog, MetricsRegistry, MetricsSnapshot, SchedEvent};
+use lyra_obs::{EventLog, SchedEvent};
 use lyra_predictor::RuntimeEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -250,8 +250,8 @@ impl SimJob {
     }
 }
 
-/// Configuration of the attached observer (event log + metrics registry
-/// + decision audit). See [`Simulation::with_observer`].
+/// Configuration of the attached observer (event log + telemetry +
+/// decision audit). See [`Simulation::with_observer`].
 #[derive(Debug, Clone)]
 pub struct ObserverConfig {
     /// Event-log ring capacity (most recent lines kept in memory and
@@ -287,15 +287,12 @@ impl Default for ObserverConfig {
     }
 }
 
-/// Attached observability state: the structured event log and the
-/// metrics registry with its hourly snapshots.
+/// Attached observability state: the structured event log, the
+/// telemetry store and the online delay-attribution and provenance
+/// trackers.
 struct Observer {
     log: EventLog,
-    metrics: MetricsRegistry,
-    snapshots: Vec<MetricsSnapshot>,
     audit: bool,
-    /// Next simulated hour to snapshot.
-    next_hour: u64,
     /// Online per-job delay attribution. Fed from `emit` so it sees
     /// every event even when the ring buffer drops old lines.
     lifecycle: lyra_obs::LifecycleTracker,
@@ -303,8 +300,8 @@ struct Observer {
     /// (launches, queued, running) changes, keeping quiet periods quiet.
     last_epoch: Option<(u32, u32, u32)>,
     /// Per-epoch scheduler-health series (ring buffers with
-    /// deterministic decimation) plus the epoch-span / decision-latency
-    /// histograms.
+    /// deterministic decimation), the event counters and the epoch and
+    /// job-duration histograms.
     telemetry: lyra_obs::Telemetry,
     /// Threshold + sustained-window rules over the telemetry gauges.
     alerts: lyra_obs::AlertEngine,
@@ -319,12 +316,6 @@ struct Observer {
     /// provenance tracking is disabled.
     provenance: Option<lyra_obs::ProvenanceTracker>,
 }
-
-/// Fixed histogram bucket bounds for job-level durations, seconds
-/// (1 min … 7 days, then overflow).
-const DURATION_BUCKETS_S: &[f64] = &[
-    60.0, 300.0, 900.0, 3_600.0, 7_200.0, 21_600.0, 43_200.0, 86_400.0, 172_800.0, 604_800.0,
-];
 
 /// Error from the simulation (policy/cluster inconsistencies).
 #[derive(Debug)]
@@ -382,10 +373,7 @@ struct SnapshotCache {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ObserverState {
     log: lyra_obs::EventLogState,
-    metrics: MetricsRegistry,
-    snapshots: Vec<MetricsSnapshot>,
     audit: bool,
-    next_hour: u64,
     lifecycle: lyra_obs::LifecycleTracker,
     last_epoch: Option<(u32, u32, u32)>,
     telemetry: lyra_obs::Telemetry,
@@ -522,7 +510,7 @@ pub struct Simulation {
     /// every worker-count transition so the per-epoch demand check is
     /// O(1) instead of a walk over the running set.
     elastic_headroom_gpus: u64,
-    /// Attached observability (event log + metrics + audit); `None`
+    /// Attached observability (event log + telemetry + audit); `None`
     /// keeps the hot path free of instrumentation.
     observer: Option<Observer>,
     /// Per-phase span profile collected at the end of an observed run.
@@ -663,9 +651,9 @@ impl Simulation {
     }
 
     /// Attaches an observer: the structured event log (ring buffer plus
-    /// optional JSONL file sink), the metrics registry snapshotted per
-    /// simulated hour, the decision audit trail and span timing for the
-    /// hot paths. The report then carries `events`, `metrics` and
+    /// optional JSONL file sink), the telemetry store (series, counters,
+    /// histograms), the decision audit trail and span timing for the
+    /// hot paths. The report then carries `events`, `telemetry` and
     /// `profile`.
     ///
     /// # Errors
@@ -676,15 +664,9 @@ impl Simulation {
         if let Some(path) = &cfg.sink_path {
             log = log.with_sink(path)?;
         }
-        let mut metrics = MetricsRegistry::default();
-        metrics.histogram_register("sim.jct_s", DURATION_BUCKETS_S);
-        metrics.histogram_register("sim.queue_s", DURATION_BUCKETS_S);
         self.observer = Some(Observer {
             log,
-            metrics,
-            snapshots: Vec::new(),
             audit: cfg.audit,
-            next_hour: 0,
             lifecycle: lyra_obs::LifecycleTracker::new(),
             last_epoch: None,
             telemetry: lyra_obs::Telemetry::new(cfg.telemetry_capacity),
@@ -712,18 +694,10 @@ impl Simulation {
         }
     }
 
-    /// Increments a registry counter (no-op without an observer).
+    /// Increments a telemetry counter (no-op without an observer).
     fn count(&mut self, name: &str) {
         if let Some(obs) = self.observer.as_mut() {
-            obs.metrics.counter_inc(name);
-        }
-    }
-
-    /// Observes a value into a registered histogram (no-op without an
-    /// observer).
-    fn observe_histogram(&mut self, name: &str, value: f64) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.metrics.histogram_observe(name, value);
+            obs.telemetry.count(name);
         }
     }
 
@@ -813,45 +787,6 @@ impl Simulation {
                 }
             }
         }
-    }
-
-    /// Snapshots the metrics registry for every completed simulated hour
-    /// up to `up_to_s`, stamping point-in-time gauges first.
-    fn snapshot_metrics(&mut self, up_to_s: f64) {
-        let Some(obs) = self.observer.as_ref() else {
-            return;
-        };
-        let mut hour = obs.next_hour;
-        if up_to_s < (hour + 1) as f64 * 3600.0 {
-            return;
-        }
-        let queue_depth = self.queue.len() as f64;
-        let running = self
-            .jobs
-            .iter()
-            .filter(|j| j.state == JobState::Running)
-            .count() as f64;
-        let loaned = f64::from(self.cluster.loaned_count());
-        let (train_used, train_total) = self.cluster.gpu_usage(PoolKind::Training);
-        let (loan_used, loan_total) = self.cluster.gpu_usage(PoolKind::OnLoan);
-        let obs = self.observer.as_mut().expect("checked above");
-        obs.metrics.gauge_set("sim.queue.depth", queue_depth);
-        obs.metrics.gauge_set("sim.jobs.running", running);
-        obs.metrics.gauge_set("cluster.loaned.servers", loaned);
-        obs.metrics
-            .gauge_set("cluster.training.used_gpus", f64::from(train_used));
-        obs.metrics
-            .gauge_set("cluster.training.total_gpus", f64::from(train_total));
-        obs.metrics
-            .gauge_set("cluster.on_loan.used_gpus", f64::from(loan_used));
-        obs.metrics
-            .gauge_set("cluster.on_loan.total_gpus", f64::from(loan_total));
-        while (hour + 1) as f64 * 3600.0 <= up_to_s {
-            let snap = obs.metrics.snapshot(hour);
-            obs.snapshots.push(snap);
-            hour += 1;
-        }
-        obs.next_hour = hour;
     }
 
     /// Bounds-checked job lookup (trace ids are dense `0..n`).
@@ -2100,7 +2035,7 @@ impl Simulation {
             ("rate.preemptions", "sim.jobs.preemptions"),
             ("rate.reclaims", "cluster.reclaim.ops"),
         ] {
-            let cumulative = obs.metrics.counter(counter);
+            let cumulative = obs.telemetry.counter(counter);
             obs.telemetry.sample_rate(rate, t_ms, cumulative);
         }
         let Observer {
@@ -2379,9 +2314,10 @@ impl Simulation {
                 .jct_s()
                 .unwrap_or_else(|| self.now_s - self.jobs[idx].spec.submit_time_s);
             self.emit(SchedEvent::JobComplete { job, jct_s });
-            self.count("sim.jobs.completed");
-            self.observe_histogram("sim.jct_s", jct_s);
-            self.observe_histogram("sim.queue_s", record.queue_s);
+            let telemetry = &mut self.observer.as_mut().expect("checked above").telemetry;
+            telemetry.count("sim.jobs.completed");
+            telemetry.jct_s.observe(jct_s);
+            telemetry.queue_s.observe(record.queue_s);
             if let Some(deadline_s) = record.deadline_s {
                 if self.now_s > deadline_s {
                     self.emit(SchedEvent::DeadlineMiss {
@@ -2439,10 +2375,7 @@ impl Simulation {
             orchestrator_rng: self.orchestrator.as_ref().map(|o| o.rng_state()),
             observer: self.observer.as_mut().map(|o| ObserverState {
                 log: o.log.capture_state(),
-                metrics: o.metrics.clone(),
-                snapshots: o.snapshots.clone(),
                 audit: o.audit,
-                next_hour: o.next_hour,
                 lifecycle: o.lifecycle.clone(),
                 last_epoch: o.last_epoch,
                 telemetry: o.telemetry.clone(),
@@ -2502,10 +2435,7 @@ impl Simulation {
             Some(os) => Some(Observer {
                 log: EventLog::from_state(os.log)
                     .map_err(|e| SimError(format!("restoring the event-log sink: {e}")))?,
-                metrics: os.metrics,
-                snapshots: os.snapshots,
                 audit: os.audit,
-                next_hour: os.next_hour,
                 lifecycle: os.lifecycle,
                 last_epoch: os.last_epoch,
                 telemetry: os.telemetry,
@@ -2637,7 +2567,6 @@ impl Simulation {
             }
             self.advance_usage(t);
             self.now_s = t;
-            self.snapshot_metrics(t);
             match event.kind {
                 EventKind::Arrival(idx) => {
                     self.arrived += 1;
@@ -2659,9 +2588,8 @@ impl Simulation {
                     // waiting out an inference-traffic peak), so only a
                     // *prolonged* total stall — two simulated days —
                     // declares the remaining jobs unschedulable.
-                    let running_any = self.jobs.iter().any(|j| j.state == JobState::Running);
                     let stalled = launched == 0
-                        && !running_any
+                        && self.running_jobs.is_empty()
                         && self.arrived == n_jobs
                         && !self.queue.is_empty();
                     if stalled {
@@ -2730,10 +2658,9 @@ impl Simulation {
     }
 
     /// Closes out an observed run: drains pending audit records, settles
-    /// and reconciles the delay attribution, forces a snapshot covering
-    /// the final partial hour, flushes the sink and collects the span
-    /// profile, then disables the thread-local collectors so unobserved
-    /// runs on this thread stay clean.
+    /// and reconciles the delay attribution, flushes the sink and
+    /// collects the span profile, then disables the thread-local
+    /// collectors so unobserved runs on this thread stay clean.
     ///
     /// # Errors
     ///
@@ -2757,8 +2684,6 @@ impl Simulation {
             }
             self.attribution = lyra_obs::summarize(&attrs);
         }
-        let close_at = (self.observer.as_ref().map_or(0, |o| o.next_hour) + 1) as f64 * 3600.0;
-        self.snapshot_metrics(close_at);
         if let Some(obs) = self.observer.as_mut() {
             obs.log.flush();
         }
@@ -2787,7 +2712,7 @@ impl Simulation {
     }
 
     /// Assembles the run's report. The observer's products (event lines,
-    /// snapshots, telemetry, provenance graph), the span profile and the
+    /// telemetry, provenance graph), the span profile and the
     /// attribution summary are moved out rather than copied: the report
     /// is the run's last step.
     fn report(&mut self, name: &str) -> SimReport {
@@ -2825,10 +2750,9 @@ impl Simulation {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        let (events, metrics, telemetry, provenance) = match self.observer.take() {
+        let (events, telemetry, provenance) = match self.observer.take() {
             Some(mut o) => (
                 o.log.take_lines(),
-                o.snapshots,
                 o.telemetry,
                 o.provenance
                     .map(lyra_obs::ProvenanceTracker::into_graph)
@@ -2863,7 +2787,6 @@ impl Simulation {
             deadlines: DeadlineStats::from_records(&records),
             records,
             events,
-            metrics,
             profile: std::mem::take(&mut self.profile),
             attribution: std::mem::take(&mut self.attribution),
             telemetry,

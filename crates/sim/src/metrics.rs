@@ -355,8 +355,6 @@ pub struct SimReport {
     /// Structured event log (JSONL lines from the observer's ring
     /// buffer; empty when no observer was attached).
     pub events: Vec<String>,
-    /// Hourly metrics-registry snapshots (empty without an observer).
-    pub metrics: Vec<lyra_obs::MetricsSnapshot>,
     /// Per-phase self-time profile of an observed run. Carries
     /// wall-clock data, so it compares equal to any other profile —
     /// same-seed reports stay `==`.
@@ -717,7 +715,6 @@ mod tests {
             deadlines: DeadlineStats::default(),
             records,
             events: vec![],
-            metrics: vec![],
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
             telemetry: lyra_obs::Telemetry::default(),

@@ -252,12 +252,6 @@ impl Scenario {
         s.sim.tuned = true;
         s
     }
-
-    /// The testbed shape of §7.5 (4 + 4 × 8-GPU servers).
-    pub fn with_testbed_cluster(mut self) -> Self {
-        self.cluster = ClusterConfig::testbed();
-        self
-    }
 }
 
 /// Trace transforms implementing scenario definitions.
@@ -416,8 +410,8 @@ pub fn run_scenario(
 }
 
 /// Runs one scenario with an observer attached: the returned report
-/// additionally carries the structured event log (`events`), hourly
-/// metrics snapshots (`metrics`) and the span profile (`profile`).
+/// additionally carries the structured event log (`events`), the
+/// telemetry store (`telemetry`) and the span profile (`profile`).
 ///
 /// # Errors
 ///
@@ -887,8 +881,7 @@ mod tests {
         let b = run_scenario_observed(&s, &jobs, &inf, ObserverConfig::default()).expect("runs");
         assert!(!a.events.is_empty(), "observed run emits events");
         assert_eq!(a.events, b.events, "same-seed logs are byte-identical");
-        assert_eq!(a.metrics, b.metrics, "same-seed snapshots match");
-        assert!(!a.metrics.is_empty(), "at least the closing snapshot");
+        assert_eq!(a.telemetry, b.telemetry, "same-seed telemetry matches");
         assert!(
             a.profile.0.iter().any(|p| p.name == "sim.scheduler_tick"),
             "engine tick is profiled: {:?}",
@@ -922,11 +915,32 @@ mod tests {
         let csv = a.telemetry.to_csv();
         assert!(csv.lines().count() > 1, "CSV export has data rows");
         assert_eq!(csv, b.telemetry.to_csv(), "same-seed series CSV is byte-identical");
+        let text = lyra_obs::render_prometheus(&a.telemetry);
         assert_eq!(
-            lyra_obs::render_prometheus(&a.telemetry, a.metrics.last()),
-            lyra_obs::render_prometheus(&b.telemetry, b.metrics.last()),
+            text,
+            lyra_obs::render_prometheus(&b.telemetry),
             "same-seed Prometheus exposition is byte-identical"
         );
+        // A valid exposition declares every metric name once and carries
+        // the completed-jobs counter and the JCT histogram.
+        let mut names: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        let declared = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), declared, "a # TYPE name repeats:\n{text}");
+        assert!(a.completed > 0, "the run completes jobs");
+        assert!(text.contains(&format!(
+            "# TYPE lyra_sim_jobs_completed_total counter\nlyra_sim_jobs_completed_total {}\n",
+            a.completed
+        )));
+        assert!(text.contains(&format!(
+            "lyra_sim_jct_s_bucket{{le=\"+Inf\"}} {}\n",
+            a.completed
+        )));
     }
 
     #[test]

@@ -56,29 +56,6 @@ pub fn bootstrap_trace(base: &JobTrace, days: u32, seed: u64) -> JobTrace {
     JobTrace { config, jobs }
 }
 
-/// Number of weekend source days a bootstrapped trace drew, assuming the
-/// base trace starts on a Monday — used to flag Figure 12's low-gain
-/// traces.
-pub fn weekend_days(trace: &JobTrace) -> u32 {
-    // Recover per-day arrival counts; weekend days have visibly lighter
-    // load under the generator's intensity model.
-    let mut count = 0;
-    for day in 0..trace.config.days {
-        let lo = f64::from(day) * 86_400.0;
-        let hi = lo + 86_400.0;
-        let jobs_in_day = trace
-            .jobs
-            .iter()
-            .filter(|j| j.submit_time_s >= lo && j.submit_time_s < hi)
-            .count();
-        let avg = trace.jobs.len() as f64 / f64::from(trace.config.days.max(1));
-        if (jobs_in_day as f64) < 0.75 * avg {
-            count += 1;
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
