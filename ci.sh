@@ -32,6 +32,20 @@ fi
 
 cargo clippy --all-targets -- -D warnings
 
+# Panic-site ratchet: production code may not gain unwrap/expect/
+# panic!/unreachable! calls. Each file is counted up to its test module
+# (a `#[cfg(test)]` line directly followed by `mod `); a `#[cfg(test)]`
+# item in mid-file is counted through. Lower the limit when a call
+# becomes a typed error.
+panic_limit=46
+panic_sites=$(find crates/*/src src -name '*.rs' | while read -r f; do
+  awk '/^#\[cfg\(test\)\]$/ { getline nxt; if (nxt ~ /^mod /) exit; print; print nxt; next } { print }' "$f"
+done | grep -cE '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || true)
+[ "$panic_sites" -le "$panic_limit" ] || {
+  echo "ci: $panic_sites panic sites in production code, limit $panic_limit" >&2
+  exit 1
+}
+
 # First-party rustdoc must build clean (vendored stand-ins are exempt).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p lyra -p lyra-core -p lyra-cluster -p lyra-sim -p lyra-trace \

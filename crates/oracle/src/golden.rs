@@ -146,8 +146,9 @@ pub struct PinnedArtifacts {
 /// The pinned cases. Deliberately small (a day of 64-GPU trace on an
 /// 8+8 cluster, seconds to run) but chosen to cover the paths a
 /// scheduler change can plausibly move: the plain Lyra configuration,
-/// an elastic-heavy workload where phase 2 does real work, and a
-/// faulted run exercising crash/restart and reclaim-carryover paths.
+/// an elastic-heavy workload where phase 2 does real work, a faulted
+/// run exercising crash/restart, preemption and straggler paths, and a
+/// checkpointed faulted run exercising the checkpoint rollback.
 pub fn cases() -> Vec<GoldenCase> {
     let (jobs_basic, inf_basic) = generators::tiny_traces(7);
     let (mut jobs_elastic, inf_elastic) = generators::tiny_traces(11);
@@ -158,6 +159,17 @@ pub fn cases() -> Vec<GoldenCase> {
         &FaultConfig::moderate(2.0 * 86_400.0),
         16,
         13,
+    ));
+    let (mut jobs_ckpt, inf_ckpt) = generators::tiny_traces(23);
+    transform::set_checkpoint_fraction(&mut jobs_ckpt, 1.0, 23);
+    let mut checkpointed = generators::tiny_basic(23);
+    checkpointed.faults = Some(FaultPlan::generate(
+        &FaultConfig {
+            checkpoint_restore_failure_prob: 0.3,
+            ..FaultConfig::moderate(2.0 * 86_400.0)
+        },
+        16,
+        23,
     ));
     let zoo_case = |name: &str| {
         zoo::cases()
@@ -185,7 +197,7 @@ pub fn cases() -> Vec<GoldenCase> {
             pin_artifacts: false,
         },
         // The faulted case covers the widest cause taxonomy (restarts,
-        // restores, preemptions, stragglers), so it also pins the
+        // preemptions, stragglers), so it also pins the
         // derived attribution table, `why` rendering and Chrome trace.
         GoldenCase {
             name: "tiny-faulty",
@@ -193,6 +205,17 @@ pub fn cases() -> Vec<GoldenCase> {
             jobs: jobs_faulty,
             inference: inf_faulty,
             pin_artifacts: true,
+        },
+        // Every job checkpoints and 30 % of the restores fail, so
+        // both rollback paths (reclaim preemption and fault kill) and
+        // both restore outcomes are pinned. Listed after `tiny-faulty`,
+        // which stays the first faulted case (the crash storm's).
+        GoldenCase {
+            name: "tiny-checkpointed",
+            scenario: checkpointed,
+            jobs: jobs_ckpt,
+            inference: inf_ckpt,
+            pin_artifacts: false,
         },
         // The zoo cells: mixed GPU generations, explicit resize costs,
         // and SLO deadlines. Pinned so a change to the speed-scaled

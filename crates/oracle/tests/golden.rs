@@ -28,6 +28,29 @@ fn faulted_case_fires_at_least_one_alert() {
 }
 
 #[test]
+fn checkpointed_case_pins_the_rollback() {
+    // The checkpoint rollback has two callers (reclaim preemption and
+    // fault kill) and two restore outcomes; the checkpointed case must
+    // log each of them, or the golden gate would not pin it.
+    let case = golden::cases()
+        .into_iter()
+        .find(|c| c.name == "tiny-checkpointed")
+        .expect("the checkpointed golden case exists");
+    let log = case.event_log().expect("checkpointed case runs");
+    for needle in [
+        "\"checkpointed\":true",
+        "\"kind\":\"checkpoint_restore\"",
+        "\"kind\":\"checkpoint_restore_failure\"",
+    ] {
+        assert!(
+            log.iter().any(|l| l.contains(needle)),
+            "no `{needle}` line in the checkpointed golden log ({} lines)",
+            log.len()
+        );
+    }
+}
+
+#[test]
 fn committed_golden_logs_match() {
     let diffs = golden::compare(&golden::default_dir());
     assert!(

@@ -38,7 +38,7 @@ use lyra_core::snapshot::{
     Action, PendingJobView, PoolKind, RunningJobView, ServerGroup, ServerId, Snapshot,
 };
 use lyra_core::tuning::GoodputModel;
-use lyra_elastic::controller::ElasticController;
+use lyra_elastic::controller::{ControllerEvent, ElasticController};
 use lyra_elastic::hetero::{hetero_rate_scaled, HeteroGroup};
 use lyra_obs::{EventLog, SchedEvent};
 use lyra_predictor::RuntimeEstimator;
@@ -501,14 +501,14 @@ pub struct Simulation {
     /// Like `pending_gpus`, restricted to fungible jobs and weighted by
     /// the T4 worker multiplier for inelastic ones.
     pending_fungible_gpus: u64,
-    /// Indices of jobs currently in `JobState::Running`, maintained at
-    /// the four state transitions, so per-epoch scans skip the full jobs
-    /// array (which grows with the whole trace).
+    /// Indices of jobs currently in `JobState::Running`, maintained by
+    /// the `Launch` arm and `leave_running`, so per-epoch scans skip the
+    /// full jobs array (which grows with the whole trace).
     running_jobs: std::collections::BTreeSet<usize>,
     /// Σ `(w_max − workers) × gpus_per_worker` over running elastic
-    /// fungible jobs — the scale-out term of loan demand. Maintained at
-    /// every worker-count transition so the per-epoch demand check is
-    /// O(1) instead of a walk over the running set.
+    /// fungible jobs — the scale-out term of loan demand. Maintained by
+    /// the `Launch` arm, `rescale` and `leave_running` so the per-epoch
+    /// demand check is O(1) instead of a walk over the running set.
     elastic_headroom_gpus: u64,
     /// Attached observability (event log + telemetry + audit); `None`
     /// keeps the hot path free of instrumentation.
@@ -719,16 +719,17 @@ impl Simulation {
         }
     }
 
-    /// Worker-weighted straggler throughput factor of a job's current
-    /// placement (1.0 = unaffected) — the same weighting
-    /// [`compute_rate`](Self::compute_rate) applies.
-    fn straggle_factor(&self, idx: usize) -> f64 {
+    /// Worker-weighted straggler throughput factor of `placement`
+    /// (1.0 = unaffected): bucketed all-reduce hides part of a slow
+    /// host, so a job is dragged by the average of its servers' factors,
+    /// not all the way down to the minimum.
+    fn straggle_factor(&self, placement: &[(ServerId, u32)]) -> f64 {
         if self.slowdown.is_empty() {
             return 1.0;
         }
         let mut weighted = 0.0;
         let mut workers = 0.0;
-        for (sid, w) in &self.jobs[idx].placement {
+        for (sid, w) in placement {
             let f = self.slowdown.get(sid).copied().unwrap_or(1.0);
             weighted += f64::from(*w) * f;
             workers += f64::from(*w);
@@ -747,7 +748,7 @@ impl Simulation {
         if self.observer.is_none() {
             return;
         }
-        let factor = self.straggle_factor(idx);
+        let factor = self.straggle_factor(&self.jobs[idx].placement);
         let job = self.jobs[idx].spec.id.0;
         self.emit(SchedEvent::JobStraggle { job, factor });
     }
@@ -846,23 +847,7 @@ impl Simulation {
             self.config.hetero_efficiency,
         ) / f64::from(total);
         let speedup = job.spec.curve.speedup(total);
-        let mut rate = speedup * ideal_per_worker;
-        if !self.slowdown.is_empty() {
-            // Straggling servers drag the job: worker-weighted average of
-            // the per-server throughput factors (bucketed all-reduce hides
-            // part of a slow host, so the job does not fall all the way to
-            // the minimum).
-            let mut weighted = 0.0;
-            let mut workers = 0.0;
-            for (sid, w) in &job.placement {
-                let f = self.slowdown.get(sid).copied().unwrap_or(1.0);
-                weighted += f64::from(*w) * f;
-                workers += f64::from(*w);
-            }
-            if workers > 0.0 {
-                rate *= weighted / workers;
-            }
-        }
+        let mut rate = speedup * ideal_per_worker * self.straggle_factor(&job.placement);
         if self.config.tuned && job.spec.is_elastic() {
             let work = job.spec.work();
             let progress = if work > 0.0 {
@@ -1221,6 +1206,12 @@ impl Simulation {
                 if self.jobs[idx].state != JobState::Running {
                     return Err(SimError(format!("{job} scaled out but not running")));
                 }
+                let added: u32 = placement.iter().map(|(_, w)| w).sum();
+                if added != *extra {
+                    return Err(SimError(format!(
+                        "{job} scale-out of {extra} places {added} workers"
+                    )));
+                }
                 let gpw = self.jobs[idx].spec.gpus_per_worker;
                 let group = if self.config.special_placement {
                     ServerGroup::Flexible
@@ -1230,8 +1221,6 @@ impl Simulation {
                 self.cluster
                     .allocate(*job, placement, gpw, group)
                     .map_err(|e| SimError(e.to_string()))?;
-                self.mark_servers_dirty(placement);
-                self.mark_running_dirty(idx);
                 for (sid, w) in placement {
                     self.rm.submit(RmOp::LaunchContainers {
                         job: *job,
@@ -1239,65 +1228,27 @@ impl Simulation {
                         workers: *w,
                     });
                 }
-                let now = self.now_s;
-                let default_pause = self.config.rendezvous_pause_s;
-                let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
-                let j = &mut self.jobs[idx];
-                j.sync(now);
-                j.workers += extra;
-                j.flexible_workers += extra;
-                Self::merge_assignment(&mut j.placement, placement);
-                Self::merge_assignment(&mut j.flex_placement, placement);
-                j.record.scaling_ops += 1;
-                let pause = match j.controller.as_mut() {
-                    Some(c) => c
-                        .resize(j.workers)
-                        .map(|ev| match ev {
-                            lyra_elastic::ControllerEvent::Rescaled { pause_s, .. } => pause_s,
-                        })
-                        .unwrap_or(0.0),
-                    None => default_pause,
-                };
-                j.stall(now, pause);
-                let expand_cost = j.spec.expand_cost_s;
-                if expand_cost > 0.0 {
-                    // Malleable jobs charge an explicit expand cost on top
-                    // of the rendezvous pause.
-                    j.stall(now, expand_cost);
-                }
-                if placement
+                let on_loan = placement
                     .iter()
-                    .any(|(sid, _)| self.cluster.is_loaned(*sid))
-                {
-                    j.record.ran_on_loan = true;
+                    .any(|(sid, _)| self.cluster.is_loaned(*sid));
+                // Malleable jobs charge an explicit expand cost on top of
+                // the rendezvous pause.
+                let expand_cost = self.jobs[idx].spec.expand_cost_s;
+                let pause = self.rescale(idx, placement, true, false, expand_cost)?;
+                if on_loan {
+                    self.jobs[idx].record.ran_on_loan = true;
                 }
-                self.scaling_ops += 1;
-                self.elastic_headroom_gpus = self.elastic_headroom_gpus - headroom_before
-                    + Self::headroom_gpus(&self.jobs[idx]);
-                self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
-                self.reschedule_finish(idx);
                 if self.observer.is_some() {
-                    let workers_now = self.jobs[idx].workers;
-                    let on_loan = placement
-                        .iter()
-                        .any(|(sid, _)| self.cluster.is_loaned(*sid));
                     let servers = placement.iter().map(|(sid, _)| sid.0).collect();
                     self.emit(SchedEvent::JobScaleOut {
                         job: job.0,
                         delta: *extra,
-                        workers: workers_now,
+                        workers: self.jobs[idx].workers,
                         on_loan,
                         servers,
                     });
                     self.count("sim.scale.out");
-                    if self.jobs[idx].controller.is_some() && pause > 0.0 {
-                        self.emit(SchedEvent::ControllerRescale {
-                            job: job.0,
-                            workers: workers_now,
-                            pause_s: pause,
-                        });
-                        self.count("elastic.rendezvous.ops");
-                    }
+                    self.note_rescale(idx, pause);
                     self.emit_stall(job.0, lyra_obs::DelayCause::Rendezvous, pause);
                     self.emit_stall(job.0, lyra_obs::DelayCause::LaunchOverhead, expand_cost);
                     if !self.slowdown.is_empty() {
@@ -1314,8 +1265,6 @@ impl Simulation {
                 self.cluster
                     .release(*job, removal, gpw)
                     .map_err(|e| SimError(e.to_string()))?;
-                self.mark_servers_dirty(removal);
-                self.mark_running_dirty(idx);
                 for (sid, w) in removal {
                     self.rm.submit(RmOp::KillContainers {
                         job: *job,
@@ -1323,60 +1272,16 @@ impl Simulation {
                         workers: *w,
                     });
                 }
-                let now = self.now_s;
-                let pause = self.config.rendezvous_pause_s;
-                let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
-                let j = &mut self.jobs[idx];
-                j.sync(now);
-                let removed: u32 = removal.iter().map(|(_, w)| w).sum();
-                if removed > j.flexible_workers {
-                    return Err(SimError(format!(
-                        "{job} scale-in removes {removed} > {} flexible",
-                        j.flexible_workers
-                    )));
-                }
-                Self::remove_assignment(&mut j.placement, removal)?;
-                Self::remove_assignment(&mut j.flex_placement, removal)?;
-                j.workers -= removed;
-                j.flexible_workers -= removed;
-                j.record.scaling_ops += 1;
-                let pause = match j.controller.as_mut() {
-                    Some(c) => c
-                        .resize(j.workers)
-                        .map(|ev| match ev {
-                            lyra_elastic::ControllerEvent::Rescaled { pause_s, .. } => pause_s,
-                        })
-                        .unwrap_or(0.0),
-                    None => pause,
-                };
-                j.stall(now, pause);
-                let shrink_cost = j.spec.shrink_cost_s;
-                if shrink_cost > 0.0 {
-                    // Malleable jobs charge an explicit shrink cost on top
-                    // of the rendezvous pause.
-                    j.stall(now, shrink_cost);
-                }
-                self.scaling_ops += 1;
-                self.elastic_headroom_gpus = self.elastic_headroom_gpus - headroom_before
-                    + Self::headroom_gpus(&self.jobs[idx]);
-                self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
-                self.reschedule_finish(idx);
+                let shrink_cost = self.jobs[idx].spec.shrink_cost_s;
+                let pause = self.rescale(idx, removal, false, false, shrink_cost)?;
                 if self.observer.is_some() {
-                    let workers_now = self.jobs[idx].workers;
                     self.emit(SchedEvent::JobScaleIn {
                         job: job.0,
-                        delta: removed,
-                        workers: workers_now,
+                        delta: removal.iter().map(|(_, w)| w).sum(),
+                        workers: self.jobs[idx].workers,
                     });
                     self.count("sim.scale.in");
-                    if self.jobs[idx].controller.is_some() && pause > 0.0 {
-                        self.emit(SchedEvent::ControllerRescale {
-                            job: job.0,
-                            workers: workers_now,
-                            pause_s: pause,
-                        });
-                        self.count("elastic.rendezvous.ops");
-                    }
+                    self.note_rescale(idx, pause);
                     // A policy scale-in means the knapsack withdrew
                     // flexible workers this round.
                     self.emit_stall(job.0, lyra_obs::DelayCause::MckpDenial, pause);
@@ -1390,19 +1295,95 @@ impl Simulation {
         Ok(())
     }
 
+    /// Resizes running job `idx` by `change` (workers per server, all of
+    /// them flexible): adds them when `grow`, removes them otherwise. The
+    /// caller has already updated the cluster and the RM. `lost` marks an
+    /// involuntary loss, which the controller accounts as a failure.
+    /// Progress stalls for the rendezvous pause and then for `cost_s`
+    /// (a malleable job's explicit resize cost). Returns the pause.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] when a shrink removes workers the job does
+    /// not have on a server, or more than its flexible workers.
+    fn rescale(
+        &mut self,
+        idx: usize,
+        change: &[(ServerId, u32)],
+        grow: bool,
+        lost: bool,
+        cost_s: f64,
+    ) -> Result<f64, SimError> {
+        let now = self.now_s;
+        let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
+        let delta: u32 = change.iter().map(|(_, w)| w).sum();
+        let j = &mut self.jobs[idx];
+        j.sync(now);
+        if grow {
+            Self::merge_assignment(&mut j.placement, change);
+            Self::merge_assignment(&mut j.flex_placement, change);
+            j.workers += delta;
+            j.flexible_workers += delta;
+        } else {
+            if delta > j.flexible_workers {
+                return Err(SimError(format!(
+                    "{} scale-in removes {delta} > {} flexible",
+                    j.spec.id, j.flexible_workers
+                )));
+            }
+            Self::remove_assignment(&mut j.placement, change)?;
+            Self::remove_assignment(&mut j.flex_placement, change)?;
+            j.workers -= delta;
+            j.flexible_workers -= delta;
+        }
+        j.record.scaling_ops += 1;
+        let pause = match j.controller.as_mut() {
+            Some(c) => {
+                let event = if lost {
+                    c.workers_lost(j.workers)
+                } else {
+                    c.resize(j.workers)
+                };
+                event.map_or(0.0, |ControllerEvent::Rescaled { pause_s, .. }| pause_s)
+            }
+            None => self.config.rendezvous_pause_s,
+        };
+        j.stall(now, pause);
+        if cost_s > 0.0 {
+            j.stall(now, cost_s);
+        }
+        self.mark_servers_dirty(change);
+        self.mark_running_dirty(idx);
+        self.scaling_ops += 1;
+        self.elastic_headroom_gpus =
+            self.elastic_headroom_gpus - headroom_before + Self::headroom_gpus(&self.jobs[idx]);
+        self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
+        self.reschedule_finish(idx);
+        Ok(pause)
+    }
+
+    /// Emits the `ControllerRescale` of a resize that paused job `idx`
+    /// for `pause` under its controller (call with an observer attached).
+    fn note_rescale(&mut self, idx: usize, pause: f64) {
+        if self.jobs[idx].controller.is_some() && pause > 0.0 {
+            self.emit(SchedEvent::ControllerRescale {
+                job: self.jobs[idx].spec.id.0,
+                workers: self.jobs[idx].workers,
+                pause_s: pause,
+            });
+            self.count("elastic.rendezvous.ops");
+        }
+    }
+
     /// Applies a forced scale-in from the orchestrator's flexible-group
     /// release: workers of `job` on `server` are gone (cluster side
     /// already updated).
     fn apply_flex_release(&mut self, job: JobId, server: ServerId, gpus: u32) -> Result<(), SimError> {
         let idx = self.job_index(job)?;
-        let now = self.now_s;
-        let pause = self.config.rendezvous_pause_s;
-        let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
-        let j = &mut self.jobs[idx];
+        let j = &self.jobs[idx];
         if j.state != JobState::Running {
             return Ok(());
         }
-        j.sync(now);
         let mut workers = gpus / j.spec.gpus_per_worker.max(1);
         // A flexible-group server hosts only flexible workers of this job;
         // clamp defensively so inconsistent labels can never underflow the
@@ -1417,34 +1398,10 @@ impl Simulation {
         if workers == 0 {
             return Ok(());
         }
-        let _ = Self::remove_assignment(&mut j.placement, &[(server, workers)]);
-        let _ = Self::remove_assignment(&mut j.flex_placement, &[(server, workers)]);
-        j.workers = j.workers.saturating_sub(workers);
-        j.flexible_workers = j.flexible_workers.saturating_sub(workers);
-        j.record.scaling_ops += 1;
-        let pause = match j.controller.as_mut() {
-            Some(c) => c
-                .resize(j.workers)
-                .map(|ev| match ev {
-                    lyra_elastic::ControllerEvent::Rescaled { pause_s, .. } => pause_s,
-                })
-                .unwrap_or(0.0),
-            None => pause,
-        };
-        j.stall(now, pause);
+        // A forced flex release is still a shrink; malleable jobs pay
+        // their explicit shrink cost here too.
         let shrink_cost = j.spec.shrink_cost_s;
-        if shrink_cost > 0.0 {
-            // A forced flex release is still a shrink; malleable jobs pay
-            // their explicit shrink cost here too.
-            j.stall(now, shrink_cost);
-        }
-        self.mark_servers_dirty(&[(server, workers)]);
-        self.mark_running_dirty(idx);
-        self.scaling_ops += 1;
-        self.elastic_headroom_gpus =
-            self.elastic_headroom_gpus - headroom_before + Self::headroom_gpus(&self.jobs[idx]);
-        self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
-        self.reschedule_finish(idx);
+        let pause = self.rescale(idx, &[(server, workers)], false, false, shrink_cost)?;
         if self.observer.is_some() {
             self.emit(SchedEvent::FlexRelease {
                 job: job.0,
@@ -1452,15 +1409,7 @@ impl Simulation {
                 workers,
             });
             self.count("cluster.flex_release.ops");
-            if self.jobs[idx].controller.is_some() && pause > 0.0 {
-                let workers_now = self.jobs[idx].workers;
-                self.emit(SchedEvent::ControllerRescale {
-                    job: job.0,
-                    workers: workers_now,
-                    pause_s: pause,
-                });
-                self.count("elastic.rendezvous.ops");
-            }
+            self.note_rescale(idx, pause);
             self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, pause);
             self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
             if !self.slowdown.is_empty() {
@@ -1470,52 +1419,68 @@ impl Simulation {
         Ok(())
     }
 
+    /// Takes job `idx` out of the running set (its progress already
+    /// synced): drops it from the running index and the elastic headroom,
+    /// marks its servers and view dirty, clears its placement and stops
+    /// its progress. The generation bump cancels its in-flight finish.
+    fn leave_running(&mut self, idx: usize) {
+        if self.running_jobs.remove(&idx) {
+            self.elastic_headroom_gpus -= Self::headroom_gpus(&self.jobs[idx]);
+        }
+        for (sid, _) in &self.jobs[idx].placement {
+            self.cache.dirty_servers.insert(*sid);
+        }
+        self.mark_running_dirty(idx);
+        let j = &mut self.jobs[idx];
+        j.workers = 0;
+        j.flexible_workers = 0;
+        j.placement.clear();
+        j.flex_placement.clear();
+        j.rate = 0.0;
+        j.generation += 1;
+    }
+
+    /// Sends running job `idx` back to the queue (cluster side already
+    /// freed). With `restore`, progress rolls back to the last completed
+    /// checkpoint (CheckFreq-style periodic checkpoints) and the relaunch
+    /// stall is a checkpoint restore; otherwise all progress is lost
+    /// (§4's common no-checkpoint case) and the stall is charged to
+    /// `lost_cause`. Either way the relaunch pays the preemption
+    /// overhead. Returns the work lost.
+    fn requeue(&mut self, idx: usize, restore: bool, lost_cause: lyra_obs::DelayCause) -> f64 {
+        self.jobs[idx].sync(self.now_s);
+        self.leave_running(idx);
+        let policy = lyra_elastic::CheckpointPolicy {
+            interval_work: self.config.checkpoint_interval_work.max(1.0),
+            overhead_s: self.config.preemption_overhead_s,
+        };
+        let j = &mut self.jobs[idx];
+        j.state = JobState::Pending;
+        let done = j.spec.work() - j.work_left;
+        if restore {
+            j.work_left = j.spec.work() - policy.preserved_work(done);
+            j.resume_cause = Some(lyra_obs::DelayCause::CheckpointRestore);
+        } else {
+            j.work_left = j.spec.work();
+            j.resume_cause = Some(lost_cause);
+        }
+        j.resume_overhead_s = policy.overhead_s;
+        let lost = (done - (j.spec.work() - j.work_left)).max(0.0);
+        self.enqueue(idx);
+        lost
+    }
+
     /// Preempts a running job (cluster side already evicted).
     fn apply_preemption(&mut self, job: JobId) -> Result<(), SimError> {
         let idx = self.job_index(job)?;
-        let now = self.now_s;
-        let overhead = self.config.preemption_overhead_s;
-        {
-            let j = &mut self.jobs[idx];
-            if j.state != JobState::Running {
-                return Ok(());
-            }
-            if self.running_jobs.remove(&idx) {
-                self.elastic_headroom_gpus -= Self::headroom_gpus(&self.jobs[idx]);
-            }
-            let j = &mut self.jobs[idx];
-            j.sync(now);
-            j.state = JobState::Pending;
-            j.workers = 0;
-            j.flexible_workers = 0;
-            j.placement.clear();
-            j.flex_placement.clear();
-            j.rate = 0.0;
-            j.generation += 1; // cancel in-flight finish
-            j.record.preemptions += 1;
-            if j.spec.checkpointing {
-                // Resume from the last completed checkpoint
-                // (CheckFreq-style periodic checkpoints) and pay the
-                // save/restore overhead.
-                let policy = lyra_elastic::CheckpointPolicy {
-                    interval_work: self.config.checkpoint_interval_work.max(1.0),
-                    overhead_s: overhead,
-                };
-                let done = j.spec.work() - j.work_left;
-                j.work_left = j.spec.work() - policy.preserved_work(done);
-                j.resume_overhead_s = policy.overhead_s;
-                j.resume_cause = Some(lyra_obs::DelayCause::CheckpointRestore);
-            } else {
-                // All progress lost (§4's common no-checkpoint case).
-                j.work_left = j.spec.work();
-                j.resume_overhead_s = overhead;
-                j.resume_cause = Some(lyra_obs::DelayCause::ReclaimPreemption);
-            }
+        if self.jobs[idx].state != JobState::Running {
+            return Ok(());
         }
-        self.mark_running_dirty(idx);
-        self.enqueue(idx);
+        // Before `requeue`: the pending view is captured at enqueue.
+        self.jobs[idx].record.preemptions += 1;
+        let checkpointed = self.jobs[idx].spec.checkpointing;
+        self.requeue(idx, checkpointed, lyra_obs::DelayCause::ReclaimPreemption);
         if self.observer.is_some() {
-            let checkpointed = self.jobs[idx].spec.checkpointing;
             let decision = self.pending_preempt_decisions.remove(&job.0);
             self.emit(SchedEvent::JobPreempt {
                 job: job.0,
@@ -1632,7 +1597,7 @@ impl Simulation {
                         server: sid,
                         workers: 1,
                     });
-                    self.apply_worker_loss(idx, sid, 1);
+                    self.apply_worker_loss(idx, sid, 1)?;
                 } else {
                     self.kill_job_for_fault(idx, None)?;
                 }
@@ -1708,7 +1673,7 @@ impl Simulation {
         if self.jobs[idx].spec.is_elastic() && total_there > 0 && total_there == flex_there {
             // Only flexible workers lived there: membership shrinks, the
             // base demand survives, no restart needed.
-            self.apply_worker_loss(idx, server, total_there);
+            self.apply_worker_loss(idx, server, total_there)?;
         } else {
             self.kill_job_for_fault(idx, Some(server))?;
         }
@@ -1717,35 +1682,14 @@ impl Simulation {
 
     /// Shrinks an elastic job in place after an involuntary worker loss
     /// (sim-side bookkeeping; the cluster already freed the GPUs).
-    fn apply_worker_loss(&mut self, idx: usize, server: ServerId, workers: u32) {
-        let now = self.now_s;
-        let default_pause = self.config.rendezvous_pause_s;
-        let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
-        let j = &mut self.jobs[idx];
-        j.sync(now);
-        let _ = Self::remove_assignment(&mut j.placement, &[(server, workers)]);
-        let _ = Self::remove_assignment(&mut j.flex_placement, &[(server, workers)]);
-        j.workers = j.workers.saturating_sub(workers);
-        j.flexible_workers = j.flexible_workers.saturating_sub(workers);
-        j.record.scaling_ops += 1;
-        let pause = match j.controller.as_mut() {
-            Some(c) => c
-                .workers_lost(j.workers)
-                .map(|ev| match ev {
-                    lyra_elastic::ControllerEvent::Rescaled { pause_s, .. } => pause_s,
-                })
-                .unwrap_or(0.0),
-            None => default_pause,
-        };
-        j.stall(now, pause);
-        self.mark_servers_dirty(&[(server, workers)]);
-        self.mark_running_dirty(idx);
+    fn apply_worker_loss(
+        &mut self,
+        idx: usize,
+        server: ServerId,
+        workers: u32,
+    ) -> Result<(), SimError> {
+        let pause = self.rescale(idx, &[(server, workers)], false, true, 0.0)?;
         self.fault_stats.elastic_absorbed += 1;
-        self.scaling_ops += 1;
-        self.elastic_headroom_gpus =
-            self.elastic_headroom_gpus - headroom_before + Self::headroom_gpus(&self.jobs[idx]);
-        self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
-        self.reschedule_finish(idx);
         if self.observer.is_some() {
             let job = self.jobs[idx].spec.id.0;
             self.emit(SchedEvent::Fault {
@@ -1757,6 +1701,7 @@ impl Simulation {
                 self.note_straggle(idx);
             }
         }
+        Ok(())
     }
 
     /// Kills a running job because of a fault: surviving containers are
@@ -1766,8 +1711,7 @@ impl Simulation {
     /// cluster already dropped.
     fn kill_job_for_fault(&mut self, idx: usize, crashed: Option<ServerId>) -> Result<(), SimError> {
         let job = self.jobs[idx].spec.id;
-        let placement = self.jobs[idx].placement.clone();
-        for &(sid, w) in &placement {
+        for &(sid, w) in &self.jobs[idx].placement {
             if Some(sid) == crashed {
                 continue;
             }
@@ -1778,54 +1722,28 @@ impl Simulation {
             });
         }
         self.cluster.evict_job(job);
-        self.mark_servers_dirty(&placement);
-        self.mark_running_dirty(idx);
-        let now = self.now_s;
-        let overhead = self.config.preemption_overhead_s;
         let restore_prob = self
             .faults
             .as_ref()
             .map_or(0.0, |p| p.checkpoint_restore_failure_prob);
-        let restore_failed = self.jobs[idx].spec.checkpointing
-            && self.fault_rng.gen_bool(restore_prob.clamp(0.0, 1.0));
-        if self.running_jobs.remove(&idx) {
-            self.elastic_headroom_gpus -= Self::headroom_gpus(&self.jobs[idx]);
-        }
-        let j = &mut self.jobs[idx];
-        j.sync(now);
-        let done_before = j.spec.work() - j.work_left;
-        j.state = JobState::Pending;
-        j.workers = 0;
-        j.flexible_workers = 0;
-        j.placement.clear();
-        j.flex_placement.clear();
-        j.rate = 0.0;
-        j.generation += 1; // cancel in-flight finish
-        j.record.fault_restarts += 1;
-        if j.spec.checkpointing && !restore_failed {
-            let policy = lyra_elastic::CheckpointPolicy {
-                interval_work: self.config.checkpoint_interval_work.max(1.0),
-                overhead_s: overhead,
-            };
-            j.work_left = j.spec.work() - policy.preserved_work(done_before);
-            j.resume_overhead_s = policy.overhead_s;
-            j.resume_cause = Some(lyra_obs::DelayCause::CheckpointRestore);
+        let checkpointed = self.jobs[idx].spec.checkpointing;
+        let restore_failed = checkpointed && self.fault_rng.gen_bool(restore_prob.clamp(0.0, 1.0));
+        self.jobs[idx].record.fault_restarts += 1;
+        let lost = self.requeue(
+            idx,
+            checkpointed && !restore_failed,
+            lyra_obs::DelayCause::FaultRestart,
+        );
+        if restore_failed {
+            self.fault_stats.checkpoint_restore_failures += 1;
+        } else if checkpointed {
             self.fault_stats.checkpoint_restores += 1;
-        } else {
-            if j.spec.checkpointing {
-                self.fault_stats.checkpoint_restore_failures += 1;
-            }
-            j.work_left = j.spec.work();
-            j.resume_overhead_s = overhead;
-            j.resume_cause = Some(lyra_obs::DelayCause::FaultRestart);
         }
-        let preserved = j.spec.work() - j.work_left;
-        self.fault_stats.work_lost_s += (done_before - preserved).max(0.0);
+        self.fault_stats.work_lost_s += lost;
         self.fault_stats.jobs_killed += 1;
         self.fault_stats.restarts += 1;
-        self.enqueue(idx);
         if self.observer.is_some() {
-            if self.jobs[idx].spec.checkpointing {
+            if checkpointed {
                 let kind = if restore_failed {
                     "checkpoint_restore_failure"
                 } else {
@@ -1853,13 +1771,10 @@ impl Simulation {
     /// `sid` (straggler start/end changes their throughput).
     fn recompute_rates_on(&mut self, sid: ServerId) {
         let idxs: Vec<usize> = self
-            .jobs
+            .running_jobs
             .iter()
-            .enumerate()
-            .filter(|(_, j)| {
-                j.state == JobState::Running && j.placement.iter().any(|(s, _)| *s == sid)
-            })
-            .map(|(i, _)| i)
+            .copied()
+            .filter(|&i| self.jobs[i].placement.iter().any(|(s, _)| *s == sid))
             .collect();
         for idx in idxs {
             self.jobs[idx].sync(self.now_s);
@@ -2002,7 +1917,9 @@ impl Simulation {
         let util_loaned = ratio(loan_used, loan_total);
         let util_flexible = ratio(flex_used, loan_total);
 
-        let obs = self.observer.as_mut().expect("checked above");
+        let Some(obs) = self.observer.as_mut() else {
+            return;
+        };
         obs.telemetry.begin_epoch(t_ms);
         let latency_ms = (rm_latency_s - obs.rm_latency_seen_s).max(0.0) * 1000.0;
         obs.rm_latency_seen_s = rm_latency_s;
@@ -2081,21 +1998,16 @@ impl Simulation {
         }
     }
 
-    /// Debug-build cross-check: the loan-demand counters and the
-    /// running-job index must equal a from-scratch recomputation.
-    #[cfg(debug_assertions)]
-    fn debug_check_demand_counters(&self) {
+    /// The derived indexes recomputed from scratch out of the queue and
+    /// the job states: `(pending_gpus, pending_fungible_gpus,
+    /// running_jobs, elastic_headroom_gpus)`.
+    fn recount(&self) -> (u64, u64, std::collections::BTreeSet<usize>, u64) {
         let mut all: u64 = 0;
         let mut fungible: u64 = 0;
         for &i in &self.queue {
             all += u64::from(self.jobs[i].spec.base_gpus());
             fungible += fungible_demand_gpus(&self.jobs[i].spec);
         }
-        assert_eq!(
-            (all, fungible),
-            (self.pending_gpus, self.pending_fungible_gpus),
-            "pending loan-demand counters drifted from the queue"
-        );
         let running: std::collections::BTreeSet<usize> = self
             .jobs
             .iter()
@@ -2103,11 +2015,24 @@ impl Simulation {
             .filter(|(_, j)| j.state == JobState::Running)
             .map(|(i, _)| i)
             .collect();
+        let headroom = running.iter().map(|&i| Self::headroom_gpus(&self.jobs[i])).sum();
+        (all, fungible, running, headroom)
+    }
+
+    /// Debug-build cross-check: the loan-demand counters and the
+    /// running-job index must equal a from-scratch [`recount`](Self::recount).
+    #[cfg(debug_assertions)]
+    fn debug_check_demand_counters(&self) {
+        let (all, fungible, running, headroom) = self.recount();
+        assert_eq!(
+            (all, fungible),
+            (self.pending_gpus, self.pending_fungible_gpus),
+            "pending loan-demand counters drifted from the queue"
+        );
         assert_eq!(
             running, self.running_jobs,
             "running-job index drifted from job states"
         );
-        let headroom: u64 = running.iter().map(|&i| Self::headroom_gpus(&self.jobs[i])).sum();
         assert_eq!(
             headroom, self.elastic_headroom_gpus,
             "elastic-headroom counter drifted from the running set"
@@ -2291,20 +2216,11 @@ impl Simulation {
             "finish event with {} work left",
             self.jobs[idx].work_left
         );
-        for (sid, _) in &self.jobs[idx].placement {
-            self.cache.dirty_servers.insert(*sid);
-        }
-        self.cache.dirty_running.insert(idx);
         self.cluster.evict_job(self.jobs[idx].spec.id);
-        if self.running_jobs.remove(&idx) {
-            self.elastic_headroom_gpus -= Self::headroom_gpus(&self.jobs[idx]);
-        }
+        self.leave_running(idx);
         let j = &mut self.jobs[idx];
         j.state = JobState::Done;
         j.work_left = 0.0;
-        j.rate = 0.0;
-        j.placement.clear();
-        j.flex_placement.clear();
         j.record.complete_s = Some(self.now_s);
         self.completed += 1;
         if self.observer.is_some() {
@@ -2314,10 +2230,12 @@ impl Simulation {
                 .jct_s()
                 .unwrap_or_else(|| self.now_s - self.jobs[idx].spec.submit_time_s);
             self.emit(SchedEvent::JobComplete { job, jct_s });
-            let telemetry = &mut self.observer.as_mut().expect("checked above").telemetry;
-            telemetry.count("sim.jobs.completed");
-            telemetry.jct_s.observe(jct_s);
-            telemetry.queue_s.observe(record.queue_s);
+            let Some(obs) = self.observer.as_mut() else {
+                return;
+            };
+            obs.telemetry.count("sim.jobs.completed");
+            obs.telemetry.jct_s.observe(jct_s);
+            obs.telemetry.queue_s.observe(record.queue_s);
             if let Some(deadline_s) = record.deadline_s {
                 if self.now_s > deadline_s {
                     self.emit(SchedEvent::DeadlineMiss {
@@ -2446,28 +2364,12 @@ impl Simulation {
             }),
             None => None,
         };
-        self.pending_gpus = self
-            .queue
-            .iter()
-            .map(|&i| u64::from(self.jobs[i].spec.base_gpus()))
-            .sum();
-        self.pending_fungible_gpus = self
-            .queue
-            .iter()
-            .map(|&i| fungible_demand_gpus(&self.jobs[i].spec))
-            .sum();
-        self.running_jobs = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.state == JobState::Running)
-            .map(|(i, _)| i)
-            .collect();
-        self.elastic_headroom_gpus = self
-            .running_jobs
-            .iter()
-            .map(|&i| Self::headroom_gpus(&self.jobs[i]))
-            .sum();
+        (
+            self.pending_gpus,
+            self.pending_fungible_gpus,
+            self.running_jobs,
+            self.elastic_headroom_gpus,
+        ) = self.recount();
         // The snapshot cache starts cold (servers and running views are
         // rebuilt at the first refresh), but `enqueue` maintains the
         // pending mirror from t=0 and the refresh never rebuilds it, so
