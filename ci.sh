@@ -110,6 +110,25 @@ for bad in "explain 0" "why 0 --bogus"; do
   }
 done
 
+# Hostile logs: a mid-file line cut short and one line of 100,000 `[`
+# must each be refused with exit 1 and an error naming the line and
+# column, never a panic (101) or a stack-overflow abort (134).
+awk 'NR == 20 { print substr($0, 1, int(length($0) / 2)); next } { print }' \
+  "$smoke_dir/smoke.jsonl" >"$smoke_dir/truncated.jsonl"
+head -c 100000 /dev/zero | tr '\0' '[' >"$smoke_dir/deep.jsonl"
+echo >>"$smoke_dir/deep.jsonl"
+for hostile in truncated deep; do
+  status=0
+  ./target/release/lyra-bench blame --log "$smoke_dir/$hostile.jsonl" \
+    >/dev/null 2>"$smoke_dir/hostile-err.txt" || status=$?
+  [ "$status" -eq 1 ] && grep -q 'line ' "$smoke_dir/hostile-err.txt" \
+    && grep -q ' col ' "$smoke_dir/hostile-err.txt" || {
+    echo "ci: blame on the $hostile log exited $status, want 1 with line and col" >&2
+    cat "$smoke_dir/hostile-err.txt" >&2
+    exit 1
+  }
+done
+
 # Telemetry smoke: the sparkline dashboard must render from both a live
 # run and a replayed log. The Prometheus exposition must declare every
 # metric name once and carry the completed-jobs counter and the JCT

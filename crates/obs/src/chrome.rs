@@ -444,8 +444,13 @@ fn field_u64(ev: &Value, key: &str) -> Result<u64, String> {
 /// order, `B`/`E` events forming matched, name-consistent pairs, and
 /// flow events (`s`/`f`) carrying the mandatory `id`.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
-    let root: Value =
-        serde_json::from_str(text).map_err(|e| format!("malformed JSON: {e}"))?;
+    let root: Value = serde_json::from_str(text).map_err(|e| {
+        format!(
+            "malformed JSON at line {} col {}: {e}",
+            e.line(),
+            e.column()
+        )
+    })?;
     let events = root
         .get("traceEvents")
         .and_then(Value::as_array)

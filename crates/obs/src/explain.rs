@@ -12,9 +12,10 @@ use crate::audit::AuditRecord;
 /// Parses a JSONL event log (as produced by
 /// [`EventLog`](crate::log::EventLog)) back into timed events.
 ///
-/// Returns `Err` with a description on the first malformed line — with
-/// one deliberate exception: a malformed *final* line in a log that
-/// does not end with a newline is a torn tail from a crash mid-write.
+/// Returns `Err` naming the first malformed line and the byte column
+/// in it, as `line N col M: <message>` — with one deliberate
+/// exception: a malformed *final* line in a log that does not end with
+/// a newline is a torn tail from a crash mid-write.
 /// That line is skipped with a warning so an otherwise-intact log
 /// replays cleanly after a crash; a malformed line anywhere else (or a
 /// newline-terminated final line) stays a hard error, since it means
@@ -23,20 +24,21 @@ pub fn parse_log(jsonl: &str) -> Result<Vec<TimedEvent>, String> {
     let torn_tail_possible = !jsonl.is_empty() && !jsonl.ends_with('\n');
     let mut events = Vec::new();
     let mut lines = jsonl.lines().enumerate().peekable();
-    while let Some((no, line)) = lines.next() {
-        let line = line.trim();
+    while let Some((no, raw)) = lines.next() {
+        let line = raw.trim();
         if line.is_empty() {
             continue;
         }
         match serde_json::from_str::<TimedEvent>(line) {
             Ok(ev) => events.push(ev),
-            Err(e) if torn_tail_possible && lines.peek().is_none() => {
-                eprintln!(
-                    "warning: skipping torn final log line {} (crash artifact): {e:?}",
-                    no + 1
-                );
+            Err(e) => {
+                let indent = raw.len() - raw.trim_start().len();
+                let at = format!("line {} col {}: {e}", no + 1, indent + e.column());
+                if !(torn_tail_possible && lines.peek().is_none()) {
+                    return Err(at);
+                }
+                eprintln!("warning: skipping torn final log line (crash artifact): {at}");
             }
-            Err(e) => return Err(format!("line {}: {e:?}", no + 1)),
         }
     }
     Ok(events)
@@ -344,13 +346,34 @@ mod tests {
         }
         let jsonl = log.to_jsonl();
         let corrupted = jsonl.replacen("JobAdmit", "JobAdmi", 1);
-        assert!(parse_log(&corrupted).is_err(), "mid-file corruption must fail");
+        assert_eq!(
+            parse_log(&corrupted).unwrap_err(),
+            "line 1 col 30: field `event`: unknown variant `JobAdmi` of SchedEvent",
+            "mid-file corruption must fail"
+        );
+        // The column counts bytes from the start of the raw line.
+        let indented = format!("  {}", jsonl.replacen("{\"job\":0}", "{\"job\":0", 1));
+        assert_eq!(
+            parse_log(&indented).unwrap_err(),
+            "line 1 col 54: expected `,` or `}`, found end of input"
+        );
         // A malformed final line that IS newline-terminated is
         // corruption too, not a torn tail.
         let mut lines: Vec<&str> = jsonl.lines().collect();
         let bad = format!("{}garbage", lines.pop().unwrap());
         let rebuilt = format!("{}\n{bad}\n", lines.join("\n"));
         assert!(parse_log(&rebuilt).is_err(), "terminated garbage must fail");
+    }
+
+    #[test]
+    fn a_hostile_nesting_depth_is_an_error_not_a_crash() {
+        let hostile = "[".repeat(100_000) + "\n";
+        let err = parse_log(&hostile).unwrap_err();
+        assert_eq!(err, "line 1 col 1: expected object, found array");
+        // Nested where an unknown key is skipped, the depth limit fires.
+        let hostile = format!("{{\"pad\":{hostile}");
+        let err = parse_log(&hostile).unwrap_err();
+        assert_eq!(err, "line 1 col 135: nesting deeper than 128");
     }
 
     #[test]

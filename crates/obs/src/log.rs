@@ -497,6 +497,31 @@ mod tests {
         assert_eq!(events, samples);
     }
 
+    proptest::proptest! {
+        /// Every event variant, at any time and sequence number, reads
+        /// back equal from both compact and pretty JSON.
+        #[test]
+        fn every_event_round_trips_compact_and_pretty(
+            i in 0..event_samples().len(),
+            time_ms in proptest::prelude::any::<u64>(),
+            seq in proptest::prelude::any::<u64>(),
+        ) {
+            let timed = TimedEvent {
+                time_ms,
+                seq,
+                event: event_samples().swap_remove(i),
+            };
+            let compact = serde_json::to_string(&timed).unwrap();
+            let pretty = serde_json::to_string_pretty(&timed).unwrap();
+            for json in [compact, pretty] {
+                proptest::prop_assert_eq!(
+                    serde_json::from_str::<TimedEvent>(&json),
+                    Ok(timed.clone())
+                );
+            }
+        }
+    }
+
     #[test]
     fn take_lines_moves_the_ring_out_and_keeps_counters() {
         let mut log = EventLog::new(2);

@@ -211,8 +211,16 @@ impl SimCheckpoint {
                 ))
             }
         };
+        // The header is line 1 of the file and the payload line 2.
+        let malformed = |first_line: usize, what: &str, e: serde_json::Error| {
+            CheckpointError::Malformed(format!(
+                "line {} col {}: {what}: {e}",
+                first_line + e.line() - 1,
+                e.column()
+            ))
+        };
         let header: Header = serde_json::from_str(header_line)
-            .map_err(|e| CheckpointError::Malformed(format!("header does not parse: {e:?}")))?;
+            .map_err(|e| malformed(1, "header does not parse", e))?;
         if header.magic != MAGIC {
             return Err(CheckpointError::Malformed(format!(
                 "magic `{}` is not `{MAGIC}`",
@@ -232,8 +240,7 @@ impl SimCheckpoint {
                 found,
             });
         }
-        serde_json::from_str(payload)
-            .map_err(|e| CheckpointError::Malformed(format!("payload does not decode: {e:?}")))
+        serde_json::from_str(payload).map_err(|e| malformed(2, "payload does not decode", e))
     }
 
     /// Rebuilds a ready-to-resume [`Simulation`]: the scenario inputs
@@ -458,5 +465,42 @@ mod tests {
             SimCheckpoint::load(&path),
             Err(CheckpointError::Io(_))
         ));
+    }
+
+    #[test]
+    fn decode_errors_name_the_line_and_column() {
+        let dir = std::env::temp_dir().join("lyra-ckpt-position");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("e.ckpt");
+        let refusal = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            match SimCheckpoint::load(&path) {
+                Err(CheckpointError::Malformed(msg)) => msg,
+                other => panic!("expected a malformed refusal, got {other:?}"),
+            }
+        };
+        // The header is parsed before the checksum is checked, so a
+        // hostile nesting depth there (in a key the header does not
+        // have, which is skipped) must come back as an error.
+        let hostile = format!("{{\"pad\":{}\n{{}}\n", "[".repeat(100_000));
+        assert_eq!(
+            refusal(&hostile),
+            "line 1 col 135: header does not parse: nesting deeper than 128"
+        );
+        assert_eq!(
+            refusal("{\"magic\":\"lyra-checkpoint\" \"version\":7}\n{}\n"),
+            "line 1 col 28: header does not parse: expected `,` or `}`, found string"
+        );
+        let payload = "{\"scenario\":1}";
+        let header = format!(
+            "{{\"magic\":\"{MAGIC}\",\"version\":{CHECKPOINT_VERSION},\"checksum\":\"{:016x}\"}}",
+            fnv1a64(payload.as_bytes())
+        );
+        let msg = refusal(&format!("{header}\n{payload}\n"));
+        assert!(
+            msg.starts_with("line 2 col 13: payload does not decode: field `scenario`: "),
+            "{msg}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }
