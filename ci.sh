@@ -67,7 +67,8 @@ smoke_dir=$(mktemp -d)
 # Provenance smoke: the log-replay tooling must run end to end — `why`
 # for a job known to exist (ranked causes, intervals with their causal
 # chains, the audited decision chain), the `blame` rankings from two
-# fresh same-seed runs (must be byte-identical), the filter's cause
+# fresh same-seed runs (must be byte-identical, and byte-identical to
+# the rankings replayed from the smoke run's sink file), the filter's cause
 # taxonomy validation (unknown cause must exit 2 and list the
 # alternatives), and the trace export, whose provenance flow arrows
 # must be present.
@@ -76,6 +77,12 @@ smoke_dir=$(mktemp -d)
 ./target/release/lyra-bench blame --top 5 >"$smoke_dir/blame-b.txt"
 cmp "$smoke_dir/blame-a.txt" "$smoke_dir/blame-b.txt" || {
   echo "ci: blame from two same-seed runs is not byte-identical" >&2
+  exit 1
+}
+./target/release/lyra-bench blame --top 5 --log "$smoke_dir/smoke.jsonl" \
+  >"$smoke_dir/blame-sink.txt"
+cmp "$smoke_dir/blame-a.txt" "$smoke_dir/blame-sink.txt" || {
+  echo "ci: blame from the sink log differs from the same-seed in-memory run" >&2
   exit 1
 }
 ./target/release/lyra-bench export-trace --log "$smoke_dir/smoke.jsonl" \

@@ -10,9 +10,9 @@
 //!   error) and drive the run to completion, printing its summary.
 //! * `crash-storm [--kills <n>] [--seed <s>] [--dir <path>]` — the CI
 //!   gate: kill the faulted golden scenario at `n` seeded epochs,
-//!   checkpoint, restore, and require the resumed run's event log,
-//!   attribution table, report and JSONL sink to be byte-identical to
-//!   the uninterrupted run's. The storm logic lives in
+//!   checkpoint, restore, and require the resumed run's JSONL sink,
+//!   the attribution table derived from it and its report to be
+//!   byte-identical to the uninterrupted run's. The storm logic lives in
 //!   `lyra_oracle::crash` so tests and CI share one implementation.
 
 use crate::Scale;

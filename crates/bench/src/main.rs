@@ -442,18 +442,22 @@ fn read_log(inv: &Invocation) -> Result<(String, Vec<TimedEvent>), CliError> {
 /// it to the log-replay commands with `--log <file>`).
 fn smoke_cmd(inv: &Invocation) -> CmdResult {
     let report = observed_small_run(inv.value("--log"))?;
+    // With a sink the log lives in the file only.
+    let events = match inv.value("--log") {
+        Some(_) => read_log(inv)?.1,
+        None => parse_events(&report.events.join("\n"))?,
+    };
     let counted = report.telemetry.counter("sim.jobs.completed");
     let jct_count = report.telemetry.jct_s.count;
     println!(
         "smoke: {} jobs completed ({counted} counted, {jct_count} in sim.jct_s), {} events, \
          {} profiled phases",
         report.completed,
-        report.events.len(),
+        events.len(),
         report.profile.0.len()
     );
     print!("{}", report.profile.render());
     print!("{}", report.attribution.render_table());
-    let events = parse_events(&report.events.join("\n"))?;
     let trace = lyra_obs::export_provenance_trace(&events);
     let stats = lyra_obs::validate_chrome_trace(&trace)
         .map_err(|e| failed(format!("smoke: exported Chrome trace is malformed: {e}")))?;
@@ -462,7 +466,7 @@ fn smoke_cmd(inv: &Invocation) -> CmdResult {
         stats.events, stats.tracks, stats.span_pairs, stats.flow_events
     );
     let ok = report.completed > 0
-        && !report.events.is_empty()
+        && !events.is_empty()
         && counted == report.completed as u64
         && jct_count == report.completed as u64
         && !report.profile.0.is_empty()
@@ -625,8 +629,7 @@ fn timeline_cmd(inv: &Invocation) -> CmdResult {
             (report.telemetry, events)
         }
     };
-    let alerts = timeline::alerts_from_log(&events);
-    print!("{}", timeline::render_dashboard(&telemetry, &alerts, width));
+    print!("{}", timeline::render_dashboard(&telemetry, &events, width));
     Ok(0)
 }
 

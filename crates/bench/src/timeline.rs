@@ -2,11 +2,11 @@
 //! telemetry series as Unicode sparklines.
 //!
 //! Renders from a live observed run's [`Telemetry`], or — with `--log`
-//! — from a recorded JSONL event log by replaying `SchedulerEpoch`,
-//! `LoanGrant`, `ReclaimGrant`, `JobPreempt` and `ReclaimCarryover`
-//! events into a derived telemetry (a strict subset of the live
-//! series: the log carries no GPU-utilisation gauges). Alert
-//! fire/resolve transitions are listed under the chart either way.
+//! — from a recorded JSONL event log replayed into a derived telemetry
+//! through the live run's own event counting and `rate.*` sampling (a
+//! strict subset of the live series: the log carries no
+//! GPU-utilisation gauges). Alert fire/resolve transitions are listed
+//! under the chart either way.
 //! Everything here is a pure function of its inputs, so the rendered
 //! dashboard is as deterministic as the series behind it.
 
@@ -51,61 +51,17 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// One alert transition pulled from an event log, for the dashboard's
-/// alert listing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertLine {
-    /// Simulated time of the transition, milliseconds.
-    pub t_ms: u64,
-    /// Rule name.
-    pub rule: String,
-    /// Watched series.
-    pub series: String,
-    /// Sampled value at the transition.
-    pub value: f64,
-    /// Rule threshold.
-    pub threshold: f64,
-    /// `true` on fire, `false` on resolve.
-    pub fired: bool,
-}
-
-/// Extracts every alert transition from an event log, in log order.
-pub fn alerts_from_log(events: &[TimedEvent]) -> Vec<AlertLine> {
-    events
-        .iter()
-        .filter_map(|e| match &e.event {
-            SchedEvent::Alert {
-                rule,
-                series,
-                value,
-                threshold,
-                fired,
-            } => Some(AlertLine {
-                t_ms: e.time_ms,
-                rule: rule.clone(),
-                series: series.clone(),
-                value: *value,
-                threshold: *threshold,
-                fired: *fired,
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Replays an event log into a derived [`Telemetry`]: one sample per
-/// `SchedulerEpoch` event, with queue depth and running jobs read off
-/// the epoch summary and loan/reclaim/preemption rates accumulated
-/// from the events since the previous epoch.
+/// Replays an event log into a derived [`Telemetry`]: every event is
+/// counted through [`Telemetry::observe`], as in the live run, and each
+/// `SchedulerEpoch` event takes one sample — queue depth and running
+/// jobs off the epoch summary, the `rate.*` series off the counters.
 pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
     let mut t = Telemetry::default();
-    let (mut loans, mut reclaims, mut preemptions, mut carry) = (0u64, 0u64, 0u64, 0u64);
+    let mut carry = 0u32;
     for e in events {
+        t.observe(&e.event);
         match &e.event {
-            SchedEvent::LoanGrant { .. } => loans += 1,
-            SchedEvent::ReclaimGrant { .. } => reclaims += 1,
-            SchedEvent::JobPreempt { .. } => preemptions += 1,
-            SchedEvent::ReclaimCarryover { servers, .. } => carry = u64::from(*servers),
+            SchedEvent::ReclaimCarryover { servers, .. } => carry = *servers,
             SchedEvent::SchedulerEpoch {
                 launches,
                 queued,
@@ -115,10 +71,8 @@ pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
                 t.sample_gauge("queue.depth", e.time_ms, f64::from(*queued));
                 t.sample_gauge("jobs.running", e.time_ms, f64::from(*running));
                 t.sample_gauge("epoch.launches", e.time_ms, f64::from(*launches));
-                t.sample_gauge("reclaim.carry_servers", e.time_ms, carry as f64);
-                t.sample_rate("rate.loans", e.time_ms, loans);
-                t.sample_rate("rate.reclaims", e.time_ms, reclaims);
-                t.sample_rate("rate.preemptions", e.time_ms, preemptions);
+                t.sample_gauge("reclaim.carry_servers", e.time_ms, f64::from(carry));
+                t.sample_rates(e.time_ms);
                 carry = 0;
             }
             _ => {}
@@ -129,8 +83,9 @@ pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
 
 /// Renders the full dashboard: a header, one sparkline row per series
 /// (name, chart, min/last/max), the two epoch histograms as
-/// single-line summaries, and the alert transitions (if any).
-pub fn render_dashboard(t: &Telemetry, alerts: &[AlertLine], width: usize) -> String {
+/// single-line summaries, and the `Alert` transitions in `events` (if
+/// any), in log order.
+pub fn render_dashboard(t: &Telemetry, events: &[TimedEvent], width: usize) -> String {
     let mut out = String::new();
     let series: Vec<_> = t.iter().collect();
     out.push_str(&format!(
@@ -165,21 +120,30 @@ pub fn render_dashboard(t: &Telemetry, alerts: &[AlertLine], width: usize) -> St
             t.decision_latency_ms.count
         ),
     ));
+    let alerts: Vec<String> = events
+        .iter()
+        .filter_map(|e| match &e.event {
+            SchedEvent::Alert {
+                rule,
+                series,
+                value,
+                threshold,
+                fired,
+            } => Some(format!(
+                "  [{:>10}ms] {} {rule} ({series}: {} vs threshold {})\n",
+                e.time_ms,
+                if *fired { "FIRED   " } else { "resolved" },
+                format_value(*value),
+                format_value(*threshold),
+            )),
+            _ => None,
+        })
+        .collect();
     if alerts.is_empty() {
         out.push_str("\nalerts: none\n");
     } else {
         out.push_str(&format!("\nalerts ({} transitions):\n", alerts.len()));
-        for a in alerts {
-            out.push_str(&format!(
-                "  [{:>10}ms] {} {} ({}: {} vs threshold {})\n",
-                a.t_ms,
-                if a.fired { "FIRED   " } else { "resolved" },
-                a.rule,
-                a.series,
-                format_value(a.value),
-                format_value(a.threshold),
-            ));
-        }
+        out.extend(alerts);
     }
     out
 }
@@ -276,16 +240,13 @@ mod tests {
         assert_eq!(t.latest("queue.depth"), Some(6.0));
         assert_eq!(t.latest("rate.loans"), Some(0.0)); // both loans landed before epoch 1
         assert_eq!(t.latest("rate.preemptions"), Some(1.0));
-        let alerts = alerts_from_log(&events);
-        assert_eq!(alerts.len(), 1);
-        assert!(alerts[0].fired);
-
-        let dash = render_dashboard(&t, &alerts, 40);
+        let dash = render_dashboard(&t, &events, 40);
         assert!(dash.contains("queue.depth"));
         assert!(dash.contains("FIRED"));
         assert!(dash.contains("2 epochs"));
         // Same inputs, same bytes.
-        assert_eq!(dash, render_dashboard(&t, &alerts, 40));
+        assert!(dash.contains("alerts (1 transitions)"));
+        assert_eq!(dash, render_dashboard(&t, &events, 40));
     }
 
     #[test]

@@ -64,26 +64,26 @@ fn phase_rank(ph: &str) -> u8 {
     }
 }
 
-/// Trace events as `(ts, phase rank, push order, JSON text)`. Each
-/// event is rendered when pushed, so only its text is kept.
+/// Trace events rendered into one text buffer as they are pushed,
+/// indexed by `(ts, phase rank, start, end)` byte ranges into it. The
+/// start offset grows with push order, so it is the final tie-break.
 struct TraceBuilder {
-    events: Vec<(u64, u8, usize, String)>,
-    next: usize,
+    events: Vec<(u64, u8, usize, usize)>,
+    text: String,
 }
 
 impl TraceBuilder {
     fn new() -> Self {
         TraceBuilder {
             events: Vec::new(),
-            next: 0,
+            text: String::new(),
         }
     }
 
     fn push(&mut self, ts_us: u64, ph: &str, value: Value) {
-        let mut text = String::new();
-        serde::write_compact(&mut text, &value);
-        self.events.push((ts_us, phase_rank(ph), self.next, text));
-        self.next += 1;
+        let start = self.text.len();
+        serde::write_compact(&mut self.text, &value);
+        self.events.push((ts_us, phase_rank(ph), start, self.text.len()));
     }
 
     fn meta(&mut self, pid: u64, tid: u64, kind: &str, name: &str) {
@@ -102,16 +102,21 @@ impl TraceBuilder {
     }
 
     fn render(mut self) -> String {
-        self.events
-            .sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, (_, _, _, text)) in self.events.iter().enumerate() {
+        // The keys are unique (start offsets differ), so an unstable
+        // sort gives the push-order tie-break without a merge buffer.
+        self.events.sort_unstable();
+        let head = "{\"traceEvents\":[\n";
+        let tail = "\n]}\n";
+        let seps = 2 * self.events.len().saturating_sub(1);
+        let mut out = String::with_capacity(head.len() + self.text.len() + seps + tail.len());
+        out.push_str(head);
+        for (i, &(_, _, start, end)) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
-            out.push_str(text);
+            out.push_str(&self.text[start..end]);
         }
-        out.push_str("\n]}\n");
+        out.push_str(tail);
         out
     }
 }

@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn byte_chopped_final_line_is_skipped_not_fatal() {
-        let mut log = EventLog::new(16);
+        let mut log = EventLog::new();
         for id in 0..3u64 {
             log.emit(id * 1000, SchedEvent::JobAdmit { job: id });
         }
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn mid_file_corruption_stays_a_hard_error() {
-        let mut log = EventLog::new(16);
+        let mut log = EventLog::new();
         for id in 0..3u64 {
             log.emit(id * 1000, SchedEvent::JobAdmit { job: id });
         }
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn explain_reconstructs_a_preemption_chain() {
-        let mut log = EventLog::new(64);
+        let mut log = EventLog::new();
         log.emit(0, SchedEvent::JobAdmit { job: 42 });
         log.emit(
             60_000,
@@ -439,7 +439,7 @@ mod tests {
 
     #[test]
     fn explain_collapses_repeated_decisions() {
-        let mut log = EventLog::new(64);
+        let mut log = EventLog::new();
         for tick in 0..5u64 {
             log.emit(
                 tick * 60_000,
@@ -470,7 +470,7 @@ mod tests {
         // Three gpu-scarcity deferrals followed by an admission: the
         // run-length collapse must break at the cause change instead of
         // swallowing the admission into the deferral run.
-        let mut log = EventLog::new(64);
+        let mut log = EventLog::new();
         for tick in 0..4u64 {
             let admitted = tick == 3;
             log.emit(

@@ -10,15 +10,18 @@
 //! the same four pillars a real deployment would have:
 //!
 //! * [`event`] + [`log`] — a **structured event log**: typed, serialisable
-//!   scheduler events emitted as JSON Lines into a ring buffer with an
-//!   optional file sink. Event payloads carry only simulated quantities,
-//!   so two runs with the same seed produce byte-identical logs.
+//!   scheduler events written as JSON Lines to one destination — a file
+//!   sink when one is attached, memory otherwise (an in-memory log keeps
+//!   every line, so trace-scale runs should use a sink). Event payloads
+//!   carry only simulated quantities, so two runs with the same seed
+//!   produce byte-identical logs.
 //! * [`timeseries`] + [`alerts`] + [`prom`] — **metrics and continuous
 //!   telemetry** in one store: per-epoch scheduler health gauges
 //!   sampled into fixed-capacity ring series with deterministic
 //!   decimation (bounded memory at 1M-job scale), cumulative event
-//!   counters, fixed-bucket histograms, a threshold/sustained-window
-//!   alert engine emitting typed `Alert` events into the log, and
+//!   counters counted off the event stream, fixed-bucket histograms, a
+//!   threshold/sustained-window alert engine emitting typed `Alert`
+//!   events into the log, and
 //!   Prometheus text exposition + CSV export — all byte-reproducible
 //!   under the same seed.
 //! * [`span`] — **span timing** for the hot paths (MCKP DP, best-fit
@@ -46,6 +49,10 @@
 //! JSONL log, and renders as `why`/`blame` reports and Perfetto flow
 //! arrows.
 //!
+//! [`observer`] ties them together for a simulator run: one
+//! [`Observer`] owns the log, the trackers, the telemetry store and the
+//! alert engine, and every event reaches all of them through one call.
+//!
 //! [`output`] is the small experiment-output writer used by the bench
 //! CLI's `--quiet` / `--json` modes.
 //!
@@ -63,6 +70,7 @@ pub mod explain;
 pub mod graph;
 pub mod lifecycle;
 pub mod log;
+pub mod observer;
 pub mod output;
 pub mod provenance;
 pub mod prom;
@@ -85,6 +93,7 @@ pub use graph::{
 };
 pub use lifecycle::{attribute_log, LifecycleTracker};
 pub use log::{EventLog, EventLogState};
+pub use observer::{Observer, ObserverCheckpoint, ObserverConfig};
 pub use provenance::{
     blame_from_log, build_provenance, render_blame, render_why, why_from_log, ProvenanceTracker,
 };

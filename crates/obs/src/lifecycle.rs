@@ -1,7 +1,7 @@
 //! Per-job lifecycle tracking: the event stream → attributed intervals.
 //!
 //! [`LifecycleTracker`] replays [`SchedEvent`]s — online inside the
-//! simulation observer (so ring-buffer drops cannot lose attribution),
+//! simulation observer (before each line is written, wherever it goes),
 //! or offline over a parsed JSONL log — and drives a small per-job state
 //! machine:
 //!

@@ -1,17 +1,18 @@
-//! The event log: JSON Lines into a ring buffer plus an optional file
-//! sink.
+//! The event log: one JSON line per event, written once.
 //!
-//! Events are serialised eagerly to one JSON line each. The vendored
-//! serde's direct writer (`Serialize::write_json`) encodes each event
-//! from its typed fields into one reused buffer, with no intermediate
-//! `Value` tree; the ring then keeps an exact-size copy of the line. The
-//! ring buffer keeps the most recent `capacity` lines for in-process
-//! inspection (`why`, tests, the run report); the file sink, when
-//! configured, receives every line. Serialisation is deterministic —
-//! map-free payloads, fields in declaration order — so same-seed runs
-//! yield byte-identical logs.
+//! The vendored serde's direct writer (`Serialize::write_json`) encodes
+//! each event from its typed fields into one reused buffer, with no
+//! intermediate `Value` tree. With a file sink attached, every line goes
+//! to the file only; without one, the log keeps every line in memory
+//! (`why`, tests, the run report), so trace-scale runs should use a
+//! sink. Serialisation is deterministic — map-free payloads, fields in
+//! declaration order — so same-seed runs yield byte-identical logs
+//! whichever destination they use.
+//!
+//! A failed sink write does not stop the run: the log keeps the first
+//! I/O error, stops writing, and [`EventLog::flush`] returns it naming
+//! the sink, so no line is lost silently.
 
-use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -23,55 +24,44 @@ use crate::event::{SchedEvent, TimedEvent};
 /// Serializable snapshot of an [`EventLog`] for checkpoint/restore.
 ///
 /// Captures everything needed to resume emission exactly where it left
-/// off: the ring contents, all counters, and the sink path (the sink
-/// file itself is repaired and reopened in append mode on restore).
+/// off: the in-memory lines (empty with a sink), the sequence cursor
+/// and the sink path (the sink file itself is repaired and reopened in
+/// append mode on restore).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventLogState {
-    /// Ring capacity (lines kept in memory).
-    pub capacity: usize,
-    /// Ring contents at capture time, oldest first.
-    pub ring: Vec<String>,
-    /// Next sequence number to stamp.
+    /// In-memory lines at capture time, oldest first (empty with a
+    /// sink: those lines live in the file).
+    pub lines: Vec<String>,
+    /// Next sequence number to stamp, which is also the number of
+    /// lines emitted so far.
     pub seq: u64,
-    /// Total lines emitted so far.
-    pub emitted: u64,
-    /// Lines evicted from the ring so far.
-    pub dropped: u64,
     /// File sink path, if a sink was attached.
     pub sink_path: Option<PathBuf>,
 }
 
-/// Ring-buffered JSONL event log with an optional file sink.
-#[derive(Debug)]
+/// JSONL event log writing each line once: to a file sink when one is
+/// attached, into memory otherwise.
+#[derive(Debug, Default)]
 pub struct EventLog {
-    capacity: usize,
-    ring: VecDeque<String>,
+    /// Every emitted line, oldest first; empty with a sink.
+    lines: Vec<String>,
     sink: Option<BufWriter<File>>,
     sink_path: Option<PathBuf>,
+    /// The first sink I/O error; the sink is closed when it is set.
+    error: Option<std::io::Error>,
     seq: u64,
-    emitted: u64,
-    dropped: u64,
     /// Encode buffer reused across events; not checkpointed.
     buf: String,
 }
 
 impl EventLog {
-    /// Creates a log keeping at most `capacity` lines in memory.
-    pub fn new(capacity: usize) -> Self {
-        EventLog {
-            capacity: capacity.max(1),
-            ring: VecDeque::new(),
-            sink: None,
-            sink_path: None,
-            seq: 0,
-            emitted: 0,
-            dropped: 0,
-            buf: String::new(),
-        }
+    /// Creates an in-memory log.
+    pub fn new() -> Self {
+        EventLog::default()
     }
 
-    /// Attaches a file sink; every subsequent line is also appended to
-    /// `path` (truncating any existing file).
+    /// Attaches a file sink (truncating any existing file); every
+    /// subsequent line goes to `path` instead of memory.
     pub fn with_sink(mut self, path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
         self.sink = Some(BufWriter::new(file));
@@ -79,14 +69,9 @@ impl EventLog {
         Ok(self)
     }
 
-    /// Path of the file sink, if one is attached.
-    pub fn sink_path(&self) -> Option<&Path> {
-        self.sink_path.as_deref()
-    }
-
     /// Stamps `event` with `time_ms` and the next sequence number, then
-    /// appends it to the ring (and sink, if any). Returns the sequence
-    /// number assigned — the event's stable `DecisionId` for provenance
+    /// writes it to the log's destination. Returns the sequence number
+    /// assigned — the event's stable `DecisionId` for provenance
     /// tracking (persisted in the line itself and in checkpoints, so it
     /// survives log replay and crash/resume unchanged).
     pub fn emit(&mut self, time_ms: u64, event: SchedEvent) -> u64 {
@@ -99,73 +84,58 @@ impl EventLog {
         self.seq += 1;
         self.buf.clear();
         timed.write_json(&mut self.buf);
-        self.push_line();
+        if self.sink_path.is_none() {
+            // An exact-size copy: the buffer's growth slack stays behind.
+            self.lines.push(self.buf.as_str().to_owned());
+        } else if let Some(sink) = &mut self.sink {
+            let written = sink
+                .write_all(self.buf.as_bytes())
+                .and_then(|()| sink.write_all(b"\n"));
+            if let Err(e) = written {
+                self.error.get_or_insert(e);
+                self.sink = None;
+            }
+        }
         seq
     }
 
-    /// The sequence number the *next* emitted event will carry.
+    /// The sequence number the *next* emitted event will carry (the
+    /// number of lines emitted so far).
     pub fn next_seq(&self) -> u64 {
         self.seq
     }
 
-    /// Appends the line in `buf` to the sink and the ring.
-    fn push_line(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            // A full disk shouldn't kill a simulation; drop the sink and
-            // keep the ring.
-            let written = sink
-                .write_all(self.buf.as_bytes())
-                .and_then(|()| sink.write_all(b"\n"));
-            if written.is_err() {
-                self.sink = None;
-            }
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        // An exact-size copy: the buffer's growth slack stays behind.
-        self.ring.push_back(self.buf.as_str().to_owned());
-        self.emitted += 1;
-    }
-
-    /// Lines currently held in the ring, oldest first.
-    pub fn lines(&self) -> impl Iterator<Item = &str> {
-        self.ring.iter().map(String::as_str)
-    }
-
-    /// Moves the ring's lines out, oldest first, leaving the ring empty.
-    /// Counters are untouched.
+    /// Moves the in-memory lines out, oldest first, leaving none behind.
+    /// The sequence cursor is untouched.
     pub fn take_lines(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.ring).into()
+        std::mem::take(&mut self.lines)
     }
 
-    /// The ring contents joined into one JSONL string (trailing
+    /// The in-memory lines joined into one JSONL string (trailing
     /// newline included when non-empty).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for line in &self.ring {
+        for line in &self.lines {
             out.push_str(line);
             out.push('\n');
         }
         out
     }
 
-    /// Total events emitted over the log's lifetime.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Events evicted from the ring to honour the capacity bound (they
-    /// were still written to the sink, if one is attached).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Flushes the file sink, if any.
-    pub fn flush(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            let _ = sink.flush();
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error the sink ever hit — on this flush or
+    /// on an earlier write — with the sink's path.
+    pub fn flush(&mut self) -> Result<(), String> {
+        if let Some(Err(e)) = self.sink.as_mut().map(BufWriter::flush) {
+            self.error.get_or_insert(e);
+            self.sink = None;
+        }
+        match (&self.error, &self.sink_path) {
+            (Some(e), Some(path)) => Err(format!("event-log sink {}: {e}", path.display())),
+            _ => Ok(()),
         }
     }
 
@@ -173,32 +143,31 @@ impl EventLog {
     ///
     /// Flushes the sink first so the file on disk holds every emitted
     /// line — the restore path can then repair any *externally* torn
-    /// tail (a crash mid-append) by truncating to whole lines.
+    /// tail (a crash mid-append) by truncating to whole lines. A sink
+    /// that failed is caught there too: its file holds fewer lines than
+    /// the captured cursor, and restore refuses it.
     pub fn capture_state(&mut self) -> EventLogState {
-        self.flush();
+        let _ = self.flush();
         EventLogState {
-            capacity: self.capacity,
-            ring: self.ring.iter().cloned().collect(),
+            lines: self.lines.clone(),
             seq: self.seq,
-            emitted: self.emitted,
-            dropped: self.dropped,
             sink_path: self.sink_path.clone(),
         }
     }
 
     /// Rebuilds a log from a captured state, repairing the sink file.
     ///
-    /// The sink file is cut back to exactly `state.emitted` complete
+    /// The sink file is cut back to exactly `state.seq` complete
     /// (newline-terminated) lines — dropping a torn final line from a
     /// crash mid-write, and any lines emitted after the checkpoint was
     /// taken — then reopened in *append* mode so resumed emission
-    /// continues the same file. Fewer complete lines than `emitted`
-    /// means unrecoverable data loss and is an error (never a silent
-    /// partial restore).
+    /// continues the same file. Fewer complete lines than `seq` means
+    /// unrecoverable data loss and is an error (never a silent partial
+    /// restore).
     pub fn from_state(state: EventLogState) -> std::io::Result<Self> {
         let sink = match &state.sink_path {
             Some(path) => {
-                let keep = repair_sink(path, state.emitted)?;
+                let keep = repair_sink(path, state.seq)?;
                 let file = OpenOptions::new().write(true).open(path)?;
                 file.set_len(keep)?;
                 let file = OpenOptions::new().append(true).open(path)?;
@@ -207,13 +176,11 @@ impl EventLog {
             None => None,
         };
         Ok(EventLog {
-            capacity: state.capacity.max(1),
-            ring: state.ring.into(),
+            lines: state.lines,
             sink,
             sink_path: state.sink_path,
+            error: None,
             seq: state.seq,
-            emitted: state.emitted,
-            dropped: state.dropped,
             buf: String::new(),
         })
     }
@@ -264,7 +231,7 @@ fn repair_sink(path: &Path, emitted: u64) -> std::io::Result<u64> {
 
 impl Drop for EventLog {
     fn drop(&mut self) {
-        self.flush();
+        let _ = self.flush();
     }
 }
 
@@ -475,12 +442,13 @@ mod tests {
 
     #[test]
     fn every_event_encodes_like_the_tree_writer_and_round_trips() {
-        let mut log = EventLog::new(64);
+        let mut log = EventLog::new();
         let samples = event_samples();
         for (i, event) in samples.iter().enumerate() {
             log.emit(i as u64 * 250, event.clone());
         }
-        let lines: Vec<&str> = log.lines().collect();
+        let jsonl = log.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), samples.len());
         for (line, (i, event)) in lines.iter().zip(samples.iter().enumerate()) {
             let timed = TimedEvent {
@@ -492,7 +460,7 @@ mod tests {
             serde::write_compact(&mut tree, &timed.to_value());
             assert_eq!(*line, tree, "{}", event.kind_name());
         }
-        let parsed = crate::explain::parse_log(&log.to_jsonl()).expect("parses");
+        let parsed = crate::explain::parse_log(&jsonl).expect("parses");
         let events: Vec<SchedEvent> = parsed.into_iter().map(|t| t.event).collect();
         assert_eq!(events, samples);
     }
@@ -523,34 +491,33 @@ mod tests {
     }
 
     #[test]
-    fn take_lines_moves_the_ring_out_and_keeps_counters() {
-        let mut log = EventLog::new(2);
+    fn take_lines_moves_the_lines_out_and_keeps_the_cursor() {
+        let mut log = EventLog::new();
         for id in 0..3u64 {
             log.emit(id, SchedEvent::JobAdmit { job: id });
         }
-        let expected: Vec<String> = log.lines().map(str::to_string).collect();
+        let expected: Vec<String> = log.to_jsonl().lines().map(str::to_string).collect();
         assert_eq!(log.take_lines(), expected);
-        assert_eq!(log.lines().count(), 0);
-        assert_eq!((log.emitted(), log.dropped(), log.next_seq()), (3, 1, 3));
+        assert_eq!(log.to_jsonl(), "");
+        assert_eq!(log.next_seq(), 3);
     }
 
     #[test]
-    fn ring_keeps_most_recent_and_counts_drops() {
-        let mut log = EventLog::new(2);
-        for id in 0..4u64 {
-            log.emit(id * 1000, SchedEvent::JobAdmit { job: id });
+    fn in_memory_log_keeps_every_line() {
+        const N: u64 = 70_000;
+        let mut log = EventLog::new();
+        for id in 0..N {
+            log.emit(id, SchedEvent::JobAdmit { job: id });
         }
-        assert_eq!(log.emitted(), 4);
-        assert_eq!(log.dropped(), 2);
-        let lines: Vec<&str> = log.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"seq\":2"));
-        assert!(lines[1].contains("\"seq\":3"));
+        let lines = log.take_lines();
+        assert_eq!(lines.len() as u64, N);
+        assert!(lines[0].contains("\"seq\":0,"), "{}", lines[0]);
+        assert!(lines[N as usize - 1].contains(&format!("\"seq\":{},", N - 1)));
     }
 
     #[test]
     fn lines_round_trip_through_parse() {
-        let mut log = EventLog::new(16);
+        let mut log = EventLog::new();
         log.emit(
             500,
             SchedEvent::JobStart {
@@ -575,18 +542,18 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trip_resumes_counters_and_ring() {
-        let mut log = EventLog::new(2);
+    fn state_round_trip_resumes_the_cursor_and_lines() {
+        let mut log = EventLog::new();
         for id in 0..3u64 {
             log.emit(id * 100, SchedEvent::JobAdmit { job: id });
         }
         let state = log.capture_state();
         let mut restored = EventLog::from_state(state).expect("restore");
-        assert_eq!(restored.emitted(), 3);
-        assert_eq!(restored.dropped(), 1);
+        assert_eq!(restored.next_seq(), 3);
         restored.emit(400, SchedEvent::JobAdmit { job: 9 });
-        let lines: Vec<&str> = restored.lines().collect();
-        assert!(lines.last().unwrap().contains("\"seq\":3"), "{lines:?}");
+        let lines = restored.take_lines();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[3].contains("\"seq\":3"), "{lines:?}");
     }
 
     #[test]
@@ -595,7 +562,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("events.jsonl");
         let state = {
-            let mut log = EventLog::new(16).with_sink(&path).expect("sink");
+            let mut log = EventLog::new().with_sink(&path).expect("sink");
             for id in 0..3u64 {
                 log.emit(id, SchedEvent::JobAdmit { job: id });
             }
@@ -622,7 +589,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("events.jsonl");
         let state = {
-            let mut log = EventLog::new(16).with_sink(&path).expect("sink");
+            let mut log = EventLog::new().with_sink(&path).expect("sink");
             for id in 0..3u64 {
                 log.emit(id, SchedEvent::JobAdmit { job: id });
             }
@@ -634,18 +601,22 @@ mod tests {
     }
 
     #[test]
-    fn sink_receives_every_line_even_past_ring_capacity() {
+    fn sink_lines_go_to_the_file_only() {
         let dir = std::env::temp_dir().join("lyra-obs-test-sink");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("events.jsonl");
+        let mut memory = EventLog::new();
         {
-            let mut log = EventLog::new(1).with_sink(&path).expect("sink");
+            let mut log = EventLog::new().with_sink(&path).expect("sink");
             for id in 0..3u64 {
                 log.emit(id, SchedEvent::JobAdmit { job: id });
+                memory.emit(id, SchedEvent::JobAdmit { job: id });
             }
+            assert_eq!(log.to_jsonl(), "", "a sink log keeps nothing in memory");
+            assert!(log.capture_state().lines.is_empty());
         }
         let contents = std::fs::read_to_string(&path).expect("read sink");
-        assert_eq!(contents.lines().count(), 3);
+        assert_eq!(contents, memory.to_jsonl(), "same bytes either way");
         let _ = std::fs::remove_file(&path);
     }
 }

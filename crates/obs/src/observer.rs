@@ -1,0 +1,228 @@
+//! The run's one observer: every logged event goes through
+//! [`Observer::observe`], which feeds the delay-attribution and
+//! provenance trackers, the telemetry counters and the event log.
+
+use std::path::PathBuf;
+
+use serde::{Deserialize, Serialize};
+
+use crate::alerts::AlertEngine;
+use crate::attribution::{summarize, AttributionSummary};
+use crate::event::SchedEvent;
+use crate::graph::ProvenanceGraph;
+use crate::lifecycle::LifecycleTracker;
+use crate::log::{EventLog, EventLogState};
+use crate::provenance::ProvenanceTracker;
+use crate::timeseries::Telemetry;
+
+/// What to attach to a run: where its event log goes and whether the
+/// decision-provenance graph is built online.
+#[derive(Debug, Clone)]
+pub struct ObserverConfig {
+    /// JSONL file sink receiving every event line. Without one, the
+    /// lines stay in memory and land in the report's `events`.
+    pub sink_path: Option<PathBuf>,
+    /// Build the decision-provenance graph online (checkpoint-safe
+    /// observer state; exported in the report's `provenance`).
+    pub provenance: bool,
+}
+
+impl Default for ObserverConfig {
+    fn default() -> Self {
+        ObserverConfig {
+            sink_path: None,
+            provenance: true,
+        }
+    }
+}
+
+/// Everything the observer keeps besides the log: plain data, cloned
+/// as is into a checkpoint.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Trackers {
+    lifecycle: LifecycleTracker,
+    /// `None` when provenance tracking is off.
+    provenance: Option<ProvenanceTracker>,
+    telemetry: Telemetry,
+    alerts: AlertEngine,
+    /// Last logged `SchedulerEpoch` shape: quiet epochs are not logged.
+    last_epoch: Option<(u32, u32, u32)>,
+    /// Cumulative control-plane latency already in the histogram.
+    rm_latency_seen_s: f64,
+    /// When the open reclaim debt was first sampled; `None` without one.
+    carry_since_ms: Option<u64>,
+}
+
+/// Serialized form of an [`Observer`] for checkpoint/restore: the log's
+/// cursor (plus its in-memory lines, if any) and the trackers.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ObserverCheckpoint {
+    log: EventLogState,
+    trackers: Trackers,
+}
+
+/// The attached observability of one run (see the module docs).
+#[derive(Debug)]
+pub struct Observer {
+    log: EventLog,
+    trackers: Trackers,
+}
+
+impl Observer {
+    /// Creates an observer, opening the sink file if `cfg` names one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error when the file sink cannot be created.
+    pub fn new(cfg: &ObserverConfig) -> std::io::Result<Self> {
+        let mut log = EventLog::new();
+        if let Some(path) = &cfg.sink_path {
+            log = log.with_sink(path)?;
+        }
+        Ok(Observer {
+            log,
+            trackers: Trackers {
+                lifecycle: LifecycleTracker::new(),
+                provenance: cfg.provenance.then(ProvenanceTracker::new),
+                telemetry: Telemetry::default(),
+                alerts: AlertEngine::default(),
+                last_epoch: None,
+                rm_latency_seen_s: 0.0,
+                carry_since_ms: None,
+            },
+        })
+    }
+
+    /// Records one event at simulated `time_ms`: attribution,
+    /// provenance, counters, then the log line. Returns the event's
+    /// sequence number — its stable `DecisionId`.
+    pub fn observe(&mut self, time_ms: u64, event: SchedEvent) -> u64 {
+        let t = &mut self.trackers;
+        t.lifecycle.observe(time_ms, &event);
+        if let Some(prov) = t.provenance.as_mut() {
+            prov.observe(time_ms, self.log.next_seq(), &event);
+        }
+        t.telemetry.observe(&event);
+        self.log.emit(time_ms, event)
+    }
+
+    /// Records a finished job's queuing time (no event carries it).
+    pub fn observe_queue_time(&mut self, queue_s: f64) {
+        self.trackers.telemetry.queue_s.observe(queue_s);
+    }
+
+    /// Closes one scheduler epoch at `t_ms`: logs a `SchedulerEpoch`
+    /// when its `(launches, queued, running)` shape changed, samples the
+    /// engine's named `gauges`, the reclaim backlog age (how long
+    /// `carry_servers` of debt have been open) and the `rate.*` series,
+    /// folds the control-plane latency added since the last epoch
+    /// (`rm_latency_s` is cumulative) into its histogram, and logs an
+    /// `Alert` for every rule that fired or resolved.
+    pub fn epoch(
+        &mut self,
+        t_ms: u64,
+        shape: (u32, u32, u32),
+        gauges: &[(&str, f64)],
+        carry_servers: u32,
+        rm_latency_s: f64,
+    ) {
+        if self.trackers.last_epoch != Some(shape) {
+            self.trackers.last_epoch = Some(shape);
+            let (launches, queued, running) = shape;
+            self.observe(
+                t_ms,
+                SchedEvent::SchedulerEpoch {
+                    launches,
+                    queued,
+                    running,
+                },
+            );
+        }
+        let t = &mut self.trackers;
+        t.telemetry.begin_epoch(t_ms);
+        let latency_ms = (rm_latency_s - t.rm_latency_seen_s).max(0.0) * 1000.0;
+        t.rm_latency_seen_s = rm_latency_s;
+        t.telemetry.decision_latency_ms.observe(latency_ms);
+        let backlog_age_s = if carry_servers > 0 {
+            let since = *t.carry_since_ms.get_or_insert(t_ms);
+            t_ms.saturating_sub(since) as f64 / 1000.0
+        } else {
+            t.carry_since_ms = None;
+            0.0
+        };
+        for &(name, value) in gauges {
+            t.telemetry.sample_gauge(name, t_ms, value);
+        }
+        t.telemetry
+            .sample_gauge("reclaim.backlog_age_s", t_ms, backlog_age_s);
+        t.telemetry.sample_rates(t_ms);
+        let telemetry = &t.telemetry;
+        for tr in t.alerts.evaluate(|name| telemetry.latest(name)) {
+            self.observe(
+                t_ms,
+                SchedEvent::Alert {
+                    rule: tr.rule,
+                    series: tr.series,
+                    value: tr.value,
+                    threshold: tr.threshold,
+                    fired: tr.fired,
+                },
+            );
+        }
+    }
+
+    /// Ends observation at `end_ms`: closes every open job, checks that
+    /// each job's attributed intervals partition its lifetime exactly,
+    /// flushes the sink and returns the cluster-level summary.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when an attribution does not reconcile (an
+    /// engine bug) or when the sink failed at any point of the run.
+    pub fn finish(&mut self, end_ms: u64) -> Result<AttributionSummary, String> {
+        let mut lifecycle = std::mem::take(&mut self.trackers.lifecycle);
+        lifecycle.finish(end_ms);
+        let attrs = lifecycle.into_attributions();
+        for a in &attrs {
+            a.reconcile()
+                .map_err(|e| format!("delay attribution does not reconcile: {e}"))?;
+        }
+        self.log.flush()?;
+        Ok(summarize(&attrs))
+    }
+
+    /// Captures the observer for a checkpoint, flushing the sink first
+    /// so the file on disk agrees with the captured cursor.
+    pub fn capture_state(&mut self) -> ObserverCheckpoint {
+        ObserverCheckpoint {
+            log: self.log.capture_state(),
+            trackers: self.trackers.clone(),
+        }
+    }
+
+    /// Rebuilds an observer from a checkpoint, repairing and reopening
+    /// its sink (see [`EventLog::from_state`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error when the sink cannot be repaired.
+    pub fn from_state(state: ObserverCheckpoint) -> std::io::Result<Self> {
+        Ok(Observer {
+            log: EventLog::from_state(state.log)?,
+            trackers: state.trackers,
+        })
+    }
+
+    /// The run's products for its report: the in-memory event lines
+    /// (empty with a sink), the telemetry store and the provenance
+    /// graph (empty when tracking was off).
+    pub fn into_products(mut self) -> (Vec<String>, Telemetry, ProvenanceGraph) {
+        let lines = self.log.take_lines();
+        let t = self.trackers;
+        let graph = t
+            .provenance
+            .map(ProvenanceTracker::into_graph)
+            .unwrap_or_default();
+        (lines, t.telemetry, graph)
+    }
+}

@@ -24,6 +24,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::event::SchedEvent;
+
 /// Default per-series point capacity. At one sample per 30-second epoch
 /// this holds ~4 hours at full rate, a week at stride 64, and years at
 /// the strides a 1M-job run decimates to — all in ≤ `cap` points.
@@ -272,6 +274,35 @@ impl Telemetry {
         }
     }
 
+    /// Counts one logged event: bumps the counter its kind maps to and
+    /// feeds a `JobComplete`'s completion time into
+    /// [`Telemetry::jct_s`]. A live run and a replayed log
+    /// therefore count the same events the same way.
+    pub fn observe(&mut self, event: &SchedEvent) {
+        let name = match event {
+            SchedEvent::JobAdmit { .. } => "sim.jobs.admitted",
+            SchedEvent::JobStart { .. } => "sim.jobs.started",
+            SchedEvent::JobScaleOut { .. } => "sim.scale.out",
+            SchedEvent::JobScaleIn { .. } => "sim.scale.in",
+            SchedEvent::ControllerRescale { .. } => "elastic.rendezvous.ops",
+            SchedEvent::FlexRelease { .. } => "cluster.flex_release.ops",
+            SchedEvent::JobPreempt { .. } => "sim.jobs.preemptions",
+            SchedEvent::JobComplete { jct_s, .. } => {
+                self.jct_s.observe(*jct_s);
+                "sim.jobs.completed"
+            }
+            SchedEvent::DeadlineMiss { .. } => "sim.deadline.missed",
+            SchedEvent::LoanGrant { .. } => "cluster.loan.ops",
+            SchedEvent::ReclaimGrant { .. } => "cluster.reclaim.ops",
+            SchedEvent::ReclaimCarryover { .. } => "cluster.reclaim.carryovers",
+            SchedEvent::ReclaimDeadlineMiss { .. } => "cluster.reclaim.deadline_misses",
+            SchedEvent::Fault { kind, .. } if kind == "injected" => "faults.injected",
+            SchedEvent::Fault { kind, .. } if kind == "job_killed" => "faults.jobs_killed",
+            _ => return,
+        };
+        self.count(name);
+    }
+
     /// Current value of counter `name` (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -282,17 +313,19 @@ impl Telemetry {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Samples a per-epoch *rate* derived from a cumulative counter: the
-    /// recorded value is the delta since this method last saw `name`.
-    pub fn sample_rate(&mut self, name: &str, t_ms: u64, cumulative: u64) {
-        let prev = self.prev_counters.insert(name.to_string(), cumulative);
-        let delta = cumulative.saturating_sub(prev.unwrap_or(0));
-        self.sample_gauge(name, t_ms, delta as f64);
-    }
-
-    /// Records one modelled decision latency observation, milliseconds.
-    pub fn observe_decision_latency(&mut self, latency_ms: f64) {
-        self.decision_latency_ms.observe(latency_ms);
+    /// Samples the per-epoch `rate.*` series at `t_ms`: each records
+    /// how far its counter moved since the previous call.
+    pub fn sample_rates(&mut self, t_ms: u64) {
+        for (rate, counter) in [
+            ("rate.loans", "cluster.loan.ops"),
+            ("rate.preemptions", "sim.jobs.preemptions"),
+            ("rate.reclaims", "cluster.reclaim.ops"),
+        ] {
+            let cumulative = self.counter(counter);
+            let prev = self.prev_counters.insert(rate.to_string(), cumulative);
+            let delta = cumulative.saturating_sub(prev.unwrap_or(0));
+            self.sample_gauge(rate, t_ms, delta as f64);
+        }
     }
 
     /// Series names in stable sorted order.
@@ -436,9 +469,13 @@ mod tests {
     #[test]
     fn rate_series_records_counter_deltas() {
         let mut t = Telemetry::new(16);
-        t.sample_rate("rate.loans", 0, 3);
-        t.sample_rate("rate.loans", 1000, 5);
-        t.sample_rate("rate.loans", 2000, 5);
+        let loan = SchedEvent::LoanGrant { servers: vec![1] };
+        for (t_ms, loans) in [(0, 3), (1000, 2), (2000, 0)] {
+            for _ in 0..loans {
+                t.observe(&loan);
+            }
+            t.sample_rates(t_ms);
+        }
         let pts: Vec<f64> = t
             .series("rate.loans")
             .expect("series exists")
@@ -447,6 +484,7 @@ mod tests {
             .map(|p| p.value)
             .collect();
         assert_eq!(pts, vec![3.0, 2.0, 0.0]);
+        assert_eq!(t.latest("rate.reclaims"), Some(0.0));
     }
 
     #[test]
@@ -480,8 +518,11 @@ mod tests {
         for i in 0..100u64 {
             t.begin_epoch(i * 500);
             t.sample_gauge("queue.depth", i * 500, (i % 7) as f64);
-            t.sample_rate("rate.preempt", i * 500, i / 3);
-            t.observe_decision_latency(5.0);
+            if i % 3 == 0 {
+                t.observe(&SchedEvent::LoanGrant { servers: vec![] });
+            }
+            t.sample_rates(i * 500);
+            t.decision_latency_ms.observe(5.0);
             t.count("sim.jobs.completed");
             t.jct_s.observe((i * 60) as f64);
         }

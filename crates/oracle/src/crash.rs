@@ -8,8 +8,9 @@
 //! write, checksum header), the JSONL sink is torn mid-line to
 //! simulate a crash cutting a write, and the run is restored and
 //! driven to completion. The gate is *byte-identical equivalence*: the
-//! resumed run's event log, delay-attribution table, `SimReport` JSON
-//! (wall-clock profile excluded), on-disk JSONL sink, telemetry series
+//! resumed run's on-disk JSONL sink (its whole event log), the
+//! delay-attribution table and provenance renderings derived from it,
+//! `SimReport` JSON (wall-clock profile excluded), telemetry series
 //! export (CSV) and Prometheus exposition must all equal the
 //! uninterrupted run's, for every kill point.
 //!
@@ -87,15 +88,15 @@ impl StormReport {
     }
 }
 
-/// The uninterrupted run's artifacts, captured once per storm.
+/// The uninterrupted run's artifacts, captured once per storm. A sink
+/// run keeps no log lines in memory, so everything derived from the log
+/// is derived from the sink file.
 struct Baseline {
     /// Report JSON with the wall-clock profile zeroed.
     report_json: String,
-    /// Ring-buffer event log lines.
-    events: Vec<String>,
     /// Rendered delay-attribution table derived from the log.
     table: String,
-    /// Raw bytes of the on-disk JSONL sink.
+    /// Raw bytes of the on-disk JSONL sink: the whole event log.
     sink_bytes: Vec<u8>,
     /// Telemetry series export (CSV long format) — the bounded-memory
     /// ring series are checkpointed engine state, so a resumed run must
@@ -118,24 +119,19 @@ struct Baseline {
 /// rendering for the log's first preemption victim (or a fixed line if
 /// none), the top-5 blame table and the provenance-annotated Chrome
 /// trace.
-fn provenance_artifacts(events: &[String]) -> Result<(String, String, String), String> {
-    let parsed =
-        lyra_obs::parse_log(&events.join("\n")).map_err(|e| format!("log does not parse: {e}"))?;
+fn provenance_artifacts(
+    parsed: &[lyra_obs::TimedEvent],
+) -> Result<(String, String, String), String> {
     let victim = parsed.iter().find_map(|e| match &e.event {
         lyra_obs::SchedEvent::JobPreempt { job, .. } => Some(*job),
         _ => None,
     });
     let why = match victim {
-        Some(job) => lyra_obs::why_from_log(&parsed, job).map_err(|e| format!("why: {e}"))?,
+        Some(job) => lyra_obs::why_from_log(parsed, job).map_err(|e| format!("why: {e}"))?,
         None => "no preemption victim in log\n".to_string(),
     };
-    let blame = lyra_obs::blame_from_log(&parsed, 5);
-    Ok((why, blame, lyra_obs::export_provenance_trace(&parsed)))
-}
-
-/// Renders the Prometheus exposition a finished run would serve.
-fn prom_text(report: &SimReport) -> String {
-    lyra_obs::render_prometheus(&report.telemetry)
+    let blame = lyra_obs::blame_from_log(parsed, 5);
+    Ok((why, blame, lyra_obs::export_provenance_trace(parsed)))
 }
 
 /// Serializes a report with its wall-clock profile zeroed; timing data
@@ -146,11 +142,13 @@ fn report_json(report: &SimReport) -> Result<String, String> {
     serde_json::to_string(&r).map_err(|e| format!("serializing report: {e:?}"))
 }
 
-/// Derives the rendered attribution table from a JSONL event log.
-fn attribution_table(events: &[String]) -> Result<String, String> {
-    let parsed =
-        lyra_obs::parse_log(&events.join("\n")).map_err(|e| format!("log does not parse: {e}"))?;
-    Ok(lyra_obs::summarize(&lyra_obs::attribute_log(&parsed)).render_table())
+/// Reads and parses the JSONL sink at `sink`, returning its raw bytes
+/// and its events.
+fn read_sink(sink: &Path) -> Result<(Vec<u8>, Vec<lyra_obs::TimedEvent>), String> {
+    let bytes = fs::read(sink).map_err(|e| format!("reading sink {}: {e}", sink.display()))?;
+    let parsed = lyra_obs::parse_log(&String::from_utf8_lossy(&bytes))
+        .map_err(|e| format!("sink {} does not parse: {e}", sink.display()))?;
+    Ok((bytes, parsed))
 }
 
 /// Runs a scenario under full observation with a JSONL sink at `sink`,
@@ -177,25 +175,6 @@ fn run_observed(
 /// divergence as a message.
 fn compare(report: &SimReport, sink: &Path, base: &Baseline) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.events != base.events {
-        let first = report
-            .events
-            .iter()
-            .zip(&base.events)
-            .position(|(a, b)| a != b)
-            .map_or_else(
-                || format!("length {} vs {}", report.events.len(), base.events.len()),
-                |i| format!("first diff at line {i}"),
-            );
-        failures.push(format!("event log diverges ({first})"));
-    }
-    match attribution_table(&report.events) {
-        Ok(table) if table != base.table => {
-            failures.push("attribution table diverges".to_string());
-        }
-        Ok(_) => {}
-        Err(e) => failures.push(format!("attribution table: {e}")),
-    }
     match report_json(report) {
         Ok(json) if json != base.report_json => {
             failures.push("SimReport JSON diverges".to_string());
@@ -203,22 +182,30 @@ fn compare(report: &SimReport, sink: &Path, base: &Baseline) -> Vec<String> {
         Ok(_) => {}
         Err(e) => failures.push(e),
     }
-    match fs::read(sink) {
-        Ok(bytes) if bytes != base.sink_bytes => failures.push(format!(
-            "JSONL sink bytes diverge ({} vs {} bytes)",
-            bytes.len(),
-            base.sink_bytes.len()
-        )),
-        Ok(_) => {}
-        Err(e) => failures.push(format!("reading sink {}: {e}", sink.display())),
-    }
     if report.telemetry.to_csv() != base.series_csv {
         failures.push("telemetry series export diverges".to_string());
     }
-    if prom_text(report) != base.prom {
+    if lyra_obs::render_prometheus(&report.telemetry) != base.prom {
         failures.push("Prometheus exposition diverges".to_string());
     }
-    match provenance_artifacts(&report.events) {
+    let (bytes, parsed) = match read_sink(sink) {
+        Ok(sink) => sink,
+        Err(e) => {
+            failures.push(e);
+            return failures;
+        }
+    };
+    if bytes != base.sink_bytes {
+        failures.push(format!(
+            "JSONL sink bytes diverge ({} vs {} bytes)",
+            bytes.len(),
+            base.sink_bytes.len()
+        ));
+    }
+    if lyra_obs::summarize(&lyra_obs::attribute_log(&parsed)).render_table() != base.table {
+        failures.push("attribution table diverges".to_string());
+    }
+    match provenance_artifacts(&parsed) {
         Ok((why, blame, prov_trace)) => {
             if why != base.why {
                 failures.push("provenance `why` rendering diverges".to_string());
@@ -317,23 +304,21 @@ pub fn crash_storm(kills: usize, seed: u64, dir: &Path) -> Result<StormReport, S
                 .to_string())
         }
     };
-    let last_s = lyra_obs::parse_log(&base_report.events.join("\n"))
-        .map_err(|e| format!("baseline log does not parse: {e}"))?
+    let (sink_bytes, parsed) = read_sink(&base_sink)?;
+    let last_s = parsed
         .last()
         .map(|ev| ev.time_ms as f64 / 1000.0)
         .ok_or("baseline log is empty")?;
-    let (why, blame, prov_trace) = provenance_artifacts(&base_report.events)?;
+    let (why, blame, prov_trace) = provenance_artifacts(&parsed)?;
     let base = Baseline {
         report_json: report_json(&base_report)?,
-        table: attribution_table(&base_report.events)?,
-        sink_bytes: fs::read(&base_sink)
-            .map_err(|e| format!("reading baseline sink: {e}"))?,
+        table: lyra_obs::summarize(&lyra_obs::attribute_log(&parsed)).render_table(),
+        sink_bytes,
         series_csv: base_report.telemetry.to_csv(),
-        prom: prom_text(&base_report),
+        prom: lyra_obs::render_prometheus(&base_report.telemetry),
         why,
         blame,
         prov_trace,
-        events: base_report.events,
         last_s,
     };
 

@@ -4,6 +4,7 @@
 //! regenerates the logs after an intended behavioural change.
 
 use lyra_oracle::golden;
+use lyra_sim::{run_scenario_observed, ObserverConfig};
 
 #[test]
 fn faulted_case_fires_at_least_one_alert() {
@@ -62,4 +63,37 @@ fn committed_golden_logs_match() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn sink_and_replay_agree_with_the_in_memory_run() {
+    // A sink run must write exactly the in-memory run's lines, and the
+    // live counters (counted off the observer's event stream) must be
+    // what a replay of those lines counts.
+    let dir = std::env::temp_dir().join(format!("lyra-golden-sink-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for case in golden::cases() {
+        let memory = case.observed_report().expect("case runs");
+        let sink = dir.join(format!("{}.jsonl", case.name));
+        let cfg = ObserverConfig {
+            sink_path: Some(sink.clone()),
+            ..ObserverConfig::default()
+        };
+        let filed = run_scenario_observed(&case.scenario, &case.jobs, &case.inference, cfg)
+            .expect("sink run");
+        assert!(filed.events.is_empty(), "{}", case.name);
+        let written = std::fs::read_to_string(&sink).expect("sink written");
+        let expected: String = memory.events.iter().map(|l| format!("{l}\n")).collect();
+        assert!(written == expected, "{}: sink differs", case.name);
+        assert_eq!(filed.telemetry, memory.telemetry, "{}", case.name);
+
+        let mut replayed = lyra_obs::Telemetry::default();
+        for e in lyra_obs::parse_log(&written).expect("log parses") {
+            replayed.observe(&e.event);
+        }
+        let live = &memory.telemetry;
+        assert!(replayed.counters().eq(live.counters()), "{}", case.name);
+        assert_eq!(replayed.jct_s, live.jct_s, "{}", case.name);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,8 +42,10 @@ use std::path::Path;
 /// `incremental_*` engine switches from the serialised `SimConfig`;
 /// version 7 folded the observer's metrics registry into its telemetry
 /// store (counters and job-duration histograms) and dropped the hourly
-/// snapshots.
-pub const CHECKPOINT_VERSION: u32 = 7;
+/// snapshots; version 8 moved the observer into `lyra_obs::Observer`
+/// (log cursor plus one tracker record) and dropped the event-log ring,
+/// so a sink run carries no log lines.
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

@@ -40,7 +40,8 @@ use lyra_core::snapshot::{
 use lyra_core::tuning::GoodputModel;
 use lyra_elastic::controller::{ControllerEvent, ElasticController};
 use lyra_elastic::hetero::{hetero_rate_scaled, HeteroGroup};
-use lyra_obs::{EventLog, SchedEvent};
+pub use lyra_obs::ObserverConfig;
+use lyra_obs::{Observer, ObserverCheckpoint, SchedEvent};
 use lyra_predictor::RuntimeEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -250,73 +251,6 @@ impl SimJob {
     }
 }
 
-/// Configuration of the attached observer (event log + telemetry +
-/// decision audit). See [`Simulation::with_observer`].
-#[derive(Debug, Clone)]
-pub struct ObserverConfig {
-    /// Event-log ring capacity (most recent lines kept in memory and
-    /// exported in the report's `events`).
-    pub ring_capacity: usize,
-    /// Optional JSONL file sink receiving *every* event line.
-    pub sink_path: Option<std::path::PathBuf>,
-    /// Record the decision audit trail (phase-1 orderings, MCKP
-    /// allocations, placement and reclaim choices) as `Audit` events.
-    pub audit: bool,
-    /// Per-series retained-point capacity of the telemetry store
-    /// (ring series with deterministic decimation; see
-    /// [`lyra_obs::Telemetry`]).
-    pub telemetry_capacity: usize,
-    /// Alert rules evaluated against the telemetry gauges each epoch;
-    /// fire/resolve transitions become `Alert` events in the log.
-    pub alert_rules: Vec<lyra_obs::AlertRule>,
-    /// Build the decision-provenance graph online (checkpoint-safe
-    /// observer state; exported in the report's `provenance`).
-    pub provenance: bool,
-}
-
-impl Default for ObserverConfig {
-    fn default() -> Self {
-        ObserverConfig {
-            ring_capacity: 1 << 16,
-            sink_path: None,
-            audit: true,
-            telemetry_capacity: lyra_obs::timeseries::DEFAULT_SERIES_CAPACITY,
-            alert_rules: lyra_obs::default_rules(),
-            provenance: true,
-        }
-    }
-}
-
-/// Attached observability state: the structured event log, the
-/// telemetry store and the online delay-attribution and provenance
-/// trackers.
-struct Observer {
-    log: EventLog,
-    audit: bool,
-    /// Online per-job delay attribution. Fed from `emit` so it sees
-    /// every event even when the ring buffer drops old lines.
-    lifecycle: lyra_obs::LifecycleTracker,
-    /// Last emitted `SchedulerEpoch` shape; epochs are only logged when
-    /// (launches, queued, running) changes, keeping quiet periods quiet.
-    last_epoch: Option<(u32, u32, u32)>,
-    /// Per-epoch scheduler-health series (ring buffers with
-    /// deterministic decimation), the event counters and the epoch and
-    /// job-duration histograms.
-    telemetry: lyra_obs::Telemetry,
-    /// Threshold + sustained-window rules over the telemetry gauges.
-    alerts: lyra_obs::AlertEngine,
-    /// Cumulative modelled RM latency already folded into the
-    /// decision-latency histogram (per-epoch deltas are observed).
-    rm_latency_seen_s: f64,
-    /// When the current reclaim carry was first sampled, for the
-    /// backlog-age gauge; `None` while no debt is open.
-    carry_since_ms: Option<u64>,
-    /// Online decision-provenance graph builder, fed from `emit` with
-    /// each event's assigned seq (its `DecisionId`); `None` when
-    /// provenance tracking is disabled.
-    provenance: Option<lyra_obs::ProvenanceTracker>,
-}
-
 /// Error from the simulation (policy/cluster inconsistencies).
 #[derive(Debug)]
 pub struct SimError(pub String);
@@ -367,22 +301,6 @@ struct SnapshotCache {
     pending_dead: std::collections::HashSet<JobId>,
 }
 
-/// Serialized form of the attached [`Observer`]: the event log is
-/// captured as [`lyra_obs::EventLogState`] (ring contents + sink
-/// cursor) and everything else is plain data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ObserverState {
-    log: lyra_obs::EventLogState,
-    audit: bool,
-    lifecycle: lyra_obs::LifecycleTracker,
-    last_epoch: Option<(u32, u32, u32)>,
-    telemetry: lyra_obs::Telemetry,
-    alerts: lyra_obs::AlertEngine,
-    rm_latency_seen_s: f64,
-    carry_since_ms: Option<u64>,
-    provenance: Option<lyra_obs::ProvenanceTracker>,
-}
-
 /// The complete runtime state of a [`Simulation`] between two events —
 /// everything [`crate::checkpoint::SimCheckpoint`] must persist so a
 /// restored run replays bit-identically to an uninterrupted one.
@@ -429,7 +347,7 @@ pub struct EngineState {
     policy_rng: Option<u64>,
     /// Raw orchestrator RNG state (`Random` reclaim policy draws).
     orchestrator_rng: Option<u64>,
-    observer: Option<ObserverState>,
+    observer: Option<ObserverCheckpoint>,
 }
 
 /// How a run ended: to completion with a report, or aborted by an
@@ -519,7 +437,7 @@ pub struct Simulation {
     /// at the end of an observed run.
     attribution: lyra_obs::AttributionSummary,
     /// Victim job id → `DecisionId` of the `ReclaimChoice` that picked
-    /// it, captured by `drain_audit_mapped` and consumed by
+    /// it, captured by `drain_audit` and consumed by
     /// `apply_preemption` within the same reclaim wave. Always empty
     /// between events, so it is deliberately *not* checkpointed.
     pending_preempt_decisions: std::collections::BTreeMap<u64, u64>,
@@ -650,55 +568,33 @@ impl Simulation {
         self
     }
 
-    /// Attaches an observer: the structured event log (ring buffer plus
-    /// optional JSONL file sink), the telemetry store (series, counters,
-    /// histograms), the decision audit trail and span timing for the
-    /// hot paths. The report then carries `events`, `telemetry` and
-    /// `profile`.
+    /// Attaches an observer ([`lyra_obs::Observer`]): the structured
+    /// event log (in memory, or to the JSONL file sink when one is
+    /// configured), the telemetry store (series, counters, histograms),
+    /// the decision audit trail and span timing for the hot paths. The
+    /// report then carries `events` (empty with a sink), `telemetry`
+    /// and `profile`.
     ///
     /// # Errors
     ///
     /// Returns the I/O error when the file sink cannot be created.
     pub fn with_observer(mut self, cfg: ObserverConfig) -> std::io::Result<Self> {
-        let mut log = EventLog::new(cfg.ring_capacity);
-        if let Some(path) = &cfg.sink_path {
-            log = log.with_sink(path)?;
-        }
-        self.observer = Some(Observer {
-            log,
-            audit: cfg.audit,
-            lifecycle: lyra_obs::LifecycleTracker::new(),
-            last_epoch: None,
-            telemetry: lyra_obs::Telemetry::new(cfg.telemetry_capacity),
-            alerts: lyra_obs::AlertEngine::new(cfg.alert_rules.clone()),
-            rm_latency_seen_s: 0.0,
-            carry_since_ms: None,
-            provenance: cfg.provenance.then(lyra_obs::ProvenanceTracker::new),
-        });
+        self.observer = Some(Observer::new(&cfg)?);
         Ok(self)
     }
 
-    /// Emits `ev` into the event log (no-op without an observer).
-    /// Returns the sequence number the event was emitted under — its
-    /// stable `DecisionId` for provenance tracking.
-    fn emit(&mut self, ev: SchedEvent) -> Option<u64> {
-        if let Some(obs) = self.observer.as_mut() {
-            let time_ms = (self.now_s.max(0.0) * 1000.0).round() as u64;
-            obs.lifecycle.observe(time_ms, &ev);
-            if let Some(prov) = obs.provenance.as_mut() {
-                prov.observe(time_ms, obs.log.next_seq(), &ev);
-            }
-            Some(obs.log.emit(time_ms, ev))
-        } else {
-            None
-        }
+    /// Simulated now in whole milliseconds, the time every observation
+    /// is stamped with.
+    fn now_ms(&self) -> u64 {
+        (self.now_s.max(0.0) * 1000.0).round() as u64
     }
 
-    /// Increments a telemetry counter (no-op without an observer).
-    fn count(&mut self, name: &str) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.telemetry.count(name);
-        }
+    /// Observes `ev` (no-op without an observer). Returns the sequence
+    /// number the event was logged under — its stable `DecisionId` for
+    /// provenance tracking.
+    fn emit(&mut self, ev: SchedEvent) -> Option<u64> {
+        let time_ms = self.now_ms();
+        self.observer.as_mut().map(|o| o.observe(time_ms, ev))
     }
 
     /// Emits a `JobStall` announcing a progress stall of `pause_s`
@@ -754,23 +650,12 @@ impl Simulation {
     }
 
     /// Drains thread-local audit records into `Audit` events (no-op
-    /// unless the observer records the audit trail).
+    /// without an observer). Each `ReclaimChoice` record's emitted seq
+    /// (its `DecisionId`) is kept for every victim it names, so the
+    /// `apply_preemption` calls that follow in the same reclaim wave can
+    /// stamp `JobPreempt` events with the decision that picked them.
     fn drain_audit(&mut self) {
-        if !self.observer.as_ref().is_some_and(|o| o.audit) {
-            return;
-        }
-        for rec in lyra_obs::audit::drain() {
-            self.emit(SchedEvent::Audit(rec));
-        }
-    }
-
-    /// Like [`drain_audit`](Self::drain_audit), additionally capturing
-    /// each `ReclaimChoice` record's emitted seq (its `DecisionId`)
-    /// keyed by every victim it names, so the `apply_preemption` calls
-    /// that follow in the same reclaim wave can stamp `JobPreempt`
-    /// events with the decision that picked them.
-    fn drain_audit_mapped(&mut self) {
-        if !self.observer.as_ref().is_some_and(|o| o.audit) {
+        if self.observer.is_none() {
             return;
         }
         debug_assert!(
@@ -1182,7 +1067,6 @@ impl Simulation {
                         on_loan,
                         servers,
                     });
-                    self.count("sim.jobs.started");
                     // Announce the launch pause split by cause: the
                     // fixed launch delay, then any carried resume
                     // overhead (checkpoint restore / restart).
@@ -1247,7 +1131,6 @@ impl Simulation {
                         on_loan,
                         servers,
                     });
-                    self.count("sim.scale.out");
                     self.note_rescale(idx, pause);
                     self.emit_stall(job.0, lyra_obs::DelayCause::Rendezvous, pause);
                     self.emit_stall(job.0, lyra_obs::DelayCause::LaunchOverhead, expand_cost);
@@ -1274,21 +1157,18 @@ impl Simulation {
                 }
                 let shrink_cost = self.jobs[idx].spec.shrink_cost_s;
                 let pause = self.rescale(idx, removal, false, false, shrink_cost)?;
-                if self.observer.is_some() {
-                    self.emit(SchedEvent::JobScaleIn {
-                        job: job.0,
-                        delta: removal.iter().map(|(_, w)| w).sum(),
-                        workers: self.jobs[idx].workers,
-                    });
-                    self.count("sim.scale.in");
-                    self.note_rescale(idx, pause);
-                    // A policy scale-in means the knapsack withdrew
-                    // flexible workers this round.
-                    self.emit_stall(job.0, lyra_obs::DelayCause::MckpDenial, pause);
-                    self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
-                    if !self.slowdown.is_empty() {
-                        self.note_straggle(idx);
-                    }
+                self.emit(SchedEvent::JobScaleIn {
+                    job: job.0,
+                    delta: removal.iter().map(|(_, w)| w).sum(),
+                    workers: self.jobs[idx].workers,
+                });
+                self.note_rescale(idx, pause);
+                // A policy scale-in means the knapsack withdrew flexible
+                // workers this round.
+                self.emit_stall(job.0, lyra_obs::DelayCause::MckpDenial, pause);
+                self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
+                if !self.slowdown.is_empty() {
+                    self.note_straggle(idx);
                 }
             }
         }
@@ -1363,7 +1243,7 @@ impl Simulation {
     }
 
     /// Emits the `ControllerRescale` of a resize that paused job `idx`
-    /// for `pause` under its controller (call with an observer attached).
+    /// for `pause` under its controller (no-op without an observer).
     fn note_rescale(&mut self, idx: usize, pause: f64) {
         if self.jobs[idx].controller.is_some() && pause > 0.0 {
             self.emit(SchedEvent::ControllerRescale {
@@ -1371,7 +1251,6 @@ impl Simulation {
                 workers: self.jobs[idx].workers,
                 pause_s: pause,
             });
-            self.count("elastic.rendezvous.ops");
         }
     }
 
@@ -1402,19 +1281,16 @@ impl Simulation {
         // their explicit shrink cost here too.
         let shrink_cost = j.spec.shrink_cost_s;
         let pause = self.rescale(idx, &[(server, workers)], false, false, shrink_cost)?;
-        if self.observer.is_some() {
-            self.emit(SchedEvent::FlexRelease {
-                job: job.0,
-                server: server.0,
-                workers,
-            });
-            self.count("cluster.flex_release.ops");
-            self.note_rescale(idx, pause);
-            self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, pause);
-            self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
-            if !self.slowdown.is_empty() {
-                self.note_straggle(idx);
-            }
+        self.emit(SchedEvent::FlexRelease {
+            job: job.0,
+            server: server.0,
+            workers,
+        });
+        self.note_rescale(idx, pause);
+        self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, pause);
+        self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
+        if !self.slowdown.is_empty() {
+            self.note_straggle(idx);
         }
         Ok(())
     }
@@ -1480,15 +1356,12 @@ impl Simulation {
         self.jobs[idx].record.preemptions += 1;
         let checkpointed = self.jobs[idx].spec.checkpointing;
         self.requeue(idx, checkpointed, lyra_obs::DelayCause::ReclaimPreemption);
-        if self.observer.is_some() {
-            let decision = self.pending_preempt_decisions.remove(&job.0);
-            self.emit(SchedEvent::JobPreempt {
-                job: job.0,
-                checkpointed,
-                decision,
-            });
-            self.count("sim.jobs.preemptions");
-        }
+        let decision = self.pending_preempt_decisions.remove(&job.0);
+        self.emit(SchedEvent::JobPreempt {
+            job: job.0,
+            checkpointed,
+            decision,
+        });
         Ok(())
     }
 
@@ -1509,13 +1382,10 @@ impl Simulation {
         }
         let include_loaned = plan.include_loaned;
         self.fault_stats.injected += 1;
-        if self.observer.is_some() {
-            self.emit(SchedEvent::Fault {
-                kind: "injected".to_string(),
-                target: i as u64,
-            });
-            self.count("faults.injected");
-        }
+        self.emit(SchedEvent::Fault {
+            kind: "injected".to_string(),
+            target: i as u64,
+        });
         match event.kind {
             FaultKind::ServerCrash {
                 selector,
@@ -1690,16 +1560,14 @@ impl Simulation {
     ) -> Result<(), SimError> {
         let pause = self.rescale(idx, &[(server, workers)], false, true, 0.0)?;
         self.fault_stats.elastic_absorbed += 1;
-        if self.observer.is_some() {
-            let job = self.jobs[idx].spec.id.0;
-            self.emit(SchedEvent::Fault {
-                kind: "elastic_absorbed".to_string(),
-                target: job,
-            });
-            self.emit_stall(job, lyra_obs::DelayCause::FaultRestart, pause);
-            if !self.slowdown.is_empty() {
-                self.note_straggle(idx);
-            }
+        let job = self.jobs[idx].spec.id.0;
+        self.emit(SchedEvent::Fault {
+            kind: "elastic_absorbed".to_string(),
+            target: job,
+        });
+        self.emit_stall(job, lyra_obs::DelayCause::FaultRestart, pause);
+        if !self.slowdown.is_empty() {
+            self.note_straggle(idx);
         }
         Ok(())
     }
@@ -1742,27 +1610,16 @@ impl Simulation {
         self.fault_stats.work_lost_s += lost;
         self.fault_stats.jobs_killed += 1;
         self.fault_stats.restarts += 1;
-        if self.observer.is_some() {
-            if checkpointed {
-                let kind = if restore_failed {
-                    "checkpoint_restore_failure"
-                } else {
-                    "checkpoint_restore"
-                };
-                self.emit(SchedEvent::Fault {
-                    kind: kind.to_string(),
-                    target: job.0,
-                });
-            }
+        let restore = match (checkpointed, restore_failed) {
+            (false, _) => None,
+            (true, false) => Some("checkpoint_restore"),
+            (true, true) => Some("checkpoint_restore_failure"),
+        };
+        for kind in restore.into_iter().chain(["job_killed", "restart"]) {
             self.emit(SchedEvent::Fault {
-                kind: "job_killed".to_string(),
+                kind: kind.to_string(),
                 target: job.0,
             });
-            self.emit(SchedEvent::Fault {
-                kind: "restart".to_string(),
-                target: job.0,
-            });
-            self.count("faults.jobs_killed");
         }
         Ok(())
     }
@@ -1808,7 +1665,6 @@ impl Simulation {
                 servers: unmet,
                 deadline_s,
             });
-            self.count("cluster.reclaim.carryovers");
         }
     }
 
@@ -1849,63 +1705,21 @@ impl Simulation {
         // whitelist move is cheap; the five-minute orchestrator cadence
         // is only needed for decisions involving the inference side).
         self.return_surplus_idle_loans()?;
-        if let Some(obs) = self.observer.as_ref() {
-            let epoch = (
-                launches as u32,
-                self.queue.len() as u32,
-                self.running_jobs.len() as u32,
-            );
-            if obs.last_epoch != Some(epoch) {
-                self.emit(SchedEvent::SchedulerEpoch {
-                    launches: epoch.0,
-                    queued: epoch.1,
-                    running: epoch.2,
-                });
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.last_epoch = Some(epoch);
-                }
-            }
-        }
-        self.sample_telemetry();
+        self.observe_epoch(launches as u32);
         Ok(launches)
     }
 
-    /// Samples the scheduler-health gauges into the telemetry series and
-    /// evaluates the alert rules — once per scheduler epoch, after all
-    /// of the epoch's bookkeeping (no-op without an observer).
-    ///
-    /// Every sampled quantity is simulated or modelled (never
-    /// wall-clock), so the series, the histograms and the alert
-    /// transitions are a pure function of the seed; all of this state
-    /// is checkpointed, so a resumed run samples identically.
-    fn sample_telemetry(&mut self) {
+    /// Hands the epoch's scheduler-health gauges to the observer, after
+    /// all of the epoch's bookkeeping (no-op without an observer). Every
+    /// gauge is simulated or modelled, never wall-clock.
+    fn observe_epoch(&mut self, launches: u32) {
         if self.observer.is_none() {
             return;
         }
         let _timing = lyra_obs::span::span("sim.telemetry_sample");
-        let t_ms = (self.now_s.max(0.0) * 1000.0).round() as u64;
+        let t_ms = self.now_ms();
         let (train_used, train_total) = self.cluster.gpu_usage(PoolKind::Training);
         let (loan_used, loan_total) = self.cluster.gpu_usage(PoolKind::OnLoan);
-        let flex_used = self.cluster.flexible_gpu_usage();
-        let frag = self.cluster.fragmentation_index();
-        let queue_depth = self.queue.len() as f64;
-        let queue_gpus = self.pending_gpus as f64;
-        let running = self.running_jobs.len() as f64;
-        let elastic_workers: u32 = self
-            .running_jobs
-            .iter()
-            .map(|&i| {
-                let j = &self.jobs[i];
-                if j.spec.is_elastic() {
-                    j.workers
-                } else {
-                    0
-                }
-            })
-            .sum();
-        let loaned_servers = f64::from(self.cluster.loaned_count());
-        let carry_servers = self.reclaim_ledger.carry().map_or(0.0, |c| f64::from(c.servers));
-        let rm_latency_s = self.rm.total_latency_s();
         let ratio = |used: u32, total: u32| {
             if total == 0 {
                 0.0
@@ -1913,62 +1727,36 @@ impl Simulation {
                 f64::from(used) / f64::from(total)
             }
         };
-        let util_dedicated = ratio(train_used, train_total);
-        let util_loaned = ratio(loan_used, loan_total);
-        let util_flexible = ratio(flex_used, loan_total);
-
-        let Some(obs) = self.observer.as_mut() else {
-            return;
-        };
-        obs.telemetry.begin_epoch(t_ms);
-        let latency_ms = (rm_latency_s - obs.rm_latency_seen_s).max(0.0) * 1000.0;
-        obs.rm_latency_seen_s = rm_latency_s;
-        obs.telemetry.observe_decision_latency(latency_ms);
-        let backlog_age_s = if carry_servers > 0.0 {
-            let since = *obs.carry_since_ms.get_or_insert(t_ms);
-            (t_ms.saturating_sub(since)) as f64 / 1000.0
-        } else {
-            obs.carry_since_ms = None;
-            0.0
-        };
-        let samples = [
-            ("util.dedicated", util_dedicated),
-            ("util.loaned", util_loaned),
-            ("util.flexible", util_flexible),
-            ("queue.depth", queue_depth),
-            ("queue.gpus", queue_gpus),
-            ("jobs.running", running),
+        let elastic_workers: u32 = self
+            .running_jobs
+            .iter()
+            .map(|&i| &self.jobs[i])
+            .filter(|j| j.spec.is_elastic())
+            .map(|j| j.workers)
+            .sum();
+        let carry_servers = self.reclaim_ledger.carry().map_or(0, |c| c.servers);
+        let flex_used = self.cluster.flexible_gpu_usage();
+        let loaned = self.cluster.loaned_count();
+        let gauges = [
+            ("util.dedicated", ratio(train_used, train_total)),
+            ("util.loaned", ratio(loan_used, loan_total)),
+            ("util.flexible", ratio(flex_used, loan_total)),
+            ("queue.depth", self.queue.len() as f64),
+            ("queue.gpus", self.pending_gpus as f64),
+            ("jobs.running", self.running_jobs.len() as f64),
             ("elastic.workers", f64::from(elastic_workers)),
-            ("cluster.loaned_servers", loaned_servers),
-            ("reclaim.carry_servers", carry_servers),
-            ("reclaim.backlog_age_s", backlog_age_s),
-            ("frag.index", frag),
+            ("cluster.loaned_servers", f64::from(loaned)),
+            ("reclaim.carry_servers", f64::from(carry_servers)),
+            ("frag.index", self.cluster.fragmentation_index()),
         ];
-        for (name, value) in samples {
-            obs.telemetry.sample_gauge(name, t_ms, value);
-        }
-        for (rate, counter) in [
-            ("rate.loans", "cluster.loan.ops"),
-            ("rate.preemptions", "sim.jobs.preemptions"),
-            ("rate.reclaims", "cluster.reclaim.ops"),
-        ] {
-            let cumulative = obs.telemetry.counter(counter);
-            obs.telemetry.sample_rate(rate, t_ms, cumulative);
-        }
-        let Observer {
-            ref telemetry,
-            ref mut alerts,
-            ..
-        } = *obs;
-        let transitions = alerts.evaluate(|name| telemetry.latest(name));
-        for tr in transitions {
-            self.emit(SchedEvent::Alert {
-                rule: tr.rule,
-                series: tr.series,
-                value: tr.value,
-                threshold: tr.threshold,
-                fired: tr.fired,
-            });
+        let shape = (
+            launches,
+            self.queue.len() as u32,
+            self.running_jobs.len() as u32,
+        );
+        let rm_latency_s = self.rm.total_latency_s();
+        if let Some(obs) = self.observer.as_mut() {
+            obs.epoch(t_ms, shape, &gauges, carry_servers, rm_latency_s);
         }
     }
 
@@ -2053,7 +1841,6 @@ impl Simulation {
         if let Some(owed) = self.reclaim_ledger.take_expired(self.now_s) {
             self.fault_stats.reclaim_deadline_violations += 1;
             self.emit(SchedEvent::ReclaimDeadlineMiss { servers: owed });
-            self.count("cluster.reclaim.deadline_misses");
         }
         match instruction {
             LoanInstruction::Loan(offered) => {
@@ -2080,11 +1867,8 @@ impl Simulation {
                         if !ids.is_empty() {
                             self.mark_structural();
                             self.loan_ops += 1;
-                            if self.observer.is_some() {
-                                let servers = ids.iter().map(|s| s.0).collect();
-                                self.emit(SchedEvent::LoanGrant { servers });
-                                self.count("cluster.loan.ops");
-                            }
+                            let servers = ids.iter().map(|s| s.0).collect();
+                            self.emit(SchedEvent::LoanGrant { servers });
                         }
                     }
                 }
@@ -2095,7 +1879,7 @@ impl Simulation {
                 let (demand, retried_carry) = self.reclaim_ledger.fold_into(self.now_s, n);
                 // The loan-demand decision: causal parent of every
                 // victim ranking in the wave it triggers.
-                if self.observer.is_some() && demand > 0 {
+                if demand > 0 {
                     self.emit(SchedEvent::ReclaimDemand { servers: demand });
                 }
                 let Some(orchestrator) = self.orchestrator.as_mut() else {
@@ -2110,7 +1894,7 @@ impl Simulation {
                 // Surface the reclaim cost-search audit before the
                 // follow-on scale-ins and preemptions, capturing each
                 // victim ranking's decision id for the preemptions.
-                self.drain_audit_mapped();
+                self.drain_audit();
                 let returned = d.servers_returned() as u32;
                 self.note_reclaim_shortfall(demand.saturating_sub(returned), retried_carry);
                 if let OrchestratorDecision::Reclaimed {
@@ -2149,18 +1933,15 @@ impl Simulation {
                         preempted: outcome.preempted.len() as u32,
                         collateral_gpus: outcome.collateral_gpus,
                     });
-                    if self.observer.is_some() {
-                        let preempted = outcome.preempted.iter().map(|j| j.0).collect();
-                        self.emit(SchedEvent::ReclaimGrant {
-                            demanded: demand,
-                            returned_flex: returned_flex.len() as u32,
-                            returned_idle: returned_idle.len() as u32,
-                            returned_preempt: outcome.returned.len() as u32,
-                            preempted,
-                            collateral_gpus: outcome.collateral_gpus,
-                        });
-                        self.count("cluster.reclaim.ops");
-                    }
+                    let preempted = outcome.preempted.iter().map(|j| j.0).collect();
+                    self.emit(SchedEvent::ReclaimGrant {
+                        demanded: demand,
+                        returned_flex: returned_flex.len() as u32,
+                        returned_idle: returned_idle.len() as u32,
+                        returned_preempt: outcome.returned.len() as u32,
+                        preempted,
+                        collateral_gpus: outcome.collateral_gpus,
+                    });
                 }
                 // Any victims named by audits but not ultimately
                 // preempted must not leak into later waves.
@@ -2223,28 +2004,25 @@ impl Simulation {
         j.work_left = 0.0;
         j.record.complete_s = Some(self.now_s);
         self.completed += 1;
-        if self.observer.is_some() {
+        let time_ms = self.now_ms();
+        if let Some(obs) = self.observer.as_mut() {
             let record = self.jobs[idx].record;
             let job = self.jobs[idx].spec.id.0;
             let jct_s = record
                 .jct_s()
                 .unwrap_or_else(|| self.now_s - self.jobs[idx].spec.submit_time_s);
-            self.emit(SchedEvent::JobComplete { job, jct_s });
-            let Some(obs) = self.observer.as_mut() else {
-                return;
-            };
-            obs.telemetry.count("sim.jobs.completed");
-            obs.telemetry.jct_s.observe(jct_s);
-            obs.telemetry.queue_s.observe(record.queue_s);
-            if let Some(deadline_s) = record.deadline_s {
-                if self.now_s > deadline_s {
-                    self.emit(SchedEvent::DeadlineMiss {
+            obs.observe(time_ms, SchedEvent::JobComplete { job, jct_s });
+            obs.observe_queue_time(record.queue_s);
+            if let Some(deadline_s) = record.deadline_s.filter(|d| self.now_s > *d) {
+                let late_s = self.now_s - deadline_s;
+                obs.observe(
+                    time_ms,
+                    SchedEvent::DeadlineMiss {
                         job,
                         deadline_s,
-                        late_s: self.now_s - deadline_s,
-                    });
-                    self.count("sim.deadline.missed");
-                }
+                        late_s,
+                    },
+                );
             }
         }
     }
@@ -2291,17 +2069,7 @@ impl Simulation {
             reclaim_ledger: self.reclaim_ledger,
             policy_rng: self.policy.rng_state(),
             orchestrator_rng: self.orchestrator.as_ref().map(|o| o.rng_state()),
-            observer: self.observer.as_mut().map(|o| ObserverState {
-                log: o.log.capture_state(),
-                audit: o.audit,
-                lifecycle: o.lifecycle.clone(),
-                last_epoch: o.last_epoch,
-                telemetry: o.telemetry.clone(),
-                alerts: o.alerts.clone(),
-                rm_latency_seen_s: o.rm_latency_seen_s,
-                carry_since_ms: o.carry_since_ms,
-                provenance: o.provenance.clone(),
-            }),
+            observer: self.observer.as_mut().map(Observer::capture_state),
         }
     }
 
@@ -2349,21 +2117,11 @@ impl Simulation {
         if let (Some(orch), Some(s)) = (self.orchestrator.as_mut(), state.orchestrator_rng) {
             orch.restore_rng_state(s);
         }
-        self.observer = match state.observer {
-            Some(os) => Some(Observer {
-                log: EventLog::from_state(os.log)
-                    .map_err(|e| SimError(format!("restoring the event-log sink: {e}")))?,
-                audit: os.audit,
-                lifecycle: os.lifecycle,
-                last_epoch: os.last_epoch,
-                telemetry: os.telemetry,
-                alerts: os.alerts,
-                rm_latency_seen_s: os.rm_latency_seen_s,
-                carry_since_ms: os.carry_since_ms,
-                provenance: os.provenance,
-            }),
-            None => None,
-        };
+        self.observer = state
+            .observer
+            .map(Observer::from_state)
+            .transpose()
+            .map_err(|e| SimError(format!("restoring the event-log sink: {e}")))?;
         (
             self.pending_gpus,
             self.pending_fungible_gpus,
@@ -2429,9 +2187,9 @@ impl Simulation {
     /// emitting infeasible actions), which indicate bugs rather than
     /// workload conditions.
     pub fn run_to_outcome(mut self, name: &str) -> Result<RunOutcome, SimError> {
-        if let Some(obs) = &self.observer {
+        if self.observer.is_some() {
             lyra_obs::span::set_enabled(true);
-            lyra_obs::audit::set_enabled(obs.audit);
+            lyra_obs::audit::set_enabled(true);
         }
         let n_jobs = self.jobs.len();
         let last_submit = self
@@ -2473,11 +2231,8 @@ impl Simulation {
                 EventKind::Arrival(idx) => {
                     self.arrived += 1;
                     self.enqueue(idx);
-                    if self.observer.is_some() {
-                        let job = self.jobs[idx].spec.id.0;
-                        self.emit(SchedEvent::JobAdmit { job });
-                        self.count("sim.jobs.admitted");
-                    }
+                    let job = self.jobs[idx].spec.id.0;
+                    self.emit(SchedEvent::JobAdmit { job });
                 }
                 EventKind::Finish(idx, generation) => {
                     self.handle_finish(idx, generation);
@@ -2569,29 +2324,21 @@ impl Simulation {
     /// Returns [`SimError`] when any job's attributed intervals fail to
     /// partition its lifetime exactly (see
     /// [`lyra_obs::JobAttribution::reconcile`]) — an engine bug, checked
-    /// in release builds too.
+    /// in release builds too — or when the event-log sink failed a
+    /// write, naming the sink.
     fn finish_observation(&mut self) -> Result<(), SimError> {
         if self.observer.is_none() {
             return Ok(());
         }
         self.drain_audit();
-        let now_ms = (self.now_s.max(0.0) * 1000.0).round() as u64;
-        if let Some(obs) = self.observer.as_mut() {
-            obs.lifecycle.finish(now_ms);
-            let tracker = std::mem::take(&mut obs.lifecycle);
-            let attrs = tracker.into_attributions();
-            for a in &attrs {
-                a.reconcile()
-                    .map_err(|e| SimError(format!("delay attribution does not reconcile: {e}")))?;
-            }
-            self.attribution = lyra_obs::summarize(&attrs);
-        }
-        if let Some(obs) = self.observer.as_mut() {
-            obs.log.flush();
-        }
+        let end_ms = self.now_ms();
+        let summary = self.observer.as_mut().map(|o| o.finish(end_ms));
         self.profile = lyra_obs::span::take_profile();
         lyra_obs::span::set_enabled(false);
         lyra_obs::audit::set_enabled(false);
+        if let Some(summary) = summary {
+            self.attribution = summary.map_err(SimError)?;
+        }
         Ok(())
     }
 
@@ -2652,16 +2399,11 @@ impl Simulation {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        let (events, telemetry, provenance) = match self.observer.take() {
-            Some(mut o) => (
-                o.log.take_lines(),
-                o.telemetry,
-                o.provenance
-                    .map(lyra_obs::ProvenanceTracker::into_graph)
-                    .unwrap_or_default(),
-            ),
-            None => Default::default(),
-        };
+        let (events, telemetry, provenance) = self
+            .observer
+            .take()
+            .map(Observer::into_products)
+            .unwrap_or_default();
         SimReport {
             name: name.to_string(),
             queuing: percentiles(&queuing),

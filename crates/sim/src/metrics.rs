@@ -352,8 +352,9 @@ pub struct SimReport {
     pub deadlines: DeadlineStats,
     /// Per-job records for downstream analysis (Figure 2 etc.).
     pub records: Vec<JobRecord>,
-    /// Structured event log (JSONL lines from the observer's ring
-    /// buffer; empty when no observer was attached).
+    /// Structured event log: every JSONL line of an observed run
+    /// without a file sink (empty with a sink, whose file holds the
+    /// lines, and when no observer was attached).
     pub events: Vec<String>,
     /// Per-phase self-time profile of an observed run. Carries
     /// wall-clock data, so it compares equal to any other profile —

@@ -897,6 +897,23 @@ mod tests {
         );
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failing_sink_fails_the_run_naming_the_sink() {
+        let (jobs, inf) = tiny_traces(10);
+        let mut s = Scenario::basic();
+        s.cluster = tiny_cluster();
+        let cfg = ObserverConfig {
+            sink_path: Some("/dev/full".into()),
+            ..ObserverConfig::default()
+        };
+        let err = run_scenario_observed(&s, &jobs, &inf, cfg).expect_err("disk full");
+        assert!(err.0.contains("/dev/full"), "{err}");
+        // The thread-local collectors are off again for the next run.
+        assert!(run_scenario(&s, &jobs, &inf).is_ok());
+        assert!(!lyra_obs::audit::is_enabled());
+    }
+
     #[test]
     fn same_seed_telemetry_exports_are_byte_identical() {
         let (jobs, inf) = tiny_traces(10);

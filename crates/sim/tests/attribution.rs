@@ -120,7 +120,7 @@ proptest! {
                 );
             }
         }
-        // Differential: when the ring kept the whole log and every job
+        // Differential: when every job was admitted and
         // completed, the offline replay must roll up to exactly the
         // summary the engine computed online.
         if r.completed == r.submitted && admits == r.submitted {
