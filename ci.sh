@@ -37,7 +37,7 @@ cargo clippy --all-targets -- -D warnings
 # (a `#[cfg(test)]` line directly followed by `mod `); a `#[cfg(test)]`
 # item in mid-file is counted through. Lower the limit when a call
 # becomes a typed error.
-panic_limit=46
+panic_limit=45
 panic_sites=$(find crates/*/src src -name '*.rs' | while read -r f; do
   awk '/^#\[cfg\(test\)\]$/ { getline nxt; if (nxt ~ /^mod /) exit; print; print nxt; next } { print }' "$f"
 done | grep -cE '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || true)
@@ -160,10 +160,15 @@ rm -rf "$smoke_dir"
 # the telemetry overhead budget, the decision-provenance tracker must
 # cost at most 5 % (+ slack) over plain observation, and a reclaim-churn
 # probe fails if `core.reclaim` burns over 25 % of span self time. The
-# overhead probes append to the history array in BENCH_scheduler.json.
-# Simulator timing is `lyra-benchmark`'s job. `perf` takes no
-# arguments: a stray one must exit 2 rather than run.
+# gates write nothing: the frozen BENCH_scheduler.json must come out
+# byte-identical. Simulator timing is `lyra-benchmark`'s job. `perf`
+# takes no arguments: a stray one must exit 2 rather than run.
+bench_sum=$(cksum BENCH_scheduler.json)
 ./target/release/lyra-bench perf
+[ "$(cksum BENCH_scheduler.json)" = "$bench_sum" ] || {
+  echo "ci: lyra-bench perf modified BENCH_scheduler.json" >&2
+  exit 1
+}
 status=0
 ./target/release/lyra-bench perf --smoke >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || {

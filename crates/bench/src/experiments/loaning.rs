@@ -12,7 +12,7 @@ use lyra_core::{JobId, ServerId};
 use lyra_sim::{run_scenario, transform, Scenario, SimReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
 
 fn result(experiment: &str, scale: Scale) -> ExperimentResult {
@@ -242,8 +242,9 @@ pub fn fig13(scale: Scale) -> ExperimentResult {
     res
 }
 
-/// Builds a random reclaim instance of the given size.
-fn random_instance(
+/// Builds a random reclaim instance of the given size; jobs span 1–3
+/// servers.
+pub(crate) fn random_instance(
     rng: &mut StdRng,
     n_servers: usize,
     n_jobs: usize,
@@ -260,7 +261,7 @@ fn random_instance(
     for j in 0..n_jobs {
         let span = rng.gen_range(1..=3usize).min(n_servers);
         let mut placed = 0;
-        let mut hosts = HashSet::new();
+        let mut hosts = BTreeSet::new();
         let mut tries = 0;
         while hosts.len() < span && tries < 32 {
             hosts.insert(rng.gen_range(0..n_servers));

@@ -41,6 +41,7 @@ pub const ALL: &[&str] = &[
     "headline",
     "reclaim-opt",
     "lstm",
+    "impl",
     "ext-las",
     "ext-phase2",
     "ext-predictor",
@@ -78,6 +79,7 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentResult> {
         "fig17" => testbed::fig17(),
         "reclaim-opt" => loaning::reclaim_opt(scale),
         "lstm" => motivation::lstm(scale),
+        "impl" => motivation::impl_timings(),
         "ext-las" => extensions::ext_las(scale),
         "ext-phase2" => extensions::ext_phase2(scale),
         "ext-predictor" => extensions::ext_predictor(scale),

@@ -1,10 +1,12 @@
-//! Motivation figures and worked examples: Figures 1–3, Tables 1–4, and
-//! the §6 LSTM measurement.
+//! Motivation figures and worked examples: Figures 1–3, Tables 1–4, the
+//! §6 LSTM measurement and the implementation timings of §5.2 and §4.
 
+use super::loaning::random_instance;
 use crate::tables::{render, render_series};
 use crate::{ExperimentResult, Scale};
 use lyra_core::job::{JobSpec, ModelFamily};
-use lyra_core::reclaim::cost_table;
+use lyra_core::policies::{JobScheduler, LyraScheduler, PolluxConfig, PolluxScheduler};
+use lyra_core::reclaim::{cost_table, reclaim_servers, CostModel};
 use lyra_core::snapshot::{PendingJobView, PoolKind, ServerView, Snapshot};
 use lyra_core::{
     solve_mckp, two_phase_allocate, AllocationConfig, GpuType, McKnapsackGroup, McKnapsackItem,
@@ -13,6 +15,10 @@ use lyra_elastic::figure3_series;
 use lyra_predictor::{LstmConfig, UsagePredictor};
 use lyra_sim::{run_scenario, Scenario};
 use lyra_trace::InferenceTrace;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+use std::time::Instant;
 
 fn result(experiment: &str, scale: Scale) -> ExperimentResult {
     ExperimentResult {
@@ -302,4 +308,179 @@ pub fn lstm(scale: Scale) -> ExperimentResult {
     let mut r = result("lstm", scale);
     r.series.push(("mse".into(), vec![train_loss, eval]));
     r
+}
+
+/// Calls behind each `impl` timing; the table reports their median.
+const IMPL_REPS: usize = 21;
+
+/// Median wall time of `IMPL_REPS` calls of `f`, seconds.
+fn median_s<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut times: Vec<f64> = (0..IMPL_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[IMPL_REPS / 2]
+}
+
+/// §5.2's largest production knapsack: 59 elastic jobs × 6 extra-worker
+/// items = 354 items over 245 GPUs. Weights are extra workers × GPUs per
+/// worker, as phase 2 builds them.
+fn mckp_paper_point() -> (Vec<McKnapsackGroup>, u32) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let groups = (0..59)
+        .map(|g| {
+            let gpw = [1u32, 2, 4][rng.gen_range(0..3)];
+            McKnapsackGroup {
+                key: g,
+                items: (1..=6u32)
+                    .map(|k| McKnapsackItem {
+                        weight: k * gpw,
+                        value: rng.gen_range(1.0..500.0) * f64::from(k),
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    (groups, 245)
+}
+
+/// A fragmented 200-server training pool with 80 pending jobs, 30 %
+/// of them elastic.
+fn epoch_snapshot() -> Snapshot {
+    let mut rng = StdRng::seed_from_u64(2);
+    let servers = (0..200)
+        .map(|i| {
+            let mut s = ServerView::idle(i, PoolKind::Training, GpuType::V100, 8);
+            s.free_gpus = rng.gen_range(0..=8);
+            s
+        })
+        .collect();
+    let pending = (0..80u64)
+        .map(|i| {
+            let spec = if rng.gen_bool(0.3) {
+                let w = rng.gen_range(1..=4);
+                JobSpec::elastic(i, 0.0, w, w * 2, 2, rng.gen_range(600.0..86_400.0))
+            } else {
+                JobSpec::inelastic(
+                    i,
+                    0.0,
+                    rng.gen_range(1..=8),
+                    [1, 2, 4][rng.gen_range(0..3)],
+                    rng.gen_range(60.0..86_400.0),
+                )
+            };
+            PendingJobView::fresh(spec)
+        })
+        .collect();
+    Snapshot {
+        time_s: 0.0,
+        servers,
+        pending,
+        running: vec![],
+    }
+}
+
+/// Formats a duration in seconds as µs or ms.
+fn duration(s: f64) -> String {
+    if s < 1e-3 {
+        format!("{:.0} µs", s * 1e6)
+    } else {
+        format!("{:.2} ms", s * 1e3)
+    }
+}
+
+/// Implementation timings: the phase-2 MCKP solve at the paper's
+/// largest instance (§5.2: ≤ 0.02 s), the reclaim heuristic on a small
+/// and a large wave (§4: 1–3 ms per decision), and one Lyra and one
+/// Pollux scheduling epoch on the same snapshot.
+pub fn impl_timings() -> ExperimentResult {
+    let (groups, capacity) = mckp_paper_point();
+    let small_wave = random_instance(&mut StdRng::seed_from_u64(2), 16, 32, 5);
+    let large_wave = random_instance(&mut StdRng::seed_from_u64(1), 120, 200, 40);
+    let snapshot = epoch_snapshot();
+    let mut lyra = LyraScheduler::default();
+    let mut pollux = PolluxScheduler::new(PolluxConfig::default());
+    let timings = [
+        (
+            "mckp_paper_point_s",
+            "MCKP solve, 354 items / 245 GPUs",
+            "<= 0.02 s",
+            median_s(|| solve_mckp(black_box(&groups), black_box(capacity))),
+        ),
+        (
+            "reclaim_16_servers_s",
+            "reclaim decision, 16 servers / 32 jobs / 5 demanded",
+            "1-3 ms",
+            median_s(|| reclaim_servers(black_box(&small_wave), CostModel::ServerFraction)),
+        ),
+        (
+            "reclaim_120_servers_s",
+            "reclaim decision, 120 servers / 200 jobs / 40 demanded",
+            "1-3 ms",
+            median_s(|| reclaim_servers(black_box(&large_wave), CostModel::ServerFraction)),
+        ),
+        (
+            "lyra_epoch_s",
+            "Lyra epoch, 200 servers / 80 pending",
+            "-",
+            median_s(|| lyra.schedule(black_box(&snapshot))),
+        ),
+        (
+            "pollux_epoch_s",
+            "Pollux epoch (GA, 250 iterations), same snapshot",
+            "-",
+            median_s(|| pollux.schedule(black_box(&snapshot))),
+        ),
+    ];
+    let mut rows = vec![vec![
+        "Measurement".to_string(),
+        "Paper".to_string(),
+        format!("Median of {IMPL_REPS}"),
+    ]];
+    let mut r = result("impl", Scale::Small);
+    for (label, what, paper, s) in timings {
+        rows.push(vec![what.to_string(), paper.to_string(), duration(s)]);
+        r.series.push((label.into(), vec![s]));
+    }
+    lyra_obs::emitln!("Implementation timings (§5.2, §4)");
+    lyra_obs::emitln!("{}", render(&rows));
+    r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mckp_paper_point_has_the_papers_shape() {
+        let (groups, capacity) = mckp_paper_point();
+        assert_eq!(groups.iter().map(|g| g.items.len()).sum::<usize>(), 354);
+        assert_eq!(capacity, 245);
+    }
+
+    #[test]
+    fn impl_times_every_measurement() {
+        assert!(crate::experiments::ALL.contains(&"impl"));
+        let r = crate::experiments::run("impl", Scale::Small).expect("impl is an experiment id");
+        let labels: Vec<&str> = r.series.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "mckp_paper_point_s",
+                "reclaim_16_servers_s",
+                "reclaim_120_servers_s",
+                "lyra_epoch_s",
+                "pollux_epoch_s",
+            ]
+        );
+        for (label, values) in &r.series {
+            assert_eq!(values.len(), 1, "{label}");
+            let v = values[0];
+            assert!(v.is_finite() && v > 0.0, "{label}: {v}");
+        }
+    }
 }

@@ -1,11 +1,12 @@
 //! # lyra-bench
 //!
 //! The experiment harness: one subcommand per table and figure of the
-//! paper's evaluation (§7), plus Criterion micro-benchmarks for the
-//! scheduling algorithms themselves.
+//! paper's evaluation (§7), the `impl` timings of the scheduling
+//! algorithms themselves, and the `perf` cost gates.
 //!
 //! Run `cargo run -p lyra-bench --release -- help` for the experiment
-//! list; `cargo bench` runs the micro-benchmarks. Experiments default to
+//! list; `lyra-bench impl` times the MCKP solve, the reclaim heuristic
+//! and one Lyra and one Pollux epoch. Experiments default to
 //! a scaled-down cluster/trace so the whole suite completes in minutes;
 //! pass `--full` for the paper-scale 15-day, 50k-job configuration.
 

@@ -544,7 +544,7 @@ fn export_trace_cmd(inv: &Invocation) -> CmdResult {
 }
 
 /// `events --filter job=<id>,kind=<kind>,cause=<cause>`: slice a JSONL
-/// event log, printing the raw lines that match every criterion (a job
+/// event log, printing the raw lines that match every filter term (a job
 /// filter matches any event touching that job, audit records included;
 /// a cause filter matches events naming that [`lyra_obs::DelayCause`]).
 fn events_cmd(inv: &Invocation) -> CmdResult {

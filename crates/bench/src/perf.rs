@@ -4,50 +4,16 @@
 //! within a generous multiple of the bare run, the decision-provenance
 //! tracker may cost at most 5 % over plain observation, and a
 //! reclaim-heavy probe fails if `core.reclaim` burns too large a share
-//! of span self time. Every run *appends* its overhead probes to the
-//! `history` array inside `BENCH_scheduler.json`, so regressions show as
-//! a trend across runs; the file's other fields are the frozen
-//! scheduler-epoch baseline and are never rewritten. Wall-time timing of
-//! the simulator, end to end and layer by layer, is `lyra-benchmark`'s
-//! job.
+//! of span self time. The gates print their probes and write nothing;
+//! `BENCH_scheduler.json` is a frozen scheduler-epoch measurement.
+//! Wall-time timing of the simulator, end to end and layer by layer, is
+//! `lyra-benchmark`'s job.
 
 use crate::Scale;
 use lyra_obs::Profile;
-use lyra_sim::{run_scenario, run_scenario_observed, ObserverConfig, Scenario, SimReport};
+use lyra_sim::{run_scenario, run_scenario_observed, ObserverConfig, Scenario};
 use lyra_trace::{InferenceTrace, JobTrace};
-use serde::{Serialize, Value};
-
-/// Wall time of the telemetry/observer overhead probe: the same
-/// scenario run bare and under full observation (event log, metrics,
-/// audit, telemetry sampling — everything `ObserverConfig::default()`
-/// turns on).
-#[derive(Debug, Serialize)]
-pub struct ObserverOverhead {
-    /// Wall time of the unobserved run, seconds.
-    pub unobserved_s: f64,
-    /// Wall time of the fully observed run, seconds.
-    pub observed_s: f64,
-    /// `observed_s / unobserved_s` (0 when the bare run is too fast to
-    /// measure).
-    pub ratio: f64,
-}
-
-/// Wall time of the provenance overhead probe: the same scenario run
-/// observed with the decision-provenance tracker off and on. The
-/// tracker rides the existing emission path (one graph update per
-/// event), so its cost must stay marginal next to observation itself.
-#[derive(Debug, Serialize)]
-pub struct ProvenanceOverhead {
-    /// Wall time of the observed run with provenance tracking off,
-    /// seconds.
-    pub observed_s: f64,
-    /// Wall time of the observed run with provenance tracking on,
-    /// seconds.
-    pub provenance_s: f64,
-    /// `provenance_s / observed_s` (0 when the base run is too fast to
-    /// measure).
-    pub ratio: f64,
-}
+use std::time::Instant;
 
 /// The provenance-tracking run may take at most 5 % over the plain
 /// observed run…
@@ -79,93 +45,6 @@ pub const RECLAIM_SHARE_BUDGET: f64 = 0.25;
 /// share estimate is pure noise.
 pub const RECLAIM_SHARE_MIN_TOTAL_S: f64 = 0.05;
 
-/// Times the scenario bare vs fully observed and returns the probe.
-fn observer_overhead(
-    scenario: &Scenario,
-    jobs: &JobTrace,
-    inference: &InferenceTrace,
-) -> ObserverOverhead {
-    let t0 = std::time::Instant::now();
-    run_scenario(scenario, jobs, inference).unwrap_or_else(|e| panic!("bare run failed: {e}"));
-    let unobserved_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    observed(scenario, jobs, inference);
-    let observed_s = t1.elapsed().as_secs_f64();
-    ObserverOverhead {
-        unobserved_s,
-        observed_s,
-        ratio: if unobserved_s > 0.0 {
-            observed_s / unobserved_s
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Times the scenario observed with provenance off vs on.
-fn provenance_overhead(
-    scenario: &Scenario,
-    jobs: &JobTrace,
-    inference: &InferenceTrace,
-) -> ProvenanceOverhead {
-    let off = ObserverConfig {
-        provenance: false,
-        ..ObserverConfig::default()
-    };
-    let t0 = std::time::Instant::now();
-    run_scenario_observed(scenario, jobs, inference, off)
-        .unwrap_or_else(|e| panic!("observed run failed: {e}"));
-    let observed_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    observed(scenario, jobs, inference);
-    let provenance_s = t1.elapsed().as_secs_f64();
-    ProvenanceOverhead {
-        observed_s,
-        provenance_s,
-        ratio: if observed_s > 0.0 {
-            provenance_s / observed_s
-        } else {
-            0.0
-        },
-    }
-}
-
-/// One `history` entry in `BENCH_scheduler.json`: the overhead probes
-/// of a single `perf` invocation.
-#[derive(Debug, Serialize)]
-pub struct HistoryEntry {
-    /// Trace/cluster scale the probes ran at.
-    pub scale: String,
-    /// Bare vs observed wall time.
-    pub observer: ObserverOverhead,
-    /// Observed vs provenance-tracking wall time.
-    pub provenance: ProvenanceOverhead,
-}
-
-/// Appends `entry` to the `history` array of `BENCH_scheduler.json`,
-/// creating the file or the array as needed and leaving every other
-/// field intact.
-fn record_run(entry: &HistoryEntry) -> Result<(), String> {
-    let path = "BENCH_scheduler.json";
-    let prior = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok());
-    let mut history = match prior.as_ref().and_then(|v| v.get("history")) {
-        Some(Value::Array(items)) => items.clone(),
-        _ => Vec::new(),
-    };
-    history.push(entry.to_value());
-    let mut root = prior.unwrap_or(Value::Object(Vec::new()));
-    let Value::Object(pairs) = &mut root else {
-        return Err(format!("{path}: top level is not an object"));
-    };
-    pairs.retain(|(k, _)| k != "history");
-    pairs.push(("history".to_string(), Value::Array(history)));
-    let json =
-        serde_json::to_string_pretty(&root).map_err(|e| format!("serialise {path}: {e:?}"))?;
-    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
-}
-
 /// Runs the scenario with span profiling on (no observer: the event log
 /// and audit trail stay off, exactly like a production run) and returns
 /// the collected profile.
@@ -178,9 +57,20 @@ fn timed_run(scenario: &Scenario, jobs: &JobTrace, inference: &InferenceTrace) -
     profile
 }
 
-fn observed(scenario: &Scenario, jobs: &JobTrace, inference: &InferenceTrace) -> SimReport {
-    run_scenario_observed(scenario, jobs, inference, ObserverConfig::default())
-        .unwrap_or_else(|e| panic!("observed run failed: {e}"))
+/// Wall time of `run`, seconds.
+fn timed(run: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    run();
+    t0.elapsed().as_secs_f64()
+}
+
+/// `num / den`, or 0 when `den` is too small to measure.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
 }
 
 /// Reclaim-heavy probe: a Small-scale scenario tuned for loan/reclaim
@@ -248,54 +138,62 @@ fn reclaim_probe() -> i32 {
     0
 }
 
-/// Runs the three gates and appends their probes to the history in
-/// `BENCH_scheduler.json`; returns the process exit code.
+/// Runs the three gates; returns the process exit code.
 pub fn run() -> i32 {
     let scale = Scale::Small;
     let (jobs, inference) = scale.traces(5);
     let mut scenario = Scenario::basic();
     scenario.cluster = scale.cluster_config();
+    let observed = |config: ObserverConfig| {
+        run_scenario_observed(&scenario, &jobs, &inference, config)
+            .unwrap_or_else(|e| panic!("observed run failed: {e}"));
+    };
 
-    // Telemetry overhead budget: full observation (event log + metrics
-    // + audit + telemetry sampling) must stay within a generous
-    // multiple of the bare run.
-    let overhead = observer_overhead(&scenario, &jobs, &inference);
+    // Three runs of one scenario: bare, observed without provenance, and
+    // fully observed (event log + telemetry sampling + provenance,
+    // everything `ObserverConfig::default()` turns on). The fully
+    // observed run serves both gates.
+    let bare_s = timed(|| {
+        run_scenario(&scenario, &jobs, &inference)
+            .unwrap_or_else(|e| panic!("bare run failed: {e}"));
+    });
+    let no_provenance_s = timed(|| {
+        observed(ObserverConfig {
+            provenance: false,
+            ..ObserverConfig::default()
+        })
+    });
+    let observed_s = timed(|| observed(ObserverConfig::default()));
+
+    // Telemetry overhead budget: full observation must stay within a
+    // generous multiple of the bare run.
     println!(
-        "observer overhead: {:.3}s bare vs {:.3}s observed ({:.2}x, budget {}x + {}s)",
-        overhead.unobserved_s,
-        overhead.observed_s,
-        overhead.ratio,
+        "observer overhead: {bare_s:.3}s bare vs {observed_s:.3}s observed \
+         ({:.2}x, budget {}x + {}s)",
+        ratio(observed_s, bare_s),
         OVERHEAD_BUDGET_RATIO,
         OVERHEAD_BUDGET_SLACK_S
     );
-    if overhead.observed_s > OVERHEAD_BUDGET_RATIO * overhead.unobserved_s + OVERHEAD_BUDGET_SLACK_S
-    {
+    if observed_s > OVERHEAD_BUDGET_RATIO * bare_s + OVERHEAD_BUDGET_SLACK_S {
         eprintln!(
             "perf: telemetry overhead budget EXCEEDED \
-             ({:.3}s observed vs {:.3}s bare)",
-            overhead.observed_s, overhead.unobserved_s
+             ({observed_s:.3}s observed vs {bare_s:.3}s bare)"
         );
         return 1;
     }
     // Provenance overhead budget: the decision-provenance tracker may
     // cost at most 5 % (plus slack) over plain observation.
-    let prov_overhead = provenance_overhead(&scenario, &jobs, &inference);
     println!(
-        "provenance overhead: {:.3}s observed vs {:.3}s with provenance \
-         ({:.2}x, budget {}x + {}s)",
-        prov_overhead.observed_s,
-        prov_overhead.provenance_s,
-        prov_overhead.ratio,
+        "provenance overhead: {no_provenance_s:.3}s observed vs {observed_s:.3}s with \
+         provenance ({:.2}x, budget {}x + {}s)",
+        ratio(observed_s, no_provenance_s),
         PROVENANCE_BUDGET_RATIO,
         PROVENANCE_BUDGET_SLACK_S
     );
-    if prov_overhead.provenance_s
-        > PROVENANCE_BUDGET_RATIO * prov_overhead.observed_s + PROVENANCE_BUDGET_SLACK_S
-    {
+    if observed_s > PROVENANCE_BUDGET_RATIO * no_provenance_s + PROVENANCE_BUDGET_SLACK_S {
         eprintln!(
             "perf: provenance overhead budget EXCEEDED \
-             ({:.3}s with provenance vs {:.3}s observed)",
-            prov_overhead.provenance_s, prov_overhead.observed_s
+             ({observed_s:.3}s with provenance vs {no_provenance_s:.3}s observed)"
         );
         return 1;
     }
@@ -303,18 +201,6 @@ pub fn run() -> i32 {
     if rc != 0 {
         return rc;
     }
-    let entry = HistoryEntry {
-        scale: format!("{scale:?}").to_lowercase(),
-        observer: overhead,
-        provenance: prov_overhead,
-    };
-    if let Err(e) = record_run(&entry) {
-        eprintln!("perf: {e}");
-        return 1;
-    }
-    println!(
-        "perf: telemetry, provenance and reclaim overheads within budget; \
-         probes appended to BENCH_scheduler.json history"
-    );
+    println!("perf: telemetry, provenance and reclaim overheads within budget");
     0
 }

@@ -10,7 +10,7 @@
 //!
 //! MCKP is NP-hard but admits a pseudo-polynomial dynamic program, which
 //! the paper reports solving in at most 0.02 s for 354 items and 245 GPUs;
-//! the Criterion bench `benches/mckp.rs` reproduces that measurement point.
+//! `lyra-bench impl` times that measurement point.
 //!
 //! The DP here is *banded*. With `maxw_g` the largest item weight of group
 //! `g`, `S_g` the sum of `maxw` over groups `0..=g`, `R_g` the sum over the
@@ -335,9 +335,9 @@ fn solve_mckp_reference(groups: &[McKnapsackGroup], capacity: u32) -> MckpSoluti
     }
 }
 
-/// Brute-force MCKP for verification (exponential; tests only).
-#[doc(hidden)]
-pub fn solve_mckp_bruteforce(groups: &[McKnapsackGroup], capacity: u32) -> f64 {
+/// Brute-force MCKP for verification (exponential).
+#[cfg(test)]
+fn solve_mckp_bruteforce(groups: &[McKnapsackGroup], capacity: u32) -> f64 {
     fn recurse(groups: &[McKnapsackGroup], g: usize, cap_left: i64, acc: f64, best: &mut f64) {
         if acc > *best {
             *best = acc;

@@ -106,17 +106,6 @@ pub struct PlacementScratch {
     fits: Vec<(u32, u32)>,
 }
 
-/// The pool-preference order and on-loan group of a request, exposed
-/// for the placement-feasibility oracle in `lyra-oracle` (`test-oracles`
-/// feature only).
-#[cfg(feature = "test-oracles")]
-pub fn pool_preference_for_oracles(
-    req: &PlacementRequest,
-    config: PlacementConfig,
-) -> (Vec<PoolKind>, ServerGroup) {
-    pool_preference(req, config)
-}
-
 /// The server/group compatibility filter, exposed for the
 /// placement-feasibility oracle in `lyra-oracle` (`test-oracles`
 /// feature only).
