@@ -60,6 +60,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
 # tooling end-to-end.
 smoke_dir=$(mktemp -d)
 ./target/release/lyra-bench smoke --log "$smoke_dir/smoke.jsonl"
+
+# Log byte budget: the smoke run is seeded, so its log size is exact
+# (842,383 bytes). The budget is that size + 5 %, so a change that
+# bloats the event log (the decision trail above all) fails here.
+smoke_budget=884502
+smoke_bytes=$(wc -c <"$smoke_dir/smoke.jsonl")
+[ "$smoke_bytes" -le "$smoke_budget" ] || {
+  echo "ci: smoke log is $smoke_bytes bytes, budget $smoke_budget" >&2
+  exit 1
+}
 ./target/release/lyra-bench events --filter job=0,kind=JobStart \
   --log "$smoke_dir/smoke.jsonl" >/dev/null
 ./target/release/lyra-bench blame --top 5 --log "$smoke_dir/smoke.jsonl"

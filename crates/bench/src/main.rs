@@ -481,8 +481,9 @@ fn smoke_cmd(inv: &Invocation) -> CmdResult {
 /// `why <job-id>`: everything the log says about one job's delay, in
 /// three sections — its ranked delay causes, each delay interval with
 /// the causal chain of decisions (victim ranking, loan demand,
-/// faults, …) behind it, and the audited decision chain (the inputs
-/// of every scheduler decision that touched the job).
+/// faults, …) behind it, and the audited decision chain (the verdict
+/// of every scheduler decision that touched the job, with its inputs
+/// where they were logged).
 fn why_cmd(inv: &Invocation) -> CmdResult {
     let job: u64 = inv.convert("<job-id>", inv.operands[0])?;
     let (_, events) = read_log(inv)?;

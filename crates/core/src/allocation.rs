@@ -96,6 +96,14 @@ pub struct AllocationOutcome {
     pub leftover_gpus: u32,
 }
 
+/// Deferred phase-1 ranks past the capacity cut whose SJF estimates the
+/// audit keeps (every admitted rank keeps its estimate).
+const AUDIT_DEFERRED: usize = 8;
+
+/// Cap on the option values kept per phase-2 audit curve: a wide elastic
+/// range would bloat every record that carries one.
+const AUDIT_VALUES: usize = 16;
+
 /// Runs the two-phase allocation over a snapshot.
 ///
 /// Phase 1 sorts pending jobs by their estimated base-demand running time
@@ -241,8 +249,14 @@ pub fn two_phase_allocate_with(
     let mut launch_indices: Vec<u32> = Vec::new();
     let mut skipped: Vec<JobId> = Vec::new();
     let phase1_capacity = capacity.min(u64::from(u32::MAX)) as u32;
-    let mut phase1_audit: Vec<lyra_obs::audit::Phase1Entry> = Vec::new();
-    for r in &order {
+    // The audit's columns: admitted ranks, and the SJF estimates of
+    // every admitted rank and of the first deferrals past the cut (the
+    // ranks `why` can explain; the deep tail of the queue keeps only its
+    // ids).
+    let mut audit_admitted: Vec<u32> = Vec::new();
+    let mut audit_estimates: Vec<(u32, f64, u32)> = Vec::new();
+    let mut deferred = 0;
+    for (rank, r) in order.iter().enumerate() {
         let need = u64::from(r.base_gpus);
         let admitted = need <= capacity;
         if admitted {
@@ -253,19 +267,24 @@ pub fn two_phase_allocate_with(
             skipped.push(r.id);
         }
         if auditing {
-            phase1_audit.push(lyra_obs::audit::Phase1Entry {
-                job: r.id.0,
-                est_running_time_s: snapshot.pending[r.idx as usize].est_running_time_s,
-                base_gpus: r.base_gpus,
-                admitted,
-                cause: (!admitted).then_some(lyra_obs::DelayCause::GpuScarcity),
-            });
+            let rank = rank as u32;
+            if admitted {
+                audit_admitted.push(rank);
+            } else {
+                deferred += 1;
+            }
+            if admitted || deferred <= AUDIT_DEFERRED {
+                let est = snapshot.pending[r.idx as usize].est_running_time_s;
+                audit_estimates.push((rank, est, r.base_gpus));
+            }
         }
     }
-    if auditing && !phase1_audit.is_empty() {
+    if auditing && !order.is_empty() {
         lyra_obs::audit::record(lyra_obs::audit::AuditRecord::Phase1Order {
             capacity_gpus: phase1_capacity,
-            order: phase1_audit,
+            order: order.iter().map(|r| r.id.0).collect(),
+            admitted: audit_admitted,
+            estimates: audit_estimates,
         });
     }
 
@@ -359,33 +378,6 @@ pub fn two_phase_allocate_with(
         };
         capacity -= u64::from(solution.total_weight);
 
-        if auditing && !groups_sorted.is_empty() {
-            // Per-group option values are capped: a wide elastic range
-            // would bloat every audit record.
-            const AUDIT_VALUES: usize = 16;
-            let audit_groups = groups_sorted
-                .iter()
-                .zip(&solution.chosen)
-                .map(|(g, chosen)| {
-                    let chosen_extra = chosen.map_or(0, |i| i as u32 + 1);
-                    lyra_obs::audit::MckpGroupAudit {
-                        job: g.key,
-                        values: g.items.iter().take(AUDIT_VALUES).map(|i| i.value).collect(),
-                        chosen_extra,
-                        chosen_value: chosen.map(|i| g.items[i].value).unwrap_or(0.0),
-                        cause: (chosen_extra == 0 && !g.items.is_empty())
-                            .then_some(lyra_obs::DelayCause::MckpDenial),
-                    }
-                })
-                .collect();
-            lyra_obs::audit::record(lyra_obs::audit::AuditRecord::Phase2Mckp {
-                capacity_gpus: cap_u32,
-                groups: audit_groups,
-                total_value: solution.total_value,
-                total_weight: solution.total_weight,
-            });
-        }
-
         for (slot, chosen) in solution.chosen.iter().enumerate() {
             // Item i grants i + 1 extra workers.
             let extra = chosen.map_or(0, |i| i as u32 + 1);
@@ -410,6 +402,37 @@ pub fn two_phase_allocate_with(
             }
         }
         resizes.sort_by_key(|(id, _)| *id);
+
+        if auditing && !groups_sorted.is_empty() {
+            // Every group's grant, and the value curve of each group
+            // whose grant changes its job's allocation: a launch, or a
+            // running job resized.
+            let extra = solution
+                .chosen
+                .iter()
+                .map(|c| c.map_or(0, |i| i as u32 + 1))
+                .collect();
+            let curves = groups_sorted
+                .iter()
+                .zip(&sources)
+                .filter(|(g, src)| match src {
+                    Source::Pending { .. } => true,
+                    Source::Running(_) => resizes.binary_search_by_key(&g.key, |r| r.0 .0).is_ok(),
+                })
+                .map(|(g, _)| {
+                    let values = g.items.iter().take(AUDIT_VALUES).map(|i| i.value);
+                    (g.key, values.collect())
+                })
+                .collect();
+            lyra_obs::audit::record(lyra_obs::audit::AuditRecord::Phase2Mckp {
+                capacity_gpus: cap_u32,
+                jobs: groups_sorted.iter().map(|g| g.key).collect(),
+                extra,
+                curves,
+                total_value: solution.total_value,
+                total_weight: solution.total_weight,
+            });
+        }
     }
 
     AllocationOutcome {
@@ -765,6 +788,98 @@ mod tests {
         assert!(out.launches.is_empty());
         assert!(out.resizes.is_empty());
         assert!(out.skipped.is_empty());
+    }
+
+    #[test]
+    fn audit_records_the_verdicts_of_the_outcome() {
+        use lyra_obs::audit::{self, AuditRecord};
+        // 8 idle GPUs plus R1's 2 flexible workers: a short elastic job
+        // (A) and one 5-GPU job are admitted, eleven more 5-GPU jobs are
+        // deferred, and 3 GPUs are left to phase 2. R1 (long) is resized;
+        // R2 (almost done) keeps its base and so logs no curve.
+        let running = |id, w_max, workers, work_left, flexible| RunningJobView {
+            spec: JobSpec::elastic(id, 0.0, 2, w_max, 1, 1000.0),
+            workers,
+            work_left,
+            placement: vec![(ServerId(1), workers)],
+            flexible_workers: flexible,
+            flex_placement: vec![(ServerId(1), flexible)],
+        };
+        let mut pending = vec![JobSpec::elastic(0, 0.0, 2, 4, 1, 10.0)];
+        pending.extend((1..=12).map(|id| JobSpec::inelastic(id, 0.0, 5, 1, 100.0 + id as f64)));
+        let snapshot = Snapshot {
+            time_s: 0.0,
+            servers: cluster(8),
+            pending: pending.into_iter().map(PendingJobView::fresh).collect(),
+            running: vec![running(100, 6, 4, 50_000.0, 2), running(101, 4, 2, 1.0, 0)],
+        };
+        audit::set_enabled(true);
+        let out = two_phase_allocate(&snapshot, AllocationConfig::default());
+        let records = audit::drain();
+        audit::set_enabled(false);
+        let [AuditRecord::Phase1Order {
+            order,
+            admitted,
+            estimates,
+            ..
+        }, AuditRecord::Phase2Mckp {
+            jobs,
+            extra,
+            curves,
+            ..
+        }] = records.as_slice()
+        else {
+            panic!("want one phase-1 and one phase-2 record, got {records:?}");
+        };
+
+        // Phase 1: the admitted ranks name exactly the launches.
+        let admitted_ids: Vec<JobId> = admitted.iter().map(|&r| JobId(order[r as usize])).collect();
+        let launched: Vec<JobId> = out.launches.iter().map(|&(id, _)| id).collect();
+        assert_eq!(admitted_ids, launched);
+        let deferred: Vec<u32> = (0..order.len() as u32)
+            .filter(|r| !admitted.contains(r))
+            .collect();
+        assert_eq!(deferred.len(), 11, "more deferrals than the window");
+        // Estimates: every admitted rank plus the deferral window.
+        let mut want: Vec<u32> = admitted.clone();
+        want.extend(&deferred[..AUDIT_DEFERRED]);
+        want.sort_unstable();
+        let ranks: Vec<u32> = estimates.iter().map(|e| e.0).collect();
+        assert_eq!(ranks, want);
+        for &(rank, est, base) in estimates {
+            let p = snapshot
+                .pending
+                .iter()
+                .find(|p| p.spec.id.0 == order[rank as usize])
+                .expect("ranked job is pending");
+            assert_eq!((est, base), (p.est_running_time_s, p.spec.base_gpus()));
+        }
+
+        // Phase 2: each group's grant is the launch or resize it caused.
+        assert_eq!(jobs, &vec![0, 100, 101]);
+        for (&job, &extra) in jobs.iter().zip(extra) {
+            let workers = match out.launches.iter().find(|l| l.0 .0 == job) {
+                Some(&(_, w)) => w,
+                None => match out.resizes.iter().find(|r| r.0 .0 == job) {
+                    Some(&(_, w)) => w,
+                    None => {
+                        let r = snapshot.running.iter().find(|r| r.spec.id.0 == job);
+                        r.expect("every group is a launch or a running job").workers
+                    }
+                },
+            };
+            assert_eq!(workers, 2 + extra, "job {job}");
+        }
+        // Curves: the launched elastic job plus the resized jobs, only.
+        let curve_jobs: Vec<u64> = curves.iter().map(|c| c.0).collect();
+        let mut want: Vec<u64> = vec![0];
+        want.extend(out.resizes.iter().map(|r| r.0 .0));
+        assert_eq!(curve_jobs, want);
+        assert_eq!(curve_jobs, vec![0, 100], "R1 resized, R2 unchanged");
+        assert!(
+            extra.iter().any(|&e| e > 0),
+            "phase 2 granted something: {extra:?}"
+        );
     }
 
     #[test]

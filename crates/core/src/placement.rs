@@ -526,7 +526,7 @@ pub(crate) fn audit_placement(
         .iter()
         .filter(|&&(id, _)| Some(id) != chosen)
         .take(AUDIT_ALTERNATIVES)
-        .map(|&(server, free_gpus)| lyra_obs::audit::PlacementAlternative { server, free_gpus })
+        .copied()
         .collect();
     lyra_obs::audit::record(lyra_obs::audit::AuditRecord::PlacementDecision {
         job: job.0,

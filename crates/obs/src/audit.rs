@@ -1,12 +1,22 @@
 //! Decision audit trail.
 //!
 //! The scheduling algorithms in `lyra-core` are pure functions; their
-//! decisions are explainable only if the *inputs* to each choice are
-//! recorded at the moment the choice is made. This module provides the
-//! record types and a thread-local collector the algorithm crates write
-//! into, so the decision sites need no plumbing of logger handles. The
-//! simulation engine drains the collector after each call into the
-//! policy/orchestrator and folds the records into its event log.
+//! decisions are explainable only if each one is recorded at the moment
+//! it is made. The per-epoch records ([`AuditRecord::Phase1Order`],
+//! [`AuditRecord::Phase2Mckp`]) record *verdicts, in columns*: the job
+//! ids in order, which of them won, and the inputs (SJF estimates, MCKP
+//! value curves) only where a decision changed something, so a deep
+//! queue costs a few bytes per job per epoch rather than a spelled-out
+//! object. Everything dropped is derivable from what is kept: a phase-1
+//! rank is deferred for GPU scarcity exactly when it is not in
+//! `admitted`, and a phase-2 group is an MCKP denial exactly when its
+//! `extra` is 0 (the allocator never builds an empty group).
+//!
+//! This module provides the record types and a thread-local collector
+//! the algorithm crates write into, so the decision sites need no
+//! plumbing of logger handles. The simulation engine drains the
+//! collector after each call into the policy/orchestrator and folds the
+//! records into its event log.
 //!
 //! Recording is off by default and costs one thread-local boolean check;
 //! the engine enables it only when an observer with auditing is
@@ -17,49 +27,6 @@ use std::cell::RefCell;
 use serde::{Deserialize, Serialize};
 
 use crate::attribution::DelayCause;
-
-/// One job considered by the phase-1 (inelastic/base) ordering pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Phase1Entry {
-    /// Job id.
-    pub job: u64,
-    /// Estimated remaining running time used as the SJF key, seconds.
-    pub est_running_time_s: f64,
-    /// Base GPUs the job asks for in phase 1.
-    pub base_gpus: u32,
-    /// Whether capacity sufficed to admit it this round.
-    pub admitted: bool,
-    /// Delay cause charged when the job was deferred
-    /// ([`DelayCause::GpuScarcity`]); `None` when admitted.
-    pub cause: Option<DelayCause>,
-}
-
-/// One elastic job's group in the phase-2 multiple-choice knapsack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MckpGroupAudit {
-    /// Job id.
-    pub job: u64,
-    /// JCT-reduction value of each worker-count option, in option order.
-    pub values: Vec<f64>,
-    /// Extra workers the solver granted (0 = keep base allocation).
-    pub chosen_extra: u32,
-    /// Value of the chosen option (0 when nothing was chosen).
-    pub chosen_value: f64,
-    /// Delay cause charged when the knapsack granted nothing despite
-    /// available options ([`DelayCause::MckpDenial`]); `None` when
-    /// extra workers were granted or nothing was asked.
-    pub cause: Option<DelayCause>,
-}
-
-/// A rejected placement alternative and why it lost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlacementAlternative {
-    /// Server id.
-    pub server: u32,
-    /// Free GPUs the server had when the fit was evaluated (the
-    /// best-fit cost: more leftover = worse fit).
-    pub free_gpus: u32,
-}
 
 /// One candidate server in a reclaim cost search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,22 +39,37 @@ pub struct ReclaimCandidate {
     pub collateral_gpus: u32,
 }
 
-/// One recorded scheduling decision with the inputs that produced it.
+/// One recorded scheduling decision: its verdict, with the inputs that
+/// produced it where they were logged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AuditRecord {
     /// The phase-1 shortest-job-first (or FIFO/LAS) admission pass.
     Phase1Order {
         /// GPUs available before the pass.
         capacity_gpus: u32,
-        /// Jobs in the order they were considered.
-        order: Vec<Phase1Entry>,
+        /// Job ids in rank order (the order they were considered).
+        order: Vec<u64>,
+        /// Ranks (0-based indices into `order`) admitted this pass,
+        /// ascending. Every other rank was deferred for GPU scarcity.
+        admitted: Vec<u32>,
+        /// `(rank, est_running_time_s, base_gpus)` for every admitted
+        /// rank and the first few deferred ranks past the cut, ascending
+        /// by rank. Other deferred ranks carry no estimate.
+        estimates: Vec<(u32, f64, u32)>,
     },
     /// The phase-2 MCKP allocation over elastic jobs' flexible demand.
     Phase2Mckp {
         /// Leftover GPUs offered to the knapsack.
         capacity_gpus: u32,
-        /// One group per elastic job, with per-option values.
-        groups: Vec<MckpGroupAudit>,
+        /// One knapsack group per elastic job, by job id.
+        jobs: Vec<u64>,
+        /// Extra workers granted to each group (parallel to `jobs`;
+        /// 0 = kept at base, an MCKP denial).
+        extra: Vec<u32>,
+        /// `(job, JCT-reduction value of each worker-count option)` for
+        /// the groups whose grant changes the job's allocation: every
+        /// launch, and every running job resized. Capped per curve.
+        curves: Vec<(u64, Vec<f64>)>,
         /// Total value of the solution.
         total_value: f64,
         /// Total weight (GPUs) of the solution.
@@ -106,8 +88,9 @@ pub enum AuditRecord {
         chosen: Option<u32>,
         /// Free GPUs the chosen server had (best-fit cost).
         chosen_free_gpus: u32,
-        /// Rejected alternatives with their costs (capped; best-first).
-        alternatives: Vec<PlacementAlternative>,
+        /// Rejected alternatives as `(server, free_gpus)`, free GPUs
+        /// being the best-fit cost (capped; best-first).
+        alternatives: Vec<(u32, u32)>,
     },
     /// One server pick in the greedy reclaim cost search.
     ReclaimChoice {
@@ -180,6 +163,8 @@ mod tests {
         record(AuditRecord::Phase1Order {
             capacity_gpus: 8,
             order: vec![],
+            admitted: vec![],
+            estimates: vec![],
         });
         assert!(drain().is_empty());
 
@@ -187,6 +172,8 @@ mod tests {
         record(AuditRecord::Phase1Order {
             capacity_gpus: 8,
             order: vec![],
+            admitted: vec![],
+            estimates: vec![],
         });
         let drained = drain();
         assert_eq!(drained.len(), 1);

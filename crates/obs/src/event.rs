@@ -268,18 +268,19 @@ impl SchedEvent {
     }
 
     /// The [`DelayCause`] this event names, if any — the `JobStall`
-    /// cause, or the cause recorded inside an audit record (the first
-    /// one, for multi-entry audits). Used by
-    /// `events --filter cause=<name>`.
+    /// cause, or the cause an audit record charges: a phase-1 pass that
+    /// deferred any rank charges [`DelayCause::GpuScarcity`], a phase-2
+    /// solve that granted some group nothing charges
+    /// [`DelayCause::MckpDenial`]. Used by `events --filter cause=<name>`.
     pub fn cause(&self) -> Option<DelayCause> {
         match self {
             SchedEvent::JobStall { cause, .. } => Some(*cause),
             SchedEvent::Audit(rec) => match rec {
-                AuditRecord::Phase1Order { order, .. } => {
-                    order.iter().find_map(|e| e.cause)
-                }
-                AuditRecord::Phase2Mckp { groups, .. } => {
-                    groups.iter().find_map(|g| g.cause)
+                AuditRecord::Phase1Order {
+                    order, admitted, ..
+                } => (admitted.len() < order.len()).then_some(DelayCause::GpuScarcity),
+                AuditRecord::Phase2Mckp { extra, .. } => {
+                    extra.contains(&0).then_some(DelayCause::MckpDenial)
                 }
                 AuditRecord::PlacementDecision { .. } => None,
                 AuditRecord::ReclaimChoice { cause, .. } => *cause,
@@ -313,8 +314,8 @@ impl SchedEvent {
             | SchedEvent::SchedulerEpoch { .. }
             | SchedEvent::Alert { .. } => false,
             SchedEvent::Audit(rec) => match rec {
-                AuditRecord::Phase1Order { order, .. } => order.iter().any(|e| e.job == job),
-                AuditRecord::Phase2Mckp { groups, .. } => groups.iter().any(|g| g.job == job),
+                AuditRecord::Phase1Order { order, .. } => order.contains(&job),
+                AuditRecord::Phase2Mckp { jobs, .. } => jobs.contains(&job),
                 AuditRecord::PlacementDecision { job: j, .. } => *j == job,
                 AuditRecord::ReclaimChoice { preempted, .. } => preempted.contains(&job),
             },
@@ -341,6 +342,42 @@ mod tests {
         };
         assert!(KIND_NAMES.contains(&alert.kind_name()));
         assert!(!alert.touches_job(0));
+    }
+
+    #[test]
+    fn verdict_records_derive_their_cause_and_jobs() {
+        let phase1 = |admitted: Vec<u32>| {
+            SchedEvent::Audit(AuditRecord::Phase1Order {
+                capacity_gpus: 8,
+                order: vec![3, 4, 5],
+                admitted,
+                estimates: vec![(0, 10.0, 4)],
+            })
+        };
+        assert_eq!(phase1(vec![0, 1, 2]).cause(), None);
+        assert_eq!(phase1(vec![0, 2]).cause(), Some(DelayCause::GpuScarcity));
+        assert_eq!(phase1(vec![]).cause(), Some(DelayCause::GpuScarcity));
+        // Every ranked job is touched, with or without an estimate.
+        let deferred = phase1(vec![0]);
+        assert!([3, 4, 5].iter().all(|&j| deferred.touches_job(j)));
+        assert!(!deferred.touches_job(6));
+
+        let phase2 = |extra: Vec<u32>| {
+            SchedEvent::Audit(AuditRecord::Phase2Mckp {
+                capacity_gpus: 4,
+                jobs: vec![7, 8],
+                extra,
+                curves: vec![(7, vec![1.0, 2.0])],
+                total_value: 2.0,
+                total_weight: 2,
+            })
+        };
+        assert_eq!(phase2(vec![2, 1]).cause(), None);
+        assert_eq!(phase2(vec![2, 0]).cause(), Some(DelayCause::MckpDenial));
+        // Job 8 logged no curve but is still in the knapsack.
+        let granted = phase2(vec![2, 1]);
+        assert!(granted.touches_job(7) && granted.touches_job(8));
+        assert!(!granted.touches_job(9));
     }
 }
 

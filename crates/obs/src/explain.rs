@@ -1,13 +1,18 @@
 //! The audited decision chain for one job (the last section of
 //! `lyra-bench why <job-id>`), reconstructed from a recorded event log.
 //!
-//! The audit trail records the *inputs* of every decision (SJF keys,
-//! MCKP values, placement costs, reclaim costs); this module replays a
-//! JSONL event log and narrates every event and decision that touched
-//! the requested job, in order.
+//! The audit trail records every decision's verdict (phase-1 rank and
+//! admission, phase-2 grant, placement pick, reclaim pick) and its
+//! inputs where the decision changed something: SJF estimates for the
+//! admitted ranks and the first deferred ones, an MCKP value curve for a
+//! launch or a resize, placement and reclaim costs always. This module
+//! replays a JSONL event log and narrates every event and decision that
+//! touched the requested job, in order. A line whose inputs were not
+//! logged says so rather than borrowing them from another epoch.
 
-use crate::event::{SchedEvent, TimedEvent};
+use crate::attribution::DelayCause;
 use crate::audit::AuditRecord;
+use crate::event::{SchedEvent, TimedEvent};
 
 /// Parses a JSONL event log (as produced by
 /// [`EventLog`](crate::log::EventLog)) back into timed events.
@@ -56,54 +61,72 @@ fn audit_line(rec: &AuditRecord, job: u64) -> Option<(String, String)> {
         AuditRecord::Phase1Order {
             capacity_gpus,
             order,
+            admitted,
+            estimates,
         } => {
-            let (rank, entry) = order
-                .iter()
-                .enumerate()
-                .find(|(_, e)| e.job == job)?;
-            let outcome = match entry.cause {
-                Some(c) => c.label(),
-                None if entry.admitted => "admitted",
-                None => "deferred",
+            let rank = order.iter().position(|&j| j == job)? as u32;
+            let is_admitted = admitted.binary_search(&rank).is_ok();
+            let inputs = match estimates.binary_search_by_key(&rank, |e| e.0) {
+                Ok(i) => {
+                    let (_, est_running_time_s, base_gpus) = estimates[i];
+                    format!(
+                        "est running time {est_running_time_s:.0}s, base {base_gpus} GPUs, capacity {capacity_gpus} GPUs"
+                    )
+                }
+                Err(_) => format!(
+                    "capacity {capacity_gpus} GPUs; estimates not logged past the first deferrals"
+                ),
+            };
+            let (outcome, verdict) = if is_admitted {
+                ("admitted", "admitted")
+            } else {
+                (DelayCause::GpuScarcity.label(), "deferred")
             };
             Some((
                 format!("phase-1 ordering/{outcome}"),
                 format!(
-                    "phase-1 ordering: rank {}/{} (est running time {:.0}s, base {} GPUs, capacity {} GPUs) -> {}",
+                    "phase-1 ordering: rank {}/{} ({inputs}) -> {verdict}",
                     rank + 1,
                     order.len(),
-                    entry.est_running_time_s,
-                    entry.base_gpus,
-                    capacity_gpus,
-                    if entry.admitted { "admitted" } else { "deferred" },
                 ),
             ))
         }
         AuditRecord::Phase2Mckp {
             capacity_gpus,
-            groups,
+            jobs,
+            extra,
+            curves,
             ..
         } => {
-            let g = groups.iter().find(|g| g.job == job)?;
-            let outcome = match g.cause {
-                Some(c) => c.label(),
-                None if g.chosen_extra > 0 => "granted",
-                None => "kept-base",
+            let granted = *extra.get(jobs.iter().position(|&j| j == job)?)?;
+            let outcome = if granted > 0 {
+                "granted"
+            } else {
+                DelayCause::MckpDenial.label()
             };
-            Some((
-                format!("phase-2 MCKP/{outcome}"),
-                format!(
-                    "phase-2 MCKP: {} flexible-demand options (JCT-reduction values {:?}) over {} leftover GPUs -> granted {} extra workers (value {:.1})",
-                    g.values.len(),
-                    g.values
-                        .iter()
-                        .map(|v| (v * 10.0).round() / 10.0)
-                        .collect::<Vec<_>>(),
-                    capacity_gpus,
-                    g.chosen_extra,
-                    g.chosen_value,
+            let text = match curves.iter().find(|(j, _)| *j == job) {
+                Some((_, values)) => {
+                    // Item k grants k + 1 extra workers; a grant past the
+                    // capped curve has no logged value.
+                    let value = match granted {
+                        0 => Some(0.0),
+                        k => values.get(k as usize - 1).copied(),
+                    };
+                    format!(
+                        "phase-2 MCKP: {} flexible-demand options (JCT-reduction values {:?}) over {capacity_gpus} leftover GPUs -> granted {granted} extra workers ({})",
+                        values.len(),
+                        values
+                            .iter()
+                            .map(|v| (v * 10.0).round() / 10.0)
+                            .collect::<Vec<_>>(),
+                        value.map_or("value not logged".to_string(), |v| format!("value {v:.1}")),
+                    )
+                }
+                None => format!(
+                    "phase-2 MCKP over {capacity_gpus} leftover GPUs -> granted {granted} extra workers (curve not logged: allocation unchanged)"
                 ),
-            ))
+            };
+            Some((format!("phase-2 MCKP/{outcome}"), text))
         }
         AuditRecord::PlacementDecision {
             job: j,
@@ -115,7 +138,7 @@ fn audit_line(rec: &AuditRecord, job: u64) -> Option<(String, String)> {
         } if *j == job => {
             let alts: Vec<String> = alternatives
                 .iter()
-                .map(|a| format!("s{}(free {})", a.server, a.free_gpus))
+                .map(|(server, free_gpus)| format!("s{server}(free {free_gpus})"))
                 .collect();
             Some(match chosen {
                 Some(server) => (
@@ -318,7 +341,7 @@ pub fn explain_job(events: &[TimedEvent], job: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{Phase1Entry, ReclaimCandidate};
+    use crate::audit::ReclaimCandidate;
     use crate::log::EventLog;
 
     #[test]
@@ -384,13 +407,9 @@ mod tests {
             60_000,
             SchedEvent::Audit(AuditRecord::Phase1Order {
                 capacity_gpus: 16,
-                order: vec![Phase1Entry {
-                    job: 42,
-                    est_running_time_s: 3600.0,
-                    base_gpus: 8,
-                    admitted: true,
-                    cause: None,
-                }],
+                order: vec![42],
+                admitted: vec![0],
+                estimates: vec![(0, 3600.0, 8)],
             }),
         );
         log.emit(
@@ -437,32 +456,96 @@ mod tests {
         assert!(explain_job(&events, 7).contains("0 events touched job 7"));
     }
 
+    /// A phase-2 record for job 1 alone: `extra` granted, with the value
+    /// curve when `curve` (a launch or resize epoch).
+    fn mckp(extra: u32, curve: Option<Vec<f64>>) -> SchedEvent {
+        SchedEvent::Audit(AuditRecord::Phase2Mckp {
+            capacity_gpus: 8,
+            jobs: vec![1],
+            extra: vec![extra],
+            curves: curve.map(|values| (1, values)).into_iter().collect(),
+            total_value: 0.0,
+            total_weight: extra,
+        })
+    }
+
     #[test]
     fn explain_collapses_repeated_decisions() {
+        // Five denials whose text differs from each neighbour: even ticks
+        // carry a curve with a different value, odd ticks carry none. The
+        // collapse is keyed on (kind, outcome), not on the rendered line.
         let mut log = EventLog::new();
         for tick in 0..5u64 {
-            log.emit(
-                tick * 60_000,
-                SchedEvent::Audit(AuditRecord::Phase2Mckp {
-                    capacity_gpus: 8,
-                    groups: vec![crate::audit::MckpGroupAudit {
-                        job: 1,
-                        values: vec![100.0 - tick as f64],
-                        chosen_extra: 0,
-                        chosen_value: 0.0,
-                        cause: Some(crate::attribution::DelayCause::MckpDenial),
-                    }],
-                    total_value: 0.0,
-                    total_weight: 0,
-                }),
-            );
+            let curve = (tick % 2 == 0).then(|| vec![100.0 - tick as f64]);
+            log.emit(tick * 60_000, mckp(0, curve));
         }
         let events = parse_log(&log.to_jsonl()).expect("parses");
         let text = explain_job(&events, 1);
         // First + elision note + last, not five near-identical lines.
-        assert_eq!(text.matches("phase-2 MCKP").count(), 2);
+        assert_eq!(text.matches("phase-2 MCKP").count(), 2, "{text}");
         assert!(text.contains("(3 similar decisions elided)"));
+        assert!(text.contains("values [100.0]"), "{text}");
+        assert!(text.contains("values [96.0]"), "{text}");
+        assert!(!text.contains("curve not logged"), "{text}");
         assert!(text.contains("5 events touched job 1"));
+    }
+
+    #[test]
+    fn explain_prints_a_curve_only_where_one_was_logged() {
+        // Launch with a grant of 2 (curve), the same grant kept (no
+        // curve), then a resize down to base (curve, denial).
+        let mut log = EventLog::new();
+        log.emit(0, mckp(2, Some(vec![10.0, 15.04, 17.5])));
+        log.emit(60_000, mckp(2, None));
+        log.emit(120_000, mckp(0, Some(vec![4.0, 6.0, 7.0])));
+        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let lines: Vec<String> = explain_job(&events, 1).lines().map(str::to_string).collect();
+        assert!(
+            lines[1].ends_with(
+                "phase-2 MCKP: 3 flexible-demand options (JCT-reduction values [10.0, 15.0, 17.5]) \
+                 over 8 leftover GPUs -> granted 2 extra workers (value 15.0)"
+            ),
+            "{lines:#?}"
+        );
+        assert!(
+            lines[2].ends_with(
+                "phase-2 MCKP over 8 leftover GPUs -> granted 2 extra workers \
+                 (curve not logged: allocation unchanged)"
+            ),
+            "{lines:#?}"
+        );
+        assert!(
+            lines[3].ends_with("-> granted 0 extra workers (value 0.0)"),
+            "{lines:#?}"
+        );
+        assert!(lines[3].contains("values [4.0, 6.0, 7.0]"), "{lines:#?}");
+    }
+
+    #[test]
+    fn explain_says_when_a_rank_has_no_logged_estimate() {
+        // Rank 1 is admitted, ranks 2 and 3 are deferred and only the
+        // first of them carries an estimate.
+        let mut log = EventLog::new();
+        log.emit(
+            0,
+            SchedEvent::Audit(AuditRecord::Phase1Order {
+                capacity_gpus: 4,
+                order: vec![7, 8, 9],
+                admitted: vec![0],
+                estimates: vec![(0, 50.0, 4), (1, 60.0, 8)],
+            }),
+        );
+        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let line = |job| explain_job(&events, job).lines().nth(1).unwrap_or("").to_string();
+        assert!(line(7).ends_with(
+            "phase-1 ordering: rank 1/3 (est running time 50s, base 4 GPUs, capacity 4 GPUs) -> admitted"
+        ));
+        assert!(line(8).ends_with(
+            "phase-1 ordering: rank 2/3 (est running time 60s, base 8 GPUs, capacity 4 GPUs) -> deferred"
+        ));
+        assert!(line(9).ends_with(
+            "phase-1 ordering: rank 3/3 (capacity 4 GPUs; estimates not logged past the first deferrals) -> deferred"
+        ));
     }
 
     #[test]
@@ -477,14 +560,9 @@ mod tests {
                 tick * 60_000,
                 SchedEvent::Audit(AuditRecord::Phase1Order {
                     capacity_gpus: 0,
-                    order: vec![Phase1Entry {
-                        job: 5,
-                        est_running_time_s: 100.0,
-                        base_gpus: 8,
-                        admitted,
-                        cause: (!admitted)
-                            .then_some(crate::attribution::DelayCause::GpuScarcity),
-                    }],
+                    order: vec![5],
+                    admitted: if admitted { vec![0] } else { vec![] },
+                    estimates: vec![(0, 100.0, 8)],
                 }),
             );
         }

@@ -82,9 +82,7 @@ pub use attribution::{
     render_job, render_top, summarize, AttributedInterval, AttributionSummary, CauseStat,
     DelayCause, JobAttribution,
 };
-pub use audit::{
-    AuditRecord, MckpGroupAudit, Phase1Entry, PlacementAlternative, ReclaimCandidate,
-};
+pub use audit::{AuditRecord, ReclaimCandidate};
 pub use chrome::{export_provenance_trace, validate_chrome_trace, ChromeTraceStats};
 pub use event::{SchedEvent, TimedEvent, KIND_NAMES};
 pub use explain::{explain_job, parse_log};

@@ -239,9 +239,7 @@ impl Drop for EventLog {
 mod tests {
     use super::*;
     use crate::attribution::DelayCause;
-    use crate::audit::{
-        AuditRecord, MckpGroupAudit, Phase1Entry, PlacementAlternative, ReclaimCandidate,
-    };
+    use crate::audit::{AuditRecord, ReclaimCandidate};
     use crate::event::KIND_NAMES;
 
     /// Variant name of an audit record. Exhaustive on purpose: a new
@@ -260,43 +258,33 @@ mod tests {
         vec![
             AuditRecord::Phase1Order {
                 capacity_gpus: 64,
-                order: vec![
-                    Phase1Entry {
-                        job: 3,
-                        est_running_time_s: 0.1 + 0.2,
-                        base_gpus: 8,
-                        admitted: true,
-                        cause: None,
-                    },
-                    Phase1Entry {
-                        job: u64::MAX,
-                        est_running_time_s: 1e21,
-                        base_gpus: 0,
-                        admitted: false,
-                        cause: Some(DelayCause::GpuScarcity),
-                    },
-                ],
+                order: vec![3, u64::MAX, 12],
+                admitted: vec![0],
+                estimates: vec![(0, 0.1 + 0.2, 8), (1, 1e21, 0)],
+            },
+            // Empty columns: nothing admitted, no estimates.
+            AuditRecord::Phase1Order {
+                capacity_gpus: 0,
+                order: vec![1],
+                admitted: vec![],
+                estimates: vec![],
             },
             AuditRecord::Phase2Mckp {
                 capacity_gpus: 16,
-                groups: vec![
-                    MckpGroupAudit {
-                        job: 4,
-                        values: vec![0.0, 1e-7, 2.5],
-                        chosen_extra: 2,
-                        chosen_value: 2.5,
-                        cause: None,
-                    },
-                    MckpGroupAudit {
-                        job: 5,
-                        values: vec![],
-                        chosen_extra: 0,
-                        chosen_value: -0.0,
-                        cause: Some(DelayCause::MckpDenial),
-                    },
-                ],
+                jobs: vec![4, 5],
+                extra: vec![2, 0],
+                curves: vec![(4, vec![0.0, 1e-7, 2.5]), (5, vec![])],
                 total_value: 2.5,
                 total_weight: 2,
+            },
+            // No allocation changed: every curve dropped.
+            AuditRecord::Phase2Mckp {
+                capacity_gpus: 0,
+                jobs: vec![6],
+                extra: vec![0],
+                curves: vec![],
+                total_value: -0.0,
+                total_weight: 0,
             },
             AuditRecord::PlacementDecision {
                 job: 6,
@@ -304,10 +292,7 @@ mod tests {
                 gpus: 1,
                 chosen: Some(9),
                 chosen_free_gpus: 1,
-                alternatives: vec![PlacementAlternative {
-                    server: 10,
-                    free_gpus: 7,
-                }],
+                alternatives: vec![(10, 7), (u32::MAX, 0)],
             },
             AuditRecord::PlacementDecision {
                 job: 7,

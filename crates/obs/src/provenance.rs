@@ -87,32 +87,11 @@ impl ProvenanceTracker {
             SchedEvent::Audit(rec) => match rec {
                 AuditRecord::Phase1Order { order, .. } => {
                     self.add(seq, time_ms, NodeKind::Rank, None);
-                    // Many jobs can share one chain predecessor (an
-                    // earlier rank node); dedup so each causal link
-                    // appears once.
-                    let prevs: BTreeSet<DecisionId> = order
-                        .iter()
-                        .filter_map(|e| self.pending_chain.get(&e.job).copied())
-                        .collect();
-                    for prev in prevs {
-                        self.graph.add_edge(prev, seq, EdgeKind::Rank);
-                    }
-                    for e in order {
-                        self.pending_chain.insert(e.job, seq);
-                    }
+                    self.chain_all(seq, order, EdgeKind::Rank);
                 }
-                AuditRecord::Phase2Mckp { groups, .. } => {
+                AuditRecord::Phase2Mckp { jobs, .. } => {
                     self.add(seq, time_ms, NodeKind::MckpVerdict, None);
-                    let prevs: BTreeSet<DecisionId> = groups
-                        .iter()
-                        .filter_map(|g| self.pending_chain.get(&g.job).copied())
-                        .collect();
-                    for prev in prevs {
-                        self.graph.add_edge(prev, seq, EdgeKind::MckpVerdict);
-                    }
-                    for g in groups {
-                        self.pending_chain.insert(g.job, seq);
-                    }
+                    self.chain_all(seq, jobs, EdgeKind::MckpVerdict);
                 }
                 AuditRecord::PlacementDecision { job, .. } => {
                     self.add(seq, time_ms, NodeKind::Placement, Some(*job));
@@ -188,6 +167,22 @@ impl ProvenanceTracker {
                 self.pending_chain.insert(*target, seq);
             }
             _ => {}
+        }
+    }
+
+    /// Links one per-epoch decision into the chain of every job it
+    /// lists. Many jobs can share one chain predecessor (an earlier rank
+    /// node); dedup so each causal link appears once.
+    fn chain_all(&mut self, seq: DecisionId, jobs: &[u64], kind: EdgeKind) {
+        let prevs: BTreeSet<DecisionId> = jobs
+            .iter()
+            .filter_map(|job| self.pending_chain.get(job).copied())
+            .collect();
+        for prev in prevs {
+            self.graph.add_edge(prev, seq, kind);
+        }
+        for &job in jobs {
+            self.pending_chain.insert(job, seq);
         }
     }
 
@@ -386,7 +381,7 @@ pub fn blame_from_log(events: &[TimedEvent], top: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{Phase1Entry, ReclaimCandidate};
+    use crate::audit::ReclaimCandidate;
 
     fn timed(events: Vec<(u64, SchedEvent)>) -> Vec<TimedEvent> {
         events
@@ -413,13 +408,9 @@ mod tests {
                 1000,
                 SchedEvent::Audit(AuditRecord::Phase1Order {
                     capacity_gpus: 8,
-                    order: vec![Phase1Entry {
-                        job: 1,
-                        est_running_time_s: 60.0,
-                        base_gpus: 2,
-                        admitted: true,
-                        cause: None,
-                    }],
+                    order: vec![1],
+                    admitted: vec![0],
+                    estimates: vec![(0, 60.0, 2)],
                 }),
             ),
             // 3: placement

@@ -44,8 +44,9 @@ use std::path::Path;
 /// store (counters and job-duration histograms) and dropped the hourly
 /// snapshots; version 8 moved the observer into `lyra_obs::Observer`
 /// (log cursor plus one tracker record) and dropped the event-log ring,
-/// so a sink run carries no log lines.
-pub const CHECKPOINT_VERSION: u32 = 8;
+/// so a sink run carries no log lines; version 9 made the phase-1,
+/// phase-2 and placement audit records columnar verdict records.
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";
