@@ -152,6 +152,28 @@ pub struct ClusterState {
     usage_training: (u32, u32),
     /// Same as `usage_training` for whitelisted OnLoan servers.
     usage_on_loan: (u32, u32),
+    /// Derived index: GPUs on whitelisted servers hosting no workers —
+    /// the gang-friendly free capacity. Kept in lockstep by every mutator
+    /// (checked by [`ClusterState::audit`]) so
+    /// [`ClusterState::fragmentation_index`] is O(1).
+    empty_gpus: u32,
+    /// Derived index: GPUs used on loaned *Flexible*-group servers. Kept
+    /// in lockstep by every mutator (checked by [`ClusterState::audit`])
+    /// so [`ClusterState::flexible_gpu_usage`] is O(1). Only occupied
+    /// loaned servers carry a Flexible label: `allocate` sets it on an
+    /// OnLoan server and `Server::release`/`Server::evict` clear it once
+    /// the server empties.
+    flexible_used: u32,
+}
+
+/// The share of `free` GPUs stranded off the `on_empty` ones sitting on
+/// empty servers; `0.0` when nothing is free.
+fn stranded_share(on_empty: u32, free: u32) -> f64 {
+    if free == 0 {
+        0.0
+    } else {
+        1.0 - f64::from(on_empty) / f64::from(free)
+    }
 }
 
 impl ClusterState {
@@ -185,6 +207,8 @@ impl ClusterState {
             occupancy: BTreeMap::new(),
             usage_training: (0, config.training_servers * config.gpus_per_server),
             usage_on_loan: (0, 0),
+            empty_gpus: config.training_servers * config.gpus_per_server,
+            flexible_used: 0,
             config,
         }
     }
@@ -280,8 +304,30 @@ impl ClusterState {
     /// GPUs currently used by workers on loaned *Flexible*-group
     /// servers — the capacity that §5.3 can hand back preemption-free.
     /// Telemetry samples this per epoch as the `flexible` slice of the
-    /// utilization split.
+    /// utilization split. O(1) from the eagerly-maintained counter.
     pub fn flexible_gpu_usage(&self) -> u32 {
+        self.flexible_used
+    }
+
+    /// Fragmentation index over the whitelisted servers: the fraction
+    /// of free GPUs stranded on *partially occupied* servers, `0.0`
+    /// (every free GPU sits on an empty server — gang-friendly) to
+    /// `1.0` (all free capacity is slivers no full-server gang fits
+    /// in). `0.0` when nothing is free. O(1): the free GPUs come from
+    /// the pool usage counters, the ones on empty servers from their
+    /// own counter.
+    pub fn fragmentation_index(&self) -> f64 {
+        let free = |(used, total): (u32, u32)| total - used;
+        stranded_share(
+            self.empty_gpus,
+            free(self.usage_training) + free(self.usage_on_loan),
+        )
+    }
+
+    /// [`Self::flexible_gpu_usage`] the direct way: a walk over the loan
+    /// ledger. The oracle its counter is tested against.
+    #[cfg(test)]
+    fn flexible_gpu_usage_walk(&self) -> u32 {
         self.loaned
             .iter()
             .filter_map(|id| self.servers.get(id))
@@ -290,12 +336,11 @@ impl ClusterState {
             .sum()
     }
 
-    /// Fragmentation index over the whitelisted servers: the fraction
-    /// of free GPUs stranded on *partially occupied* servers, `0.0`
-    /// (every free GPU sits on an empty server — gang-friendly) to
-    /// `1.0` (all free capacity is slivers no full-server gang fits
-    /// in). `0.0` when nothing is free.
-    pub fn fragmentation_index(&self) -> f64 {
+    /// The inputs of [`Self::fragmentation_index`] the direct way, by a
+    /// walk over the whitelist: `(free GPUs on empty servers, all free
+    /// GPUs)`. The oracle its counters are tested against.
+    #[cfg(test)]
+    fn fragmentation_walk(&self) -> (u32, u32) {
         let mut free_total = 0u32;
         let mut free_on_empty = 0u32;
         for id in &self.whitelist {
@@ -308,11 +353,7 @@ impl ClusterState {
                 free_on_empty += free;
             }
         }
-        if free_total == 0 {
-            0.0
-        } else {
-            1.0 - f64::from(free_on_empty) / f64::from(free_total)
-        }
+        (free_on_empty, free_total)
     }
 
     /// Whether `id` is currently down (crashed).
@@ -338,7 +379,8 @@ impl ClusterState {
             .get_mut(&id)
             .ok_or(ClusterError::UnknownServer(id))?;
         let victims: Vec<(JobId, u32)> = s.jobs().collect();
-        let (pool, total) = (s.pool, s.total_gpus);
+        // Read the group before the evictions reset it.
+        let (pool, total, flexible) = (s.pool, s.total_gpus, s.group == ServerGroup::Flexible);
         for (job, _) in &victims {
             s.evict(*job);
         }
@@ -350,6 +392,12 @@ impl ClusterState {
             let u = self.usage_mut(pool);
             u.0 -= victim_gpus;
             u.1 -= total;
+            if victims.is_empty() {
+                self.empty_gpus -= total;
+            }
+            if flexible {
+                self.flexible_used -= victim_gpus;
+            }
         }
         self.loaned.remove(&id);
         self.idle_loaned.remove(&id);
@@ -373,9 +421,11 @@ impl ClusterState {
         let total = s.total_gpus;
         if s.gpu_type == GpuType::V100 {
             s.pool = PoolKind::Training;
-            // Down servers host no workers, so only the capacity returns.
+            // Down servers host no workers, so only the capacity returns,
+            // all of it free on an empty server.
             if self.whitelist.insert(id) {
                 self.usage_training.1 += total;
+                self.empty_gpus += total;
             }
         }
         self.debug_audit();
@@ -396,8 +446,9 @@ impl ClusterState {
     ///   set names an existing server;
     /// * the derived indices agree with the servers: the idle-loan index
     ///   holds exactly the empty loaned servers, the job-footprint index
-    ///   equals a rebuild from every server's job table, and the pool
-    ///   usage counters equal a whitelist walk.
+    ///   equals a rebuild from every server's job table, the pool usage
+    ///   counters and the empty-server GPU counter equal a whitelist
+    ///   walk, and the Flexible-usage counter equals a loan-ledger walk.
     ///
     /// One pass over the servers in id order, with the four id sets
     /// stepped alongside as cursors, then one pass over the footprint
@@ -420,6 +471,7 @@ impl ClusterState {
         ];
         let mut training = (0u32, 0u32);
         let mut on_loan = (0u32, 0u32);
+        let (mut empty_gpus, mut flexible_used) = (0u32, 0u32);
         let mut placements = 0usize;
         for (&id, s) in &self.servers {
             let mut member = [false; 4];
@@ -479,6 +531,12 @@ impl ClusterState {
                 };
                 slot.0 += used;
                 slot.1 += s.total_gpus;
+                if empty {
+                    empty_gpus += s.total_gpus;
+                }
+            }
+            if loaned && s.group == ServerGroup::Flexible {
+                flexible_used += used;
             }
         }
         for (set, mut cursor) in sets {
@@ -491,6 +549,13 @@ impl ClusterState {
                 "pool GPU-usage counters out of lockstep: training {:?} vs {:?}, \
                  on-loan {:?} vs {:?}",
                 self.usage_training, training, self.usage_on_loan, on_loan
+            ));
+        }
+        if (empty_gpus, flexible_used) != (self.empty_gpus, self.flexible_used) {
+            return violation(format!(
+                "gauge counters out of lockstep: empty-server GPUs {} vs {empty_gpus}, \
+                 Flexible GPUs used {} vs {flexible_used}",
+                self.empty_gpus, self.flexible_used
             ));
         }
         // Every placement matched its host entry above. With no empty or
@@ -613,6 +678,16 @@ impl ClusterState {
                 self.usage_training, training, self.usage_on_loan, on_loan
             ));
         }
+        // The gauge counters must equal the walks they replaced.
+        let (empty_gpus, flexible_used) =
+            (self.fragmentation_walk().0, self.flexible_gpu_usage_walk());
+        if (empty_gpus, flexible_used) != (self.empty_gpus, self.flexible_used) {
+            return violation(format!(
+                "gauge counters out of lockstep: empty-server GPUs {} vs {empty_gpus}, \
+                 Flexible GPUs used {} vs {flexible_used}",
+                self.empty_gpus, self.flexible_used
+            ));
+        }
         Ok(())
     }
 
@@ -657,6 +732,7 @@ impl ClusterState {
                 s.group = ServerGroup::Unassigned;
                 let total = s.total_gpus;
                 self.usage_on_loan.1 += total;
+                self.empty_gpus += total;
             }
         }
         self.debug_audit();
@@ -681,9 +757,10 @@ impl ClusterState {
         for id in ids {
             let total = self.servers.get(id).map_or(0, |s| s.total_gpus);
             // Returned servers are validated empty above, so only the
-            // capacity leaves the counter.
+            // capacity leaves the counters.
             if self.whitelist.remove(id) {
                 self.usage_on_loan.1 -= total;
+                self.empty_gpus -= total;
             }
             self.loaned.remove(id);
             self.idle_loaned.remove(id);
@@ -721,11 +798,19 @@ impl ClusterState {
         for (id, workers) in assignment {
             let gpus = workers * gpus_per_worker;
             let s = self.servers.get_mut(id).expect("validated above");
+            let was_empty = s.is_empty();
             s.allocate(job, gpus).map_err(ClusterError::Occupancy)?;
             if s.pool == PoolKind::OnLoan && s.group == ServerGroup::Unassigned {
                 s.group = group;
             }
             let pool = s.pool;
+            // The server is whitelisted (validated) and now occupied.
+            if was_empty {
+                self.empty_gpus -= s.total_gpus;
+            }
+            if s.group == ServerGroup::Flexible {
+                self.flexible_used += gpus;
+            }
             self.occupancy_add(job, *id, gpus);
             self.usage_mut(pool).0 += gpus;
             // No-op unless the server was an idle loaner.
@@ -759,9 +844,18 @@ impl ClusterState {
         for (id, workers) in assignment {
             let gpus = workers * gpus_per_worker;
             let s = self.servers.get_mut(id).expect("validated above");
+            // Read the group before the release resets it.
+            let (was_empty, flexible) = (s.is_empty(), s.group == ServerGroup::Flexible);
             s.release(job, gpus).map_err(ClusterError::Occupancy)?;
             let now_empty = s.is_empty();
             let pool = s.pool;
+            // An occupied server is whitelisted (audited invariant).
+            if now_empty && !was_empty {
+                self.empty_gpus += s.total_gpus;
+            }
+            if flexible {
+                self.flexible_used -= gpus;
+            }
             self.occupancy_remove(job, *id, gpus);
             self.usage_mut(pool).0 -= gpus;
             if now_empty && self.loaned.contains(id) {
@@ -780,7 +874,8 @@ impl ClusterState {
             .get_mut(&id)
             .ok_or(ClusterError::UnknownServer(id))?;
         let jobs: Vec<(JobId, u32)> = s.jobs().collect();
-        let pool = s.pool;
+        // Read the group before the evictions reset it.
+        let (pool, total, flexible) = (s.pool, s.total_gpus, s.group == ServerGroup::Flexible);
         for (job, _) in &jobs {
             s.evict(*job);
         }
@@ -788,10 +883,17 @@ impl ClusterState {
             self.occupancy_remove(job, id, gpus);
         }
         // Occupied servers are always whitelisted (audited invariant),
-        // so the freed GPUs leave the pool counter; an empty server
-        // frees nothing.
+        // so the freed GPUs leave the pool counter and the server's
+        // whole capacity becomes free GPUs on an empty server; an empty
+        // server frees nothing.
         let freed: u32 = jobs.iter().map(|&(_, g)| g).sum();
         self.usage_mut(pool).0 -= freed;
+        if !jobs.is_empty() {
+            self.empty_gpus += total;
+        }
+        if flexible {
+            self.flexible_used -= freed;
+        }
         if self.loaned.contains(&id) {
             self.idle_loaned.insert(id);
         }
@@ -812,8 +914,16 @@ impl ClusterState {
             let Some(s) = self.servers.get_mut(&sid) else {
                 continue;
             };
+            // Read the group before the eviction resets it.
+            let (was_empty, flexible) = (s.is_empty(), s.group == ServerGroup::Flexible);
             let g = s.evict(job);
             let pool = s.pool;
+            if s.is_empty() && !was_empty {
+                self.empty_gpus += s.total_gpus;
+            }
+            if flexible {
+                self.flexible_used -= g;
+            }
             if g > 0 {
                 freed.push((sid, g));
                 self.usage_mut(pool).0 -= g;
@@ -1130,6 +1240,60 @@ mod tests {
     }
 
     #[test]
+    fn gauge_counters_match_walks_over_a_seeded_history() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut c = ClusterState::new(ClusterConfig {
+            training_servers: 4,
+            inference_servers: 6,
+            gpus_per_server: 8,
+            speed: SpeedFactors::default(),
+        });
+        let (mut flexible_seen, mut fragmented_seen) = (false, false);
+        for step in 0..3000 {
+            // Server 10 does not exist; refused operations change nothing.
+            let id = ServerId(rng.gen_range(0..11));
+            let job = JobId(rng.gen_range(0..6));
+            let n = rng.gen_range(1..4);
+            let _ = match rng.gen_range(0..10) {
+                0 => c.loan(n).map(drop),
+                1 | 2 => c.allocate(job, &[(id, n)], 2, ServerGroup::Base),
+                3 => c.allocate(job, &[(id, n)], 2, ServerGroup::Flexible),
+                4 => {
+                    let held = c.server(id).map_or(0, |s| s.gpus_of(job)) / 2;
+                    c.release(job, &[(id, rng.gen_range(0..=held))], 2)
+                }
+                5 => c.vacate_server(id).map(drop),
+                6 => {
+                    c.evict_job(job);
+                    Ok(())
+                }
+                7 => c.crash_server(id).map(drop),
+                8 => c.recover_server(id),
+                _ => c.return_servers(&[id]),
+            };
+            assert_eq!(
+                c.flexible_gpu_usage(),
+                c.flexible_gpu_usage_walk(),
+                "step {step}"
+            );
+            let (on_empty, free) = c.fragmentation_walk();
+            assert_eq!(c.empty_gpus, on_empty, "step {step}");
+            assert_eq!(
+                c.fragmentation_index().to_bits(),
+                stranded_share(on_empty, free).to_bits(),
+                "step {step}"
+            );
+            flexible_seen |= c.flexible_gpu_usage() > 0;
+            fragmented_seen |= c.fragmentation_index() > 0.0;
+        }
+        assert!(
+            flexible_seen && fragmented_seen,
+            "the history reached both gauges"
+        );
+    }
+
+    #[test]
     fn audit_accepts_all_legal_histories() {
         let mut c = small();
         c.audit().expect("fresh state is consistent");
@@ -1172,6 +1336,9 @@ mod tests {
         TrainingTotal,
         OnLoanUsed,
         OnLoanTotal,
+        /// The two gauge counters, each one too high.
+        EmptyGpus,
+        FlexibleUsed,
         /// Takes an idle loaner, and its capacity, off the whitelist.
         LoanedNotWhitelisted,
         /// Puts a dedicated V100 server on the loan ledger.
@@ -1194,7 +1361,7 @@ mod tests {
     }
 
     impl Corruption {
-        const ALL: [Corruption; 22] = [
+        const ALL: [Corruption; 24] = [
             Corruption::DropHost,
             Corruption::AddHost,
             Corruption::WrongHostGpus,
@@ -1207,6 +1374,8 @@ mod tests {
             Corruption::TrainingTotal,
             Corruption::OnLoanUsed,
             Corruption::OnLoanTotal,
+            Corruption::EmptyGpus,
+            Corruption::FlexibleUsed,
             Corruption::LoanedNotWhitelisted,
             Corruption::LoanedV100,
             Corruption::DownWhitelisted,
@@ -1275,10 +1444,13 @@ mod tests {
                 TrainingTotal => c.usage_training.1 += 1,
                 OnLoanUsed => c.usage_on_loan.0 += 1,
                 OnLoanTotal => c.usage_on_loan.1 += 1,
+                EmptyGpus => c.empty_gpus += 1,
+                FlexibleUsed => c.flexible_used += 1,
                 LoanedNotWhitelisted | DownLoaned => {
                     if let Some(id) = pick_server(c, pick, |c, s| c.idle_loaned.contains(&s.id)) {
                         c.whitelist.remove(&id);
                         c.usage_on_loan.1 -= c.servers[&id].total_gpus;
+                        c.empty_gpus -= c.servers[&id].total_gpus;
                         if matches!(self, DownLoaned) {
                             c.down.insert(id);
                         }
@@ -1425,6 +1597,8 @@ mod tests {
         audit_rejects_training_total_off_by_one: TrainingTotal => "pool GPU-usage counters",
         audit_rejects_on_loan_used_off_by_one: OnLoanUsed => "pool GPU-usage counters",
         audit_rejects_on_loan_total_off_by_one: OnLoanTotal => "pool GPU-usage counters",
+        audit_rejects_empty_gpus_off_by_one: EmptyGpus => "empty-server GPUs 9 vs 8",
+        audit_rejects_flexible_used_off_by_one: FlexibleUsed => "Flexible GPUs used 1 vs 0",
         audit_rejects_loaned_not_whitelisted: LoanedNotWhitelisted => "loaned server-3 is not whitelisted",
         audit_rejects_loaned_v100: LoanedV100 => "loaned server-0 is a dedicated training server",
         audit_rejects_down_whitelisted: DownWhitelisted => "down server-0 is still whitelisted",

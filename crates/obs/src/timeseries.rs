@@ -255,13 +255,16 @@ impl Telemetry {
         self.epochs += 1;
     }
 
-    /// Samples gauge `name` at `t_ms`, creating the series on first use.
+    /// Samples gauge `name` at `t_ms`, creating the series on first use
+    /// (the only time the name is allocated).
     pub fn sample_gauge(&mut self, name: &str, t_ms: u64, value: f64) {
-        let cap = self.capacity;
-        self.series
-            .entry(name.to_string())
-            .or_insert_with(|| RingSeries::new(cap))
-            .record(t_ms, value);
+        if let Some(series) = self.series.get_mut(name) {
+            series.record(t_ms, value);
+        } else {
+            let mut series = RingSeries::new(self.capacity);
+            series.record(t_ms, value);
+            self.series.insert(name.to_string(), series);
+        }
     }
 
     /// Increments the cumulative counter `name` by one, creating it on
@@ -322,8 +325,14 @@ impl Telemetry {
             ("rate.reclaims", "cluster.reclaim.ops"),
         ] {
             let cumulative = self.counter(counter);
-            let prev = self.prev_counters.insert(rate.to_string(), cumulative);
-            let delta = cumulative.saturating_sub(prev.unwrap_or(0));
+            let prev = match self.prev_counters.get_mut(rate) {
+                Some(prev) => std::mem::replace(prev, cumulative),
+                None => {
+                    self.prev_counters.insert(rate.to_string(), cumulative);
+                    0
+                }
+            };
+            let delta = cumulative.saturating_sub(prev);
             self.sample_gauge(rate, t_ms, delta as f64);
         }
     }

@@ -45,8 +45,10 @@ use std::path::Path;
 /// snapshots; version 8 moved the observer into `lyra_obs::Observer`
 /// (log cursor plus one tracker record) and dropped the event-log ring,
 /// so a sink run carries no log lines; version 9 made the phase-1,
-/// phase-2 and placement audit records columnar verdict records.
-pub const CHECKPOINT_VERSION: u32 = 9;
+/// phase-2 and placement audit records columnar verdict records;
+/// version 10 added the cluster state's gauge counters (`empty_gpus`,
+/// `flexible_used`).
+pub const CHECKPOINT_VERSION: u32 = 10;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

@@ -428,6 +428,10 @@ pub struct Simulation {
     /// the `Launch` arm, `rescale` and `leave_running` so the per-epoch
     /// demand check is O(1) instead of a walk over the running set.
     elastic_headroom_gpus: u64,
+    /// Σ workers over running elastic jobs — the `elastic.workers`
+    /// gauge. Maintained alongside `elastic_headroom_gpus` so the
+    /// per-epoch sample is O(1).
+    elastic_workers: u32,
     /// Attached observability (event log + telemetry + audit); `None`
     /// keeps the hot path free of instrumentation.
     observer: Option<Observer>,
@@ -465,6 +469,16 @@ impl Simulation {
     fn headroom_gpus(j: &SimJob) -> u64 {
         if j.spec.is_elastic() && j.spec.fungible {
             u64::from(j.spec.w_max().saturating_sub(j.workers) * j.spec.gpus_per_worker)
+        } else {
+            0
+        }
+    }
+
+    /// Workers a *running* job adds to the `elastic.workers` gauge: all
+    /// of them if it is elastic. Callers only count running jobs.
+    fn elastic_workers_of(j: &SimJob) -> u32 {
+        if j.spec.is_elastic() {
+            j.workers
         } else {
             0
         }
@@ -531,6 +545,7 @@ impl Simulation {
             pending_fungible_gpus: 0,
             running_jobs: std::collections::BTreeSet::new(),
             elastic_headroom_gpus: 0,
+            elastic_workers: 0,
             observer: None,
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
@@ -1054,6 +1069,7 @@ impl Simulation {
                     ));
                 }
                 self.elastic_headroom_gpus += Self::headroom_gpus(&self.jobs[idx]);
+                self.elastic_workers += Self::elastic_workers_of(&self.jobs[idx]);
                 self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
                 self.reschedule_finish(idx);
                 if self.observer.is_some() {
@@ -1196,6 +1212,7 @@ impl Simulation {
     ) -> Result<f64, SimError> {
         let now = self.now_s;
         let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
+        let elastic_before = Self::elastic_workers_of(&self.jobs[idx]);
         let delta: u32 = change.iter().map(|(_, w)| w).sum();
         let j = &mut self.jobs[idx];
         j.sync(now);
@@ -1237,6 +1254,8 @@ impl Simulation {
         self.scaling_ops += 1;
         self.elastic_headroom_gpus =
             self.elastic_headroom_gpus - headroom_before + Self::headroom_gpus(&self.jobs[idx]);
+        self.elastic_workers =
+            self.elastic_workers - elastic_before + Self::elastic_workers_of(&self.jobs[idx]);
         self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
         self.reschedule_finish(idx);
         Ok(pause)
@@ -1302,6 +1321,7 @@ impl Simulation {
     fn leave_running(&mut self, idx: usize) {
         if self.running_jobs.remove(&idx) {
             self.elastic_headroom_gpus -= Self::headroom_gpus(&self.jobs[idx]);
+            self.elastic_workers -= Self::elastic_workers_of(&self.jobs[idx]);
         }
         for (sid, _) in &self.jobs[idx].placement {
             self.cache.dirty_servers.insert(*sid);
@@ -1711,7 +1731,8 @@ impl Simulation {
 
     /// Hands the epoch's scheduler-health gauges to the observer, after
     /// all of the epoch's bookkeeping (no-op without an observer). Every
-    /// gauge is simulated or modelled, never wall-clock.
+    /// gauge is simulated or modelled, never wall-clock, and each is an
+    /// O(1) read of a counter kept by the state transitions.
     fn observe_epoch(&mut self, launches: u32) {
         if self.observer.is_none() {
             return;
@@ -1727,13 +1748,6 @@ impl Simulation {
                 f64::from(used) / f64::from(total)
             }
         };
-        let elastic_workers: u32 = self
-            .running_jobs
-            .iter()
-            .map(|&i| &self.jobs[i])
-            .filter(|j| j.spec.is_elastic())
-            .map(|j| j.workers)
-            .sum();
         let carry_servers = self.reclaim_ledger.carry().map_or(0, |c| c.servers);
         let flex_used = self.cluster.flexible_gpu_usage();
         let loaned = self.cluster.loaned_count();
@@ -1744,7 +1758,7 @@ impl Simulation {
             ("queue.depth", self.queue.len() as f64),
             ("queue.gpus", self.pending_gpus as f64),
             ("jobs.running", self.running_jobs.len() as f64),
-            ("elastic.workers", f64::from(elastic_workers)),
+            ("elastic.workers", f64::from(self.elastic_workers)),
             ("cluster.loaned_servers", f64::from(loaned)),
             ("reclaim.carry_servers", f64::from(carry_servers)),
             ("frag.index", self.cluster.fragmentation_index()),
@@ -1788,8 +1802,8 @@ impl Simulation {
 
     /// The derived indexes recomputed from scratch out of the queue and
     /// the job states: `(pending_gpus, pending_fungible_gpus,
-    /// running_jobs, elastic_headroom_gpus)`.
-    fn recount(&self) -> (u64, u64, std::collections::BTreeSet<usize>, u64) {
+    /// running_jobs, elastic_headroom_gpus, elastic_workers)`.
+    fn recount(&self) -> (u64, u64, std::collections::BTreeSet<usize>, u64, u32) {
         let mut all: u64 = 0;
         let mut fungible: u64 = 0;
         for &i in &self.queue {
@@ -1804,14 +1818,19 @@ impl Simulation {
             .map(|(i, _)| i)
             .collect();
         let headroom = running.iter().map(|&i| Self::headroom_gpus(&self.jobs[i])).sum();
-        (all, fungible, running, headroom)
+        let elastic = running
+            .iter()
+            .map(|&i| Self::elastic_workers_of(&self.jobs[i]))
+            .sum();
+        (all, fungible, running, headroom, elastic)
     }
 
-    /// Debug-build cross-check: the loan-demand counters and the
-    /// running-job index must equal a from-scratch [`recount`](Self::recount).
+    /// Debug-build cross-check: the loan-demand counters, the running-job
+    /// index and the elastic-worker gauge must equal a from-scratch
+    /// [`recount`](Self::recount).
     #[cfg(debug_assertions)]
     fn debug_check_demand_counters(&self) {
-        let (all, fungible, running, headroom) = self.recount();
+        let (all, fungible, running, headroom, elastic) = self.recount();
         assert_eq!(
             (all, fungible),
             (self.pending_gpus, self.pending_fungible_gpus),
@@ -1824,6 +1843,10 @@ impl Simulation {
         assert_eq!(
             headroom, self.elastic_headroom_gpus,
             "elastic-headroom counter drifted from the running set"
+        );
+        assert_eq!(
+            elastic, self.elastic_workers,
+            "elastic-worker counter drifted from the running set"
         );
     }
 
@@ -2127,6 +2150,7 @@ impl Simulation {
             self.pending_fungible_gpus,
             self.running_jobs,
             self.elastic_headroom_gpus,
+            self.elastic_workers,
         ) = self.recount();
         // The snapshot cache starts cold (servers and running views are
         // rebuilt at the first refresh), but `enqueue` maintains the
@@ -2523,5 +2547,42 @@ mod tests {
             kind: EventKind::Arrival(0),
         };
         assert!(c < a && a < b);
+    }
+
+    #[test]
+    fn elastic_worker_counter_survives_a_checkpoint_restore() {
+        use crate::checkpoint::SimCheckpoint;
+        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
+        use crate::scenario::{build_simulation, generators};
+        // The faulted golden scenario, killed at several points.
+        let (jobs, inf) = generators::tiny_traces(13);
+        let mut busiest = 0;
+        for kill_s in [5_000.0, 20_000.0, 40_000.0, 60_000.0] {
+            let mut scenario = generators::tiny_basic(13);
+            let mut plan = FaultPlan::generate(&FaultConfig::moderate(2.0 * 86_400.0), 16, 13);
+            plan.events.push(FaultEvent {
+                time_s: kill_s,
+                kind: FaultKind::SchedulerCrash,
+            });
+            scenario.faults = Some(plan);
+            let sim = build_simulation(&scenario, &jobs, &inf).expect("build");
+            let RunOutcome::Crashed(state) = sim.run_to_outcome(&scenario.name).expect("run")
+            else {
+                panic!("the kill at {kill_s} s lands before the run ends");
+            };
+            let restored = SimCheckpoint::new(scenario, jobs.clone(), inf.clone(), *state)
+                .into_simulation()
+                .expect("restore");
+            let walk: u32 = restored
+                .running_jobs
+                .iter()
+                .map(|&i| &restored.jobs[i])
+                .filter(|j| j.spec.is_elastic())
+                .map(|j| j.workers)
+                .sum();
+            assert_eq!(restored.elastic_workers, walk, "kill at {kill_s} s");
+            busiest = busiest.max(walk);
+        }
+        assert!(busiest > 0, "some kill lands while elastic jobs run");
     }
 }

@@ -42,11 +42,7 @@ pub fn bootstrap_trace(base: &JobTrace, days: u32, seed: u64) -> JobTrace {
             }
         }
     }
-    jobs.sort_by(|a, b| {
-        a.submit_time_s
-            .partial_cmp(&b.submit_time_s)
-            .expect("no NaN submit times")
-    });
+    jobs.sort_by(|a, b| a.submit_time_s.total_cmp(&b.submit_time_s));
     for (i, job) in jobs.iter_mut().enumerate() {
         job.id = JobId(i as u64);
     }

@@ -140,7 +140,7 @@ impl InferenceTrace {
     /// `(trough, peak)` as the 1st / 99th percentiles, robust to bursts.
     pub fn trough_peak(&self) -> (f64, f64) {
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in trace"));
+        sorted.sort_by(f64::total_cmp);
         let p = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
         (p(0.01), p(0.99))
     }
@@ -157,7 +157,7 @@ impl InferenceTrace {
         if ups.is_empty() {
             return 0.0;
         }
-        ups.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        ups.sort_by(f64::total_cmp);
         ups[ups.len() / 2]
     }
 }

@@ -124,9 +124,10 @@ pub fn jobs_to_csv(trace: &JobTrace) -> String {
 /// # Errors
 ///
 /// [`TraceIoError::BadHeader`] for a foreign header;
-/// [`TraceIoError::BadRow`] for a malformed field, an invalid elasticity
-/// range, `gpus_per_worker = 0`, or a row whose largest GPU demand
-/// (`max(demand, w_max) × gpus_per_worker`) does not fit in `u32`.
+/// [`TraceIoError::BadRow`] for a malformed field, a `submit_s` or
+/// `min_running_time_s` that is negative or not finite, an invalid
+/// elasticity range, `gpus_per_worker = 0`, or a row whose largest GPU
+/// demand (`max(demand, w_max) × gpus_per_worker`) does not fit in `u32`.
 pub fn jobs_from_csv(csv: &str, config: TraceConfig) -> Result<JobTrace, TraceIoError> {
     let mut lines = csv.lines().enumerate();
     match lines.next() {
@@ -151,19 +152,21 @@ pub fn jobs_from_csv(csv: &str, config: TraceConfig) -> Result<JobTrace, TraceIo
             s.parse::<u32>()
                 .map_err(|_| bad(&format!("bad {what}: {s}")))
         };
-        let parse_f64 = |s: &str, what: &str| {
-            s.parse::<f64>()
-                .map_err(|_| bad(&format!("bad {what}: {s}")))
+        // Times are seconds: NaN, ±inf or a negative value would reorder
+        // the trace or poison every duration derived from it.
+        let parse_seconds = |s: &str, what: &str| match s.parse::<f64>() {
+            Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+            _ => Err(bad(&format!("bad {what}: {s}"))),
         };
         let id = fields[0]
             .parse::<u64>()
             .map_err(|_| bad(&format!("bad id: {}", fields[0])))?;
-        let submit = parse_f64(fields[1], "submit_s")?;
+        let submit = parse_seconds(fields[1], "submit_s")?;
         let gpw = parse_u32(fields[2], "gpus_per_worker")?;
         let demand = parse_u32(fields[3], "demand")?;
         let w_min = parse_u32(fields[4], "w_min")?;
         let w_max = parse_u32(fields[5], "w_max")?;
-        let min_rt = parse_f64(fields[6], "min_running_time_s")?;
+        let min_rt = parse_seconds(fields[6], "min_running_time_s")?;
         let flag = |s: &str, what: &str| match s {
             "0" => Ok(false),
             "1" => Ok(true),
@@ -222,6 +225,13 @@ pub fn utilization_to_csv(trace: &InferenceTrace) -> String {
 }
 
 /// Parses a utilisation trace from CSV produced by [`utilization_to_csv`].
+///
+/// # Errors
+///
+/// [`TraceIoError::BadHeader`] for a foreign header;
+/// [`TraceIoError::BadRow`] for a row without two fields or a
+/// utilisation that is not a number in `[0, 1]` (NaN and ±inf
+/// included).
 pub fn utilization_from_csv(
     csv: &str,
     config: InferenceTraceConfig,
@@ -241,10 +251,15 @@ pub fn utilization_from_csv(
             line: i + 1,
             reason: "expected 2 fields".to_string(),
         })?;
-        samples.push(v.parse::<f64>().map_err(|_| TraceIoError::BadRow {
-            line: i + 1,
-            reason: format!("bad utilization: {v}"),
-        })?);
+        match v.parse::<f64>() {
+            Ok(u) if (0.0..=1.0).contains(&u) => samples.push(u),
+            _ => {
+                return Err(TraceIoError::BadRow {
+                    line: i + 1,
+                    reason: format!("bad utilization: {v}"),
+                })
+            }
+        }
     }
     Ok(InferenceTrace { config, samples })
 }
@@ -354,6 +369,70 @@ mod tests {
         let csv = format!("{JOB_HEADER}\n0,0,65535,65537,0,0,10,0,0,0,generic,linear\n");
         let trace = jobs_from_csv(&csv, TraceConfig::small(1)).expect("fits in u32");
         assert_eq!(trace.jobs[0].max_gpus(), u32::MAX);
+    }
+
+    #[test]
+    fn non_finite_or_negative_submit_time_rejected() {
+        for submit in ["NaN", "inf", "-inf", "-1"] {
+            let reason = row_error(&format!("0,{submit},1,2,0,0,10,0,0,0,generic,linear"));
+            assert_eq!(reason, format!("bad submit_s: {submit}"));
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_min_running_time_rejected() {
+        for min_rt in ["NaN", "inf", "-inf", "-0.5"] {
+            let reason = row_error(&format!("0,0,1,2,0,0,{min_rt},0,0,0,generic,linear"));
+            assert_eq!(reason, format!("bad min_running_time_s: {min_rt}"));
+        }
+    }
+
+    /// The line and reason of a utilisation CSV whose third line carries
+    /// `value`.
+    fn utilization_row_error(value: &str) -> (usize, String) {
+        let csv = format!("interval,utilization\n0,0.5\n1,{value}\n");
+        match utilization_from_csv(&csv, InferenceTraceConfig::default()) {
+            Err(TraceIoError::BadRow { line, reason }) => (line, reason),
+            other => panic!("expected BadRow for {value}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_utilization_rejected() {
+        assert_eq!(
+            utilization_row_error("NaN"),
+            (3, "bad utilization: NaN".to_string())
+        );
+    }
+
+    #[test]
+    fn infinite_utilization_rejected() {
+        for v in ["inf", "-inf"] {
+            assert_eq!(
+                utilization_row_error(v),
+                (3, format!("bad utilization: {v}"))
+            );
+        }
+    }
+
+    #[test]
+    fn negative_utilization_rejected() {
+        assert_eq!(
+            utilization_row_error("-0.01"),
+            (3, "bad utilization: -0.01".to_string())
+        );
+    }
+
+    #[test]
+    fn utilization_above_one_rejected() {
+        assert_eq!(
+            utilization_row_error("1.01"),
+            (3, "bad utilization: 1.01".to_string())
+        );
+        // Both ends of the range are accepted.
+        let csv = "interval,utilization\n0,0\n1,1\n";
+        let trace = utilization_from_csv(csv, InferenceTraceConfig::default()).expect("in range");
+        assert_eq!(trace.samples, vec![0.0, 1.0]);
     }
 
     #[test]

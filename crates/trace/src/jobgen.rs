@@ -300,11 +300,7 @@ impl JobTrace {
                 i += 1;
             }
         }
-        jobs.sort_by(|a, b| {
-            a.submit_time_s
-                .partial_cmp(&b.submit_time_s)
-                .expect("no NaN submit times")
-        });
+        jobs.sort_by(|a, b| a.submit_time_s.total_cmp(&b.submit_time_s));
         // Re-number in submission order so ids are monotone.
         for (i, job) in jobs.iter_mut().enumerate() {
             job.id = JobId(i as u64);
@@ -334,7 +330,7 @@ impl JobTrace {
             .iter()
             .map(|j| j.running_time(j.w_min()))
             .collect();
-        runtimes.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        runtimes.sort_by(f64::total_cmp);
         let capacity =
             f64::from(self.config.training_gpus) * f64::from(self.config.days) * 86_400.0;
         TraceStats {
