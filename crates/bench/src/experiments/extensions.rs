@@ -14,37 +14,18 @@
 //!   loaned in 8-, 4- and 2-GPU units.
 
 use crate::tables::render;
-use crate::{reduction, ExperimentResult, Scale};
+use crate::{reduction, run_at, ExperimentResult, Scale};
 use lyra_cluster::orchestrator::ReclaimPolicy;
 use lyra_cluster::state::ClusterConfig;
-use lyra_sim::{run_scenario, Scenario, SimReport};
-
-fn result(experiment: &str, scale: Scale) -> ExperimentResult {
-    ExperimentResult {
-        experiment: experiment.to_string(),
-        scale: format!("{scale:?}"),
-        series: Vec::new(),
-        reports: Vec::new(),
-    }
-}
-
-fn run(
-    mut scenario: Scenario,
-    scale: Scale,
-    jobs: &lyra_trace::JobTrace,
-    inf: &lyra_trace::InferenceTrace,
-) -> SimReport {
-    scenario.cluster = scale.cluster_config();
-    run_scenario(&scenario, jobs, inf).expect("scenario completes")
-}
+use lyra_sim::{run_scenario, Scenario};
 
 /// Information-agnostic scheduling (§10's future work): LAS ordering needs
 /// no estimates at all; compare against SJF with perfect and 60 %-wrong
 /// estimates.
 pub fn ext_las(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(0xA5);
-    let baseline = run(Scenario::baseline(), scale, &jobs, &inference);
-    let sjf = run(
+    let baseline = run_at(Scenario::baseline(), scale, &jobs, &inference);
+    let sjf = run_at(
         Scenario::elastic_only("lyra", "lyra-sjf"),
         scale,
         &jobs,
@@ -52,8 +33,8 @@ pub fn ext_las(scale: Scale) -> ExperimentResult {
     );
     let mut sjf_wrong = Scenario::elastic_only("lyra", "lyra-sjf-wrong");
     sjf_wrong.estimator.wrong_fraction = 0.6;
-    let sjf_wrong = run(sjf_wrong, scale, &jobs, &inference);
-    let las = run(
+    let sjf_wrong = run_at(sjf_wrong, scale, &jobs, &inference);
+    let las = run_at(
         Scenario::elastic_only("lyra-las", "lyra-las"),
         scale,
         &jobs,
@@ -67,7 +48,7 @@ pub fn ext_las(scale: Scale) -> ExperimentResult {
         "QT reduction".to_string(),
         "JCT reduction".to_string(),
     ]];
-    let mut res = result("ext-las", scale);
+    let mut res = ExperimentResult::new("ext-las", scale);
     for (label, est, r) in [
         ("Lyra (SJF)", "perfect", &sjf),
         ("Lyra (SJF)", "60% wrong", &sjf_wrong),
@@ -94,13 +75,13 @@ pub fn ext_las(scale: Scale) -> ExperimentResult {
 /// … outperform greedy local heuristics").
 pub fn ext_phase2(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(0xF2);
-    let mckp = run(
+    let mckp = run_at(
         Scenario::elastic_only("lyra", "phase2-mckp"),
         scale,
         &jobs,
         &inference,
     );
-    let greedy = run(
+    let greedy = run_at(
         Scenario::elastic_only("lyra-greedy-phase2", "phase2-greedy"),
         scale,
         &jobs,
@@ -113,7 +94,7 @@ pub fn ext_phase2(scale: Scale) -> ExperimentResult {
         "JCT p95".to_string(),
         "Scaling ops".to_string(),
     ]];
-    let mut res = result("ext-phase2", scale);
+    let mut res = ExperimentResult::new("ext-phase2", scale);
     for (label, r) in [("MCKP (Lyra)", &mckp), ("Greedy", &greedy)] {
         rows.push(vec![
             label.to_string(),
@@ -134,7 +115,7 @@ pub fn ext_phase2(scale: Scale) -> ExperimentResult {
 /// The §6 LSTM predictor: reclaim in advance of predicted traffic.
 pub fn ext_predictor(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(0xED);
-    let reactive = run(
+    let reactive = run_at(
         Scenario::loaning_only(ReclaimPolicy::Lyra, "reactive"),
         scale,
         &jobs,
@@ -142,7 +123,7 @@ pub fn ext_predictor(scale: Scale) -> ExperimentResult {
     );
     let mut predictive = Scenario::loaning_only(ReclaimPolicy::Lyra, "predictive");
     predictive.use_predictor = true;
-    let predictive = run(predictive, scale, &jobs, &inference);
+    let predictive = run_at(predictive, scale, &jobs, &inference);
     let mut rows = vec![vec![
         "Reclaiming".to_string(),
         "QT mean".to_string(),
@@ -150,7 +131,7 @@ pub fn ext_predictor(scale: Scale) -> ExperimentResult {
         "Preemption".to_string(),
         "Reclaim ops".to_string(),
     ]];
-    let mut res = result("ext-predictor", scale);
+    let mut res = ExperimentResult::new("ext-predictor", scale);
     for (label, r) in [("reactive", &reactive), ("LSTM-predictive", &predictive)] {
         rows.push(vec![
             label.to_string(),
@@ -179,13 +160,13 @@ pub fn ext_costmodel(scale: Scale) -> ExperimentResult {
         "Collateral".to_string(),
         "QT mean".to_string(),
     ]];
-    let mut res = result("ext-costmodel", scale);
+    let mut res = ExperimentResult::new("ext-costmodel", scale);
     for (label, policy) in [
         ("server fraction (Lyra)", ReclaimPolicy::Lyra),
         ("GPU fraction", ReclaimPolicy::GpuFraction),
         ("job count (SCF)", ReclaimPolicy::Scf),
     ] {
-        let r = run(
+        let r = run_at(
             Scenario::loaning_only(policy, &format!("cost-{label}")),
             scale,
             &jobs,
@@ -212,7 +193,7 @@ pub fn ext_costmodel(scale: Scale) -> ExperimentResult {
 /// how much loanable capacity a principled SLO model gives up or gains.
 pub fn ext_slo(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(0x510);
-    let proportional = run(
+    let proportional = run_at(
         Scenario::loaning_only(ReclaimPolicy::Lyra, "proportional"),
         scale,
         &jobs,
@@ -220,7 +201,7 @@ pub fn ext_slo(scale: Scale) -> ExperimentResult {
     );
     let mut s = Scenario::loaning_only(ReclaimPolicy::Lyra, "erlang-c");
     s.use_capacity_model = true;
-    let erlang = run(s, scale, &jobs, &inference);
+    let erlang = run_at(s, scale, &jobs, &inference);
     let mut rows = vec![vec![
         "Capacity target".to_string(),
         "QT mean".to_string(),
@@ -228,7 +209,7 @@ pub fn ext_slo(scale: Scale) -> ExperimentResult {
         "Preemption".to_string(),
         "Loan ops".to_string(),
     ]];
-    let mut res = result("ext-slo", scale);
+    let mut res = ExperimentResult::new("ext-slo", scale);
     for (label, r) in [
         ("proportional busy GPUs", &proportional),
         ("Erlang-C mean-wait SLO", &erlang),
@@ -262,12 +243,12 @@ pub fn ext_interval(scale: Scale) -> ExperimentResult {
         "QT p50".to_string(),
         "JCT mean".to_string(),
     ]];
-    let mut res = result("ext-interval", scale);
+    let mut res = ExperimentResult::new("ext-interval", scale);
     for interval in [30.0, 60.0, 120.0, 300.0, 600.0] {
         let mut s = Scenario::basic();
         s.name = format!("epoch-{interval}");
         s.sim.scheduler_interval_s = interval;
-        let r = run(s, scale, &jobs, &inference);
+        let r = run_at(s, scale, &jobs, &inference);
         rows.push(vec![
             format!("{interval:.0}"),
             format!("{:.0}", r.queuing.mean),
@@ -297,7 +278,7 @@ pub fn ext_granularity(scale: Scale) -> ExperimentResult {
         "Preemption".to_string(),
         "Collateral".to_string(),
     ]];
-    let mut res = result("ext-granularity", scale);
+    let mut res = ExperimentResult::new("ext-granularity", scale);
     for unit in [8u32, 4, 2] {
         let factor = 8 / unit;
         let mut s = Scenario::basic();

@@ -1,29 +1,10 @@
 //! Job-scheduling deep dive: Tables 8 and 9, Figures 12, 14–16.
 
 use crate::tables::{render, render_series, table8_header, table8_row};
-use crate::{reduction, ExperimentResult, Scale};
+use crate::{reduction, run_at, ExperimentResult, Scale};
 use lyra_predictor::RuntimeEstimatorConfig;
-use lyra_sim::{run_scenario, transform, Scenario, SimReport};
+use lyra_sim::{transform, Scenario};
 use lyra_trace::bootstrap_trace;
-
-fn result(experiment: &str, scale: Scale) -> ExperimentResult {
-    ExperimentResult {
-        experiment: experiment.to_string(),
-        scale: format!("{scale:?}"),
-        series: Vec::new(),
-        reports: Vec::new(),
-    }
-}
-
-fn run(
-    mut scenario: Scenario,
-    scale: Scale,
-    jobs: &lyra_trace::JobTrace,
-    inf: &lyra_trace::InferenceTrace,
-) -> SimReport {
-    scenario.cluster = scale.cluster_config();
-    run_scenario(&scenario, jobs, inf).expect("scenario completes")
-}
 
 /// The elastic-scaling scheme set of §7.4.
 fn schemes() -> Vec<(&'static str, Scenario)> {
@@ -48,9 +29,9 @@ fn schemes() -> Vec<(&'static str, Scenario)> {
 pub fn tab8(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(80);
     let mut rows = vec![table8_header()];
-    let mut res = result("tab8", scale);
+    let mut res = ExperimentResult::new("tab8", scale);
     for (label, scenario) in schemes() {
-        let r = run(scenario, scale, &jobs, &inference);
+        let r = run_at(scenario, scale, &jobs, &inference);
         rows.push(table8_row(label, &r));
         res.reports.push(r);
     }
@@ -62,13 +43,13 @@ pub fn tab8(scale: Scale) -> ExperimentResult {
 /// Table 9: Lyra's gains under running-time misprediction.
 pub fn tab9(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(90);
-    let baseline = run(Scenario::baseline(), scale, &jobs, &inference);
+    let baseline = run_at(Scenario::baseline(), scale, &jobs, &inference);
     let mut rows = vec![vec![
         "% wrong".to_string(),
         "Queuing reduction".to_string(),
         "JCT reduction".to_string(),
     ]];
-    let mut res = result("tab9", scale);
+    let mut res = ExperimentResult::new("tab9", scale);
     for wrong in [0.0, 0.2, 0.4, 0.6] {
         let mut s = Scenario::basic();
         s.name = format!("wrong-{:.0}", wrong * 100.0);
@@ -77,7 +58,7 @@ pub fn tab9(scale: Scale) -> ExperimentResult {
             max_error: 0.25,
             seed: 0x79 + (wrong * 100.0) as u64,
         };
-        let r = run(s, scale, &jobs, &inference);
+        let r = run_at(s, scale, &jobs, &inference);
         let q = reduction(baseline.queuing.mean, r.queuing.mean);
         let j = reduction(baseline.jct.mean, r.jct.mean);
         rows.push(vec![
@@ -99,7 +80,7 @@ pub fn tab9(scale: Scale) -> ExperimentResult {
 pub fn fig1415(scale: Scale) -> ExperimentResult {
     let (base_jobs, inference) = scale.traces(1415);
     let fractions = [0.2, 0.4, 0.6, 0.8, 1.0];
-    let mut res = result("fig1415", scale);
+    let mut res = ExperimentResult::new("fig1415", scale);
     let mut table = vec![{
         let mut h = vec!["Scheme".to_string()];
         for f in &fractions {
@@ -119,10 +100,10 @@ pub fn fig1415(scale: Scale) -> ExperimentResult {
         for (fi, &f) in fractions.iter().enumerate() {
             let mut jobs = base_jobs.clone();
             transform::set_elastic_fraction(&mut jobs, f, 1400 + fi as u64);
-            let baseline = run(Scenario::baseline(), scale, &jobs, &inference);
+            let baseline = run_at(Scenario::baseline(), scale, &jobs, &inference);
             let mut s = scenario.clone();
             s.name = format!("{label}-elastic-{:.0}", f * 100.0);
-            let r = run(s, scale, &jobs, &inference);
+            let r = run_at(s, scale, &jobs, &inference);
             qrow.push(reduction(baseline.queuing.mean, r.queuing.mean));
             jrow.push(reduction(baseline.jct.mean, r.jct.mean));
         }
@@ -143,7 +124,7 @@ pub fn fig1415(scale: Scale) -> ExperimentResult {
 pub fn fig16(scale: Scale) -> ExperimentResult {
     let (base_jobs, inference) = scale.traces(16);
     let fractions = [0.2, 0.4, 0.6, 0.8, 1.0];
-    let mut res = result("fig16", scale);
+    let mut res = ExperimentResult::new("fig16", scale);
     let mut linear_j = Vec::new();
     let mut lossy_j = Vec::new();
     let mut linear_q = Vec::new();
@@ -151,13 +132,13 @@ pub fn fig16(scale: Scale) -> ExperimentResult {
     for (fi, &f) in fractions.iter().enumerate() {
         let mut jobs = base_jobs.clone();
         transform::set_elastic_fraction(&mut jobs, f, 1600 + fi as u64);
-        let baseline = run(Scenario::baseline(), scale, &jobs, &inference);
+        let baseline = run_at(Scenario::baseline(), scale, &jobs, &inference);
         let lyra = Scenario::elastic_only("lyra", "lyra-linear");
-        let r_lin = run(lyra, scale, &jobs, &inference);
+        let r_lin = run_at(lyra, scale, &jobs, &inference);
         let mut lossy_jobs = jobs.clone();
         transform::imperfect_scaling(&mut lossy_jobs, 0.2);
         let lyra = Scenario::elastic_only("lyra", "lyra-lossy");
-        let r_loss = run(lyra, scale, &lossy_jobs, &inference);
+        let r_loss = run_at(lyra, scale, &lossy_jobs, &inference);
         linear_j.push(reduction(baseline.jct.mean, r_lin.jct.mean));
         lossy_j.push(reduction(baseline.jct.mean, r_loss.jct.mean));
         linear_q.push(reduction(baseline.queuing.mean, r_lin.queuing.mean));
@@ -196,18 +177,18 @@ pub fn fig16(scale: Scale) -> ExperimentResult {
 pub fn fig12(scale: Scale) -> ExperimentResult {
     let (base_jobs, inference) = scale.traces(12);
     let resample_days = (scale.days() * 2 / 3).max(1);
-    let mut res = result("fig12", scale);
+    let mut res = ExperimentResult::new("fig12", scale);
     let mut basic_q = Vec::new();
     let mut basic_j = Vec::new();
     let mut ideal_q = Vec::new();
     let mut ideal_j = Vec::new();
     for seed in 0..10u64 {
         let jobs = bootstrap_trace(&base_jobs, resample_days, seed);
-        let baseline = run(Scenario::baseline(), scale, &jobs, &inference);
-        let basic = run(Scenario::basic(), scale, &jobs, &inference);
+        let baseline = run_at(Scenario::baseline(), scale, &jobs, &inference);
+        let basic = run_at(Scenario::basic(), scale, &jobs, &inference);
         let mut ideal_jobs = jobs.clone();
         transform::idealize(&mut ideal_jobs);
-        let ideal = run(Scenario::ideal(), scale, &ideal_jobs, &inference);
+        let ideal = run_at(Scenario::ideal(), scale, &ideal_jobs, &inference);
         basic_q.push(reduction(baseline.queuing.mean, basic.queuing.mean));
         basic_j.push(reduction(baseline.jct.mean, basic.jct.mean));
         ideal_q.push(reduction(baseline.queuing.mean, ideal.queuing.mean));

@@ -2,44 +2,25 @@
 //! reclaiming-vs-optimal study (§7.3).
 
 use crate::tables::{render, render_series};
-use crate::{reduction, ExperimentResult, Scale};
+use crate::{reduction, run_at, ExperimentResult, Scale};
 use lyra_cluster::orchestrator::ReclaimPolicy;
 use lyra_core::reclaim::{
     reclaim_exhaustive_optimal, reclaim_random, reclaim_scf, reclaim_servers, CostModel,
     JobFootprint, ReclaimRequest, ReclaimServerView,
 };
 use lyra_core::{JobId, ServerId};
-use lyra_sim::{run_scenario, transform, Scenario, SimReport};
+use lyra_sim::{transform, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
 
-fn result(experiment: &str, scale: Scale) -> ExperimentResult {
-    ExperimentResult {
-        experiment: experiment.to_string(),
-        scale: format!("{scale:?}"),
-        series: Vec::new(),
-        reports: Vec::new(),
-    }
-}
-
-fn run(
-    mut scenario: Scenario,
-    scale: Scale,
-    jobs: &lyra_trace::JobTrace,
-    inf: &lyra_trace::InferenceTrace,
-) -> SimReport {
-    scenario.cluster = scale.cluster_config();
-    run_scenario(&scenario, jobs, inf).expect("scenario completes")
-}
-
 /// Table 7: queuing/JCT of jobs that ran on on-loan servers, Baseline vs
 /// Lyra-loaning.
 pub fn tab7(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(70);
-    let baseline = run(Scenario::baseline(), scale, &jobs, &inference);
-    let lyra = run(
+    let baseline = run_at(Scenario::baseline(), scale, &jobs, &inference);
+    let lyra = run_at(
         Scenario::loaning_only(ReclaimPolicy::Lyra, "loan-lyra"),
         scale,
         &jobs,
@@ -104,7 +85,7 @@ pub fn tab7(scale: Scale) -> ExperimentResult {
         reduction(bq.p50.max(1.0), lyra.on_loan_queuing.p50.max(1.0)),
         reduction(bq.p95.max(1.0), lyra.on_loan_queuing.p95.max(1.0)),
     );
-    let mut res = result("tab7", scale);
+    let mut res = ExperimentResult::new("tab7", scale);
     res.reports = vec![baseline, lyra];
     res
 }
@@ -112,7 +93,7 @@ pub fn tab7(scale: Scale) -> ExperimentResult {
 /// Figure 9: daily average usage of on-loan servers.
 pub fn fig9(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(90);
-    let lyra = run(
+    let lyra = run_at(
         Scenario::loaning_only(ReclaimPolicy::Lyra, "loan-lyra"),
         scale,
         &jobs,
@@ -140,7 +121,7 @@ pub fn fig9(scale: Scale) -> ExperimentResult {
         "on-loan server usage {:.2} (GPU-level {:.2})",
         lyra.on_loan_server_usage, lyra.on_loan_usage
     );
-    let mut res = result("fig9", scale);
+    let mut res = ExperimentResult::new("fig9", scale);
     res.series.push(("daily_on_loan_usage".into(), daily));
     res.reports = vec![lyra];
     res
@@ -150,7 +131,7 @@ pub fn fig9(scale: Scale) -> ExperimentResult {
 /// Random/SCF/Lyra, with elastic scaling disabled and enabled.
 pub fn fig10(scale: Scale) -> ExperimentResult {
     let (jobs, inference) = scale.traces(100);
-    let mut res = result("fig10", scale);
+    let mut res = ExperimentResult::new("fig10", scale);
     let mut rows = vec![vec![
         "Scheme".to_string(),
         "Scaling".to_string(),
@@ -173,7 +154,7 @@ pub fn fig10(scale: Scale) -> ExperimentResult {
             } else {
                 Scenario::loaning_only(policy, &name)
             };
-            let r = run(scenario, scale, &jobs, &inference);
+            let r = run_at(scenario, scale, &jobs, &inference);
             rows.push(vec![
                 format!("{policy:?}"),
                 label.to_string(),
@@ -200,13 +181,13 @@ pub fn fig13(scale: Scale) -> ExperimentResult {
     transform::idealize(&mut ideal_jobs);
 
     // Reference: loaning-only default (no checkpoints).
-    let reference = run(
+    let reference = run_at(
         Scenario::loaning_only(ReclaimPolicy::Lyra, "no-ckpt"),
         scale,
         &base_jobs,
         &inference,
     );
-    let mut res = result("fig13", scale);
+    let mut res = ExperimentResult::new("fig13", scale);
     let fractions = [0.2, 0.5, 0.8, 1.0];
     let mut qs = Vec::new();
     let mut js = Vec::new();
@@ -216,7 +197,7 @@ pub fn fig13(scale: Scale) -> ExperimentResult {
         transform::set_checkpoint_fraction(&mut jobs, f, 131);
         let mut s = Scenario::ideal();
         s.name = format!("ckpt-{:.0}", f * 100.0);
-        let r = run(s, scale, &jobs, &inference);
+        let r = run_at(s, scale, &jobs, &inference);
         qs.push(reduction(reference.queuing.mean, r.queuing.mean));
         js.push(reduction(reference.jct.mean, r.jct.mean));
         ps.push(r.preemption_ratio);
@@ -368,7 +349,7 @@ pub fn reclaim_opt(scale: Scale) -> ExperimentResult {
         opt_big / lyra_big.max(1e-12),
     );
     let _ = (lyra_time, opt_time);
-    let mut res = result("reclaim-opt", scale);
+    let mut res = ExperimentResult::new("reclaim-opt", scale);
     res.series.push((
         "summary".into(),
         vec![

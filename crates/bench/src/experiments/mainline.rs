@@ -1,29 +1,10 @@
 //! The headline results: Table 5, Figures 7, 8 and 11, Table 6.
 
 use crate::tables::{render, render_series, table5_header, table5_row};
-use crate::{reduction, ExperimentResult, Scale};
+use crate::{reduction, run_at, ExperimentResult, Scale};
 use lyra_cluster::orchestrator::ReclaimPolicy;
-use lyra_sim::{run_scenario, transform, Scenario, SimReport};
-use lyra_trace::{InferenceTrace, JobTrace};
-
-fn result(experiment: &str, scale: Scale) -> ExperimentResult {
-    ExperimentResult {
-        experiment: experiment.to_string(),
-        scale: format!("{scale:?}"),
-        series: Vec::new(),
-        reports: Vec::new(),
-    }
-}
-
-fn with_cluster(mut s: Scenario, scale: Scale) -> Scenario {
-    s.cluster = scale.cluster_config();
-    s
-}
-
-/// Runs one Table 5 row: a scenario over a (possibly transformed) trace.
-fn row(scenario: Scenario, scale: Scale, jobs: &JobTrace, inference: &InferenceTrace) -> SimReport {
-    run_scenario(&with_cluster(scenario, scale), jobs, inference).expect("scenario completes")
-}
+use lyra_sim::{transform, Scenario, SimReport};
+use lyra_trace::JobTrace;
 
 /// Table 5: the 14 scenario × scheme rows, run on worker threads.
 pub fn tab5(scale: Scale) -> ExperimentResult {
@@ -101,7 +82,7 @@ pub fn tab5(scale: Scale) -> ExperimentResult {
         .map(|(label, scenario, jobs, _)| {
             let inference = &inference;
             (label.to_string(), move || {
-                row(scenario, scale, jobs, inference)
+                run_at(scenario, scale, jobs, inference)
             })
         })
         .collect();
@@ -125,7 +106,7 @@ pub fn tab5(scale: Scale) -> ExperimentResult {
         basic.overall_usage * 100.0,
     );
 
-    let mut res = result("tab5", scale);
+    let mut res = ExperimentResult::new("tab5", scale);
     for (_, r) in reports {
         res.reports.push(r);
     }
@@ -139,15 +120,15 @@ pub fn headline(scale: Scale) -> ExperimentResult {
     let reports: Vec<(String, SimReport)> = vec![
         (
             "Baseline".into(),
-            row(Scenario::baseline(), scale, &base_jobs, &inference),
+            run_at(Scenario::baseline(), scale, &base_jobs, &inference),
         ),
         (
             "Basic".into(),
-            row(Scenario::basic(), scale, &base_jobs, &inference),
+            run_at(Scenario::basic(), scale, &base_jobs, &inference),
         ),
         (
             "Lyra (loaning)".into(),
-            row(
+            run_at(
                 Scenario::loaning_only(
                     lyra_cluster::orchestrator::ReclaimPolicy::Lyra,
                     "loan-lyra",
@@ -159,7 +140,7 @@ pub fn headline(scale: Scale) -> ExperimentResult {
         ),
         (
             "Lyra (scaling)".into(),
-            row(
+            run_at(
                 Scenario::elastic_only("lyra", "lyra-scaling"),
                 scale,
                 &base_jobs,
@@ -181,7 +162,7 @@ pub fn headline(scale: Scale) -> ExperimentResult {
             reduction(baseline.jct.mean, r.jct.mean),
         );
     }
-    let mut res = result("headline", scale);
+    let mut res = ExperimentResult::new("headline", scale);
     for (_, r) in reports {
         res.reports.push(r);
     }
@@ -194,12 +175,12 @@ pub fn fig7(scale: Scale) -> ExperimentResult {
     let (base_jobs, inference) = scale.traces(7);
     let mut ideal_jobs = base_jobs.clone();
     transform::idealize(&mut ideal_jobs);
-    let baseline = row(Scenario::baseline(), scale, &base_jobs, &inference);
-    let basic = row(Scenario::basic(), scale, &base_jobs, &inference);
-    let ideal = row(Scenario::ideal(), scale, &ideal_jobs, &inference);
+    let baseline = run_at(Scenario::baseline(), scale, &base_jobs, &inference);
+    let basic = run_at(Scenario::basic(), scale, &base_jobs, &inference);
+    let ideal = run_at(Scenario::ideal(), scale, &ideal_jobs, &inference);
     let hours = 48.min(baseline.hourly_overall_usage.len());
     let xs: Vec<f64> = (0..hours).map(|h| h as f64).collect();
-    let mut res = result("fig7", scale);
+    let mut res = ExperimentResult::new("fig7", scale);
     for (label, r) in [
         ("Baseline", &baseline),
         ("Basic", &basic),
@@ -224,23 +205,23 @@ pub fn fig7(scale: Scale) -> ExperimentResult {
 /// (per-worker-loss) scaling, Basic and Ideal.
 pub fn fig8(scale: Scale) -> ExperimentResult {
     let (base_jobs, inference) = scale.traces(8);
-    let baseline = row(Scenario::baseline(), scale, &base_jobs, &inference);
+    let baseline = run_at(Scenario::baseline(), scale, &base_jobs, &inference);
 
     let mut basic_jobs = base_jobs.clone();
     transform::imperfect_scaling(&mut basic_jobs, 0.2);
-    let basic = row(Scenario::basic(), scale, &basic_jobs, &inference);
+    let basic = run_at(Scenario::basic(), scale, &basic_jobs, &inference);
 
     let mut ideal_jobs = base_jobs.clone();
     transform::idealize(&mut ideal_jobs);
     transform::imperfect_scaling(&mut ideal_jobs, 0.2);
-    let ideal = row(Scenario::ideal(), scale, &ideal_jobs, &inference);
+    let ideal = run_at(Scenario::ideal(), scale, &ideal_jobs, &inference);
 
     let mut rows = vec![vec![
         "Scenario".to_string(),
         "Queuing reduction".to_string(),
         "JCT reduction".to_string(),
     ]];
-    let mut res = result("fig8", scale);
+    let mut res = ExperimentResult::new("fig8", scale);
     for (label, r) in [("Basic", &basic), ("Ideal", &ideal)] {
         let q = reduction(baseline.queuing.mean, r.queuing.mean);
         let j = reduction(baseline.jct.mean, r.jct.mean);
@@ -277,13 +258,13 @@ pub fn tab6(scale: Scale) -> ExperimentResult {
     let rows_data = vec![
         (
             "Basic",
-            row(naive("basic-naive"), scale, &base_jobs, &inference),
+            run_at(naive("basic-naive"), scale, &base_jobs, &inference),
         ),
         (
             "Advanced",
-            row(naive("advanced-naive"), scale, &advanced_jobs, &inference),
+            run_at(naive("advanced-naive"), scale, &advanced_jobs, &inference),
         ),
-        ("Ideal", row(ideal_naive, scale, &ideal_jobs, &inference)),
+        ("Ideal", run_at(ideal_naive, scale, &ideal_jobs, &inference)),
     ];
     let mut rows = vec![vec![
         "Scenario".to_string(),
@@ -291,7 +272,7 @@ pub fn tab6(scale: Scale) -> ExperimentResult {
         "Avg JCT (s)".to_string(),
         "Preemption ratio".to_string(),
     ]];
-    let mut res = result("tab6", scale);
+    let mut res = ExperimentResult::new("tab6", scale);
     for (label, r) in rows_data {
         rows.push(vec![
             label.to_string(),
@@ -310,8 +291,8 @@ pub fn tab6(scale: Scale) -> ExperimentResult {
 /// Heterogeneous scenario.
 pub fn fig11(scale: Scale) -> ExperimentResult {
     let (base_jobs, inference) = scale.traces(11);
-    let baseline = row(Scenario::baseline(), scale, &base_jobs, &inference);
-    let mut res = result("fig11", scale);
+    let baseline = run_at(Scenario::baseline(), scale, &base_jobs, &inference);
+    let mut res = ExperimentResult::new("fig11", scale);
     let mut qs = Vec::new();
     let mut js = Vec::new();
     let fractions = [0.10, 0.30, 0.50, 0.70, 0.90];
@@ -320,7 +301,7 @@ pub fn fig11(scale: Scale) -> ExperimentResult {
         transform::heterogeneous_only(&mut jobs, f, 110 + (f * 100.0) as u64);
         let mut s = Scenario::basic();
         s.name = format!("hetero-{:.0}", f * 100.0);
-        let r = row(s, scale, &jobs, &inference);
+        let r = run_at(s, scale, &jobs, &inference);
         qs.push(reduction(baseline.queuing.mean, r.queuing.mean));
         js.push(reduction(baseline.jct.mean, r.jct.mean));
         res.reports.push(r);

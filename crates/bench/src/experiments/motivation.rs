@@ -20,15 +20,6 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn result(experiment: &str, scale: Scale) -> ExperimentResult {
-    ExperimentResult {
-        experiment: experiment.to_string(),
-        scale: format!("{scale:?}"),
-        series: Vec::new(),
-        reports: Vec::new(),
-    }
-}
-
 /// Figure 1: one week of inference-cluster GPU utilisation.
 pub fn fig1(scale: Scale) -> ExperimentResult {
     let trace = InferenceTrace::generate(lyra_trace::InferenceTraceConfig {
@@ -54,7 +45,7 @@ pub fn fig1(scale: Scale) -> ExperimentResult {
         peak / trough,
         trace.median_burst()
     );
-    let mut r = result("fig1", scale);
+    let mut r = ExperimentResult::new("fig1", scale);
     r.series.push(("hourly_utilization".into(), hourly));
     r.series.push((
         "stats".into(),
@@ -81,7 +72,7 @@ pub fn fig2(scale: Scale) -> ExperimentResult {
         "training usage {:.2}  mean queuing {:.0}s",
         report.training_usage, report.queuing.mean
     );
-    let mut r = result("fig2", scale);
+    let mut r = ExperimentResult::new("fig2", scale);
     r.series.push(("hourly_queuing_ratio".into(), ratio));
     r.reports.push(report);
     r
@@ -89,7 +80,7 @@ pub fn fig2(scale: Scale) -> ExperimentResult {
 
 /// Figure 3: throughput scaling of the four elastic model families.
 pub fn fig3() -> ExperimentResult {
-    let mut r = result("fig3", Scale::Small);
+    let mut r = ExperimentResult::new("fig3", Scale::Small);
     for family in [
         ModelFamily::ResNet50,
         ModelFamily::Vgg16,
@@ -191,7 +182,7 @@ pub fn tab1() -> ExperimentResult {
         out.returned,
         out.preempted.len()
     );
-    result("tab1", Scale::Small)
+    ExperimentResult::new("tab1", Scale::Small)
 }
 
 /// Tables 2–4 and Figure 6: the elasticity worked examples.
@@ -288,7 +279,7 @@ pub fn tab234() -> ExperimentResult {
     };
     let out = two_phase_allocate(&snapshot, AllocationConfig::default());
     lyra_obs::emitln!("two-phase allocation on Table 4: {:?}", out.launches);
-    result("tab234", Scale::Small)
+    ExperimentResult::new("tab234", Scale::Small)
 }
 
 /// §6's LSTM predictor measurement: train on the utilisation trace and
@@ -305,7 +296,7 @@ pub fn lstm(scale: Scale) -> ExperimentResult {
          held-out MSE over {} points: {eval:.6} (paper reports 0.00048)",
         n - split
     );
-    let mut r = result("lstm", scale);
+    let mut r = ExperimentResult::new("lstm", scale);
     r.series.push(("mse".into(), vec![train_loss, eval]));
     r
 }
@@ -441,7 +432,7 @@ pub fn impl_timings() -> ExperimentResult {
         "Paper".to_string(),
         format!("Median of {IMPL_REPS}"),
     ]];
-    let mut r = result("impl", Scale::Small);
+    let mut r = ExperimentResult::new("impl", Scale::Small);
     for (label, what, paper, s) in timings {
         rows.push(vec![what.to_string(), paper.to_string(), duration(s)]);
         r.series.push((label.into(), vec![s]));

@@ -32,21 +32,12 @@ fn run(mut scenario: Scenario, jobs: &JobTrace, inf: &InferenceTrace) -> SimRepo
     run_scenario(&scenario, jobs, inf).expect("testbed scenario completes")
 }
 
-fn result(experiment: &str) -> ExperimentResult {
-    ExperimentResult {
-        experiment: experiment.to_string(),
-        scale: "Testbed".to_string(),
-        series: Vec::new(),
-        reports: Vec::new(),
-    }
-}
-
 /// Table 10: testbed results — Overall (Baseline vs Lyra), capacity
 /// loaning (Random/SCF/Lyra) and elastic scaling
 /// (Gandiva/AFS/Pollux/Lyra).
 pub fn tab10() -> ExperimentResult {
     let (jobs, inference) = testbed_traces(0x7B);
-    let mut res = result("tab10");
+    let mut res = ExperimentResult::new("tab10", "Testbed");
     let mut rows = vec![table5_header()];
 
     let baseline = run(Scenario::baseline(), &jobs, &inference);
@@ -101,7 +92,7 @@ pub fn tab10() -> ExperimentResult {
 /// reclaiming scheme, with and without scaling.
 pub fn fig17() -> ExperimentResult {
     let (jobs, inference) = testbed_traces(0x17);
-    let mut res = result("fig17");
+    let mut res = ExperimentResult::new("fig17", "Testbed");
     let mut rows = vec![vec![
         "Scheme".to_string(),
         "Scaling".to_string(),

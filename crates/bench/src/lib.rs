@@ -19,7 +19,7 @@ pub mod plot;
 pub mod tables;
 pub mod timeline;
 
-use lyra_sim::SimReport;
+use lyra_sim::{run_scenario, Scenario, SimReport};
 use lyra_trace::{InferenceTrace, InferenceTraceConfig, JobTrace, TraceConfig};
 use serde::{Deserialize, Serialize};
 
@@ -95,6 +95,24 @@ impl Scale {
     }
 }
 
+impl std::fmt::Display for Scale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self, f)
+    }
+}
+
+/// Runs `scenario` over the traces on `scale`'s cluster. Experiment
+/// scenarios are fixed, so a failed run is a harness bug.
+pub fn run_at(
+    mut scenario: Scenario,
+    scale: Scale,
+    jobs: &JobTrace,
+    inference: &InferenceTrace,
+) -> SimReport {
+    scenario.cluster = scale.cluster_config();
+    run_scenario(&scenario, jobs, inference).expect("scenario completes")
+}
+
 /// Runs a batch of labelled scenario thunks on worker threads (the
 /// scenarios of one table are independent) and returns results in input
 /// order.
@@ -136,6 +154,19 @@ pub struct ExperimentResult {
     pub series: Vec<(String, Vec<f64>)>,
     /// The underlying per-scheme reports, when applicable.
     pub reports: Vec<SimReport>,
+}
+
+impl ExperimentResult {
+    /// An empty result for `experiment` run at `scale` (a [`Scale`], or
+    /// a fixed label such as the testbed's).
+    pub fn new(experiment: &str, scale: impl std::fmt::Display) -> Self {
+        ExperimentResult {
+            experiment: experiment.to_string(),
+            scale: scale.to_string(),
+            series: Vec::new(),
+            reports: Vec::new(),
+        }
+    }
 }
 
 #[cfg(test)]

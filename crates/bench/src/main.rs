@@ -416,20 +416,18 @@ fn observed_small_run(sink: Option<&str>) -> Result<lyra_sim::SimReport, CliErro
         .map_err(|e| failed(format!("observed run failed: {e}")))
 }
 
-fn parse_events(jsonl: &str) -> Result<Vec<TimedEvent>, CliError> {
-    lyra_obs::parse_log(jsonl).map_err(|e| failed(format!("event log does not parse: {e}")))
-}
-
-/// The JSONL event log named by `--log` (or a fresh small observed
-/// run's), as text and parsed — read and parsed once per command.
-fn read_log(inv: &Invocation) -> Result<(String, Vec<TimedEvent>), CliError> {
-    let jsonl = match inv.value("--log") {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| failed(format!("cannot read event log {path}: {e}")))?,
-        None => observed_small_run(None)?.events.join("\n"),
+/// The events of the JSONL log named by `--log`, with its text (read
+/// and parsed once per command), or of a fresh small observed run, with
+/// no text.
+fn read_log(inv: &Invocation) -> Result<(Option<String>, Vec<TimedEvent>), CliError> {
+    let Some(path) = inv.value("--log") else {
+        return Ok((None, observed_small_run(None)?.events));
     };
-    let events = parse_events(&jsonl)?;
-    Ok((jsonl, events))
+    let jsonl = std::fs::read_to_string(path)
+        .map_err(|e| failed(format!("cannot read event log {path}: {e}")))?;
+    let events = lyra_obs::parse_log(&jsonl)
+        .map_err(|e| failed(format!("event log does not parse: {e}")))?;
+    Ok((Some(jsonl), events))
 }
 
 /// `smoke [--log <file>]`: one observed end-to-end run with every
@@ -441,11 +439,11 @@ fn read_log(inv: &Invocation) -> Result<(String, Vec<TimedEvent>), CliError> {
 /// check. With `--log`, also writes the JSONL event log to `file` (feed
 /// it to the log-replay commands with `--log <file>`).
 fn smoke_cmd(inv: &Invocation) -> CmdResult {
-    let report = observed_small_run(inv.value("--log"))?;
+    let mut report = observed_small_run(inv.value("--log"))?;
     // With a sink the log lives in the file only.
     let events = match inv.value("--log") {
         Some(_) => read_log(inv)?.1,
-        None => parse_events(&report.events.join("\n"))?,
+        None => std::mem::take(&mut report.events),
     };
     let counted = report.telemetry.counter("sim.jobs.completed");
     let jct_count = report.telemetry.jct_s.count;
@@ -587,6 +585,8 @@ fn events_cmd(inv: &Invocation) -> CmdResult {
         return Err(usage_err(format!("events: empty filter (use {FILTER})")));
     }
     let (jsonl, events) = read_log(inv)?;
+    // A fresh run's events are printed as the lines its sink would hold.
+    let jsonl = jsonl.unwrap_or_else(|| lyra_obs::to_jsonl(&events));
     let lines: Vec<&str> = jsonl.lines().filter(|l| !l.trim().is_empty()).collect();
     // A torn final line (crash-cut log) parses to one fewer event than
     // there are lines; the zip below then skips it.
@@ -626,8 +626,7 @@ fn timeline_cmd(inv: &Invocation) -> CmdResult {
         }
         None => {
             let report = observed_small_run(None)?;
-            let events = parse_events(&report.events.join("\n"))?;
-            (report.telemetry, events)
+            (report.telemetry, report.events)
         }
     };
     print!("{}", timeline::render_dashboard(&telemetry, &events, width));

@@ -158,22 +158,28 @@ pub fn render_svg(title: &str, series: &[(String, Vec<f64>)]) -> String {
     // Series.
     for (si, (label, ys)) in series.iter().enumerate() {
         let color = COLORS[si % COLORS.len()];
-        let points: Vec<String> = ys
+        let points: Vec<(f64, f64)> = ys
             .iter()
             .enumerate()
             .filter(|(_, y)| y.is_finite())
-            .map(|(i, &y)| format!("{:.1},{:.1}", x_of(i), y_of(y)))
+            .map(|(i, &y)| (x_of(i), y_of(y)))
             .collect();
         if points.len() > 1 {
+            let coords: Vec<String> = points
+                .iter()
+                .map(|(x, y)| format!("{x:.1},{y:.1}"))
+                .collect();
             let _ = write!(
                 svg,
                 r#"<polyline points="{}" fill="none" stroke="{color}" stroke-width="2"/>"#,
-                points.join(" ")
+                coords.join(" ")
             );
         }
-        for p in &points {
-            let (x, y) = p.split_once(',').expect("point format");
-            let _ = write!(svg, r#"<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>"#);
+        for (x, y) in &points {
+            let _ = write!(
+                svg,
+                r#"<circle cx="{x:.1}" cy="{y:.1}" r="3" fill="{color}"/>"#
+            );
         }
         // Legend.
         let ly = MARGIN_T + 16.0 * si as f64;

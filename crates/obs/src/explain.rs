@@ -6,48 +6,13 @@
 //! inputs where the decision changed something: SJF estimates for the
 //! admitted ranks and the first deferred ones, an MCKP value curve for a
 //! launch or a resize, placement and reclaim costs always. This module
-//! replays a JSONL event log and narrates every event and decision that
-//! touched the requested job, in order. A line whose inputs were not
+//! walks a recorded event stream and narrates every event and decision
+//! that touched the requested job, in order. A line whose inputs were not
 //! logged says so rather than borrowing them from another epoch.
 
 use crate::attribution::DelayCause;
 use crate::audit::AuditRecord;
 use crate::event::{SchedEvent, TimedEvent};
-
-/// Parses a JSONL event log (as produced by
-/// [`EventLog`](crate::log::EventLog)) back into timed events.
-///
-/// Returns `Err` naming the first malformed line and the byte column
-/// in it, as `line N col M: <message>` — with one deliberate
-/// exception: a malformed *final* line in a log that does not end with
-/// a newline is a torn tail from a crash mid-write.
-/// That line is skipped with a warning so an otherwise-intact log
-/// replays cleanly after a crash; a malformed line anywhere else (or a
-/// newline-terminated final line) stays a hard error, since it means
-/// corruption rather than a cut.
-pub fn parse_log(jsonl: &str) -> Result<Vec<TimedEvent>, String> {
-    let torn_tail_possible = !jsonl.is_empty() && !jsonl.ends_with('\n');
-    let mut events = Vec::new();
-    let mut lines = jsonl.lines().enumerate().peekable();
-    while let Some((no, raw)) = lines.next() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<TimedEvent>(line) {
-            Ok(ev) => events.push(ev),
-            Err(e) => {
-                let indent = raw.len() - raw.trim_start().len();
-                let at = format!("line {} col {}: {e}", no + 1, indent + e.column());
-                if !(torn_tail_possible && lines.peek().is_none()) {
-                    return Err(at);
-                }
-                eprintln!("warning: skipping torn final log line (crash artifact): {at}");
-            }
-        }
-    }
-    Ok(events)
-}
 
 fn stamp(time_ms: u64) -> String {
     format!("[t={:>9.1}s]", time_ms as f64 / 1000.0)
@@ -345,61 +310,6 @@ mod tests {
     use crate::log::EventLog;
 
     #[test]
-    fn byte_chopped_final_line_is_skipped_not_fatal() {
-        let mut log = EventLog::new();
-        for id in 0..3u64 {
-            log.emit(id * 1000, SchedEvent::JobAdmit { job: id });
-        }
-        let jsonl = log.to_jsonl();
-        // Chop the log mid-way through its final line, as a crash
-        // mid-append would: every complete line parses, the torn tail
-        // is skipped with a warning.
-        let chopped = &jsonl[..jsonl.len() - 7];
-        assert!(!chopped.ends_with('\n'));
-        let events = parse_log(chopped).expect("torn tail is recoverable");
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1].event, SchedEvent::JobAdmit { job: 1 });
-    }
-
-    #[test]
-    fn mid_file_corruption_stays_a_hard_error() {
-        let mut log = EventLog::new();
-        for id in 0..3u64 {
-            log.emit(id * 1000, SchedEvent::JobAdmit { job: id });
-        }
-        let jsonl = log.to_jsonl();
-        let corrupted = jsonl.replacen("JobAdmit", "JobAdmi", 1);
-        assert_eq!(
-            parse_log(&corrupted).unwrap_err(),
-            "line 1 col 30: field `event`: unknown variant `JobAdmi` of SchedEvent",
-            "mid-file corruption must fail"
-        );
-        // The column counts bytes from the start of the raw line.
-        let indented = format!("  {}", jsonl.replacen("{\"job\":0}", "{\"job\":0", 1));
-        assert_eq!(
-            parse_log(&indented).unwrap_err(),
-            "line 1 col 54: expected `,` or `}`, found end of input"
-        );
-        // A malformed final line that IS newline-terminated is
-        // corruption too, not a torn tail.
-        let mut lines: Vec<&str> = jsonl.lines().collect();
-        let bad = format!("{}garbage", lines.pop().unwrap());
-        let rebuilt = format!("{}\n{bad}\n", lines.join("\n"));
-        assert!(parse_log(&rebuilt).is_err(), "terminated garbage must fail");
-    }
-
-    #[test]
-    fn a_hostile_nesting_depth_is_an_error_not_a_crash() {
-        let hostile = "[".repeat(100_000) + "\n";
-        let err = parse_log(&hostile).unwrap_err();
-        assert_eq!(err, "line 1 col 1: expected object, found array");
-        // Nested where an unknown key is skipped, the depth limit fires.
-        let hostile = format!("{{\"pad\":{hostile}");
-        let err = parse_log(&hostile).unwrap_err();
-        assert_eq!(err, "line 1 col 135: nesting deeper than 128");
-    }
-
-    #[test]
     fn explain_reconstructs_a_preemption_chain() {
         let mut log = EventLog::new();
         log.emit(0, SchedEvent::JobAdmit { job: 42 });
@@ -444,7 +354,7 @@ mod tests {
             },
         );
 
-        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let events = log.take_events();
         let text = explain_job(&events, 42);
         assert!(text.contains("admitted"));
         assert!(text.contains("rank 1/1"));
@@ -479,7 +389,7 @@ mod tests {
             let curve = (tick % 2 == 0).then(|| vec![100.0 - tick as f64]);
             log.emit(tick * 60_000, mckp(0, curve));
         }
-        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let events = log.take_events();
         let text = explain_job(&events, 1);
         // First + elision note + last, not five near-identical lines.
         assert_eq!(text.matches("phase-2 MCKP").count(), 2, "{text}");
@@ -498,7 +408,7 @@ mod tests {
         log.emit(0, mckp(2, Some(vec![10.0, 15.04, 17.5])));
         log.emit(60_000, mckp(2, None));
         log.emit(120_000, mckp(0, Some(vec![4.0, 6.0, 7.0])));
-        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let events = log.take_events();
         let lines: Vec<String> = explain_job(&events, 1).lines().map(str::to_string).collect();
         assert!(
             lines[1].ends_with(
@@ -535,7 +445,7 @@ mod tests {
                 estimates: vec![(0, 50.0, 4), (1, 60.0, 8)],
             }),
         );
-        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let events = log.take_events();
         let line = |job| explain_job(&events, job).lines().nth(1).unwrap_or("").to_string();
         assert!(line(7).ends_with(
             "phase-1 ordering: rank 1/3 (est running time 50s, base 4 GPUs, capacity 4 GPUs) -> admitted"
@@ -566,7 +476,7 @@ mod tests {
                 }),
             );
         }
-        let events = parse_log(&log.to_jsonl()).expect("parses");
+        let events = log.take_events();
         let text = explain_job(&events, 5);
         assert!(
             text.contains("-> admitted"),

@@ -10,11 +10,13 @@
 //! the same four pillars a real deployment would have:
 //!
 //! * [`event`] + [`log`] — a **structured event log**: typed, serialisable
-//!   scheduler events written as JSON Lines to one destination — a file
-//!   sink when one is attached, memory otherwise (an in-memory log keeps
-//!   every line, so trace-scale runs should use a sink). Event payloads
-//!   carry only simulated quantities, so two runs with the same seed
-//!   produce byte-identical logs.
+//!   scheduler events written to one destination — JSON Lines in a file
+//!   sink when one is attached, the typed events in memory otherwise (an
+//!   in-memory log keeps every event, so trace-scale runs should use a
+//!   sink). [`log`] alone owns the JSONL format: its sink encoder,
+//!   [`to_jsonl`] and [`parse_log`]. Event payloads carry only simulated
+//!   quantities, so two runs with the same seed produce byte-identical
+//!   logs.
 //! * [`timeseries`] + [`alerts`] + [`prom`] — **metrics and continuous
 //!   telemetry** in one store: per-epoch scheduler health gauges
 //!   sampled into fixed-capacity ring series with deterministic
@@ -85,12 +87,12 @@ pub use attribution::{
 pub use audit::{AuditRecord, ReclaimCandidate};
 pub use chrome::{export_provenance_trace, validate_chrome_trace, ChromeTraceStats};
 pub use event::{SchedEvent, TimedEvent, KIND_NAMES};
-pub use explain::{explain_job, parse_log};
+pub use explain::explain_job;
 pub use graph::{
     DecisionId, EdgeKind, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode,
 };
 pub use lifecycle::{attribute_log, LifecycleTracker};
-pub use log::{EventLog, EventLogState};
+pub use log::{parse_log, to_jsonl, EventLog, EventLogState};
 pub use observer::{Observer, ObserverCheckpoint, ObserverConfig};
 pub use provenance::{
     blame_from_log, build_provenance, render_blame, render_why, why_from_log, ProvenanceTracker,

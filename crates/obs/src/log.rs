@@ -1,13 +1,17 @@
-//! The event log: one JSON line per event, written once.
+//! The event log, and the one place that knows its JSONL format.
 //!
-//! The vendored serde's direct writer (`Serialize::write_json`) encodes
-//! each event from its typed fields into one reused buffer, with no
-//! intermediate `Value` tree. With a file sink attached, every line goes
-//! to the file only; without one, the log keeps every line in memory
-//! (`why`, tests, the run report), so trace-scale runs should use a
-//! sink. Serialisation is deterministic — map-free payloads, fields in
-//! declaration order — so same-seed runs yield byte-identical logs
-//! whichever destination they use.
+//! A log writes each event once. With a file sink attached, the vendored
+//! serde's direct writer (`Serialize::write_json`) encodes the event from
+//! its typed fields into one reused buffer, with no intermediate `Value`
+//! tree, and the line goes to the file only. Without a sink, the log
+//! keeps the typed events in memory (`why`, tests, the run report) and
+//! encodes nothing; trace-scale runs should still use a sink, since
+//! every event stays resident. Serialisation is deterministic — map-free
+//! payloads, fields in declaration order — so a same-seed sink file and
+//! [`to_jsonl`] of the in-memory events are byte-identical.
+//!
+//! [`to_jsonl`] encodes typed events with the sink's per-line encoder,
+//! and [`parse_log`] reads a JSONL log back into typed events.
 //!
 //! A failed sink write does not stop the run: the log keeps the first
 //! I/O error, stops writing, and [`EventLog::flush`] returns it naming
@@ -24,33 +28,33 @@ use crate::event::{SchedEvent, TimedEvent};
 /// Serializable snapshot of an [`EventLog`] for checkpoint/restore.
 ///
 /// Captures everything needed to resume emission exactly where it left
-/// off: the in-memory lines (empty with a sink), the sequence cursor
+/// off: the in-memory events (empty with a sink), the sequence cursor
 /// and the sink path (the sink file itself is repaired and reopened in
 /// append mode on restore).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventLogState {
-    /// In-memory lines at capture time, oldest first (empty with a
-    /// sink: those lines live in the file).
-    pub lines: Vec<String>,
+    /// In-memory events at capture time, oldest first (empty with a
+    /// sink: those events live in the file).
+    pub events: Vec<TimedEvent>,
     /// Next sequence number to stamp, which is also the number of
-    /// lines emitted so far.
+    /// events emitted so far.
     pub seq: u64,
     /// File sink path, if a sink was attached.
     pub sink_path: Option<PathBuf>,
 }
 
-/// JSONL event log writing each line once: to a file sink when one is
-/// attached, into memory otherwise.
+/// Event log writing each event once: as a JSON line to a file sink
+/// when one is attached, as a typed event into memory otherwise.
 #[derive(Debug, Default)]
 pub struct EventLog {
-    /// Every emitted line, oldest first; empty with a sink.
-    lines: Vec<String>,
+    /// Every emitted event, oldest first; empty with a sink.
+    events: Vec<TimedEvent>,
     sink: Option<BufWriter<File>>,
     sink_path: Option<PathBuf>,
     /// The first sink I/O error; the sink is closed when it is set.
     error: Option<std::io::Error>,
     seq: u64,
-    /// Encode buffer reused across events; not checkpointed.
+    /// Encode buffer reused across sink lines; not checkpointed.
     buf: String,
 }
 
@@ -61,7 +65,7 @@ impl EventLog {
     }
 
     /// Attaches a file sink (truncating any existing file); every
-    /// subsequent line goes to `path` instead of memory.
+    /// subsequent event goes to `path` instead of memory.
     pub fn with_sink(mut self, path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
         self.sink = Some(BufWriter::new(file));
@@ -82,12 +86,11 @@ impl EventLog {
             event,
         };
         self.seq += 1;
-        self.buf.clear();
-        timed.write_json(&mut self.buf);
         if self.sink_path.is_none() {
-            // An exact-size copy: the buffer's growth slack stays behind.
-            self.lines.push(self.buf.as_str().to_owned());
+            self.events.push(timed);
         } else if let Some(sink) = &mut self.sink {
+            self.buf.clear();
+            timed.write_json(&mut self.buf);
             let written = sink
                 .write_all(self.buf.as_bytes())
                 .and_then(|()| sink.write_all(b"\n"));
@@ -100,26 +103,15 @@ impl EventLog {
     }
 
     /// The sequence number the *next* emitted event will carry (the
-    /// number of lines emitted so far).
+    /// number of events emitted so far).
     pub fn next_seq(&self) -> u64 {
         self.seq
     }
 
-    /// Moves the in-memory lines out, oldest first, leaving none behind.
-    /// The sequence cursor is untouched.
-    pub fn take_lines(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.lines)
-    }
-
-    /// The in-memory lines joined into one JSONL string (trailing
-    /// newline included when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+    /// Moves the in-memory events out, oldest first, leaving none
+    /// behind. The sequence cursor is untouched.
+    pub fn take_events(&mut self) -> Vec<TimedEvent> {
+        std::mem::take(&mut self.events)
     }
 
     /// Flushes the file sink, if any.
@@ -149,7 +141,7 @@ impl EventLog {
     pub fn capture_state(&mut self) -> EventLogState {
         let _ = self.flush();
         EventLogState {
-            lines: self.lines.clone(),
+            events: self.events.clone(),
             seq: self.seq,
             sink_path: self.sink_path.clone(),
         }
@@ -176,7 +168,7 @@ impl EventLog {
             None => None,
         };
         Ok(EventLog {
-            lines: state.lines,
+            events: state.events,
             sink,
             sink_path: state.sink_path,
             error: None,
@@ -233,6 +225,53 @@ impl Drop for EventLog {
     fn drop(&mut self) {
         let _ = self.flush();
     }
+}
+
+/// Encodes `events` as JSONL, one line each with the sink's encoder
+/// (trailing newline included when non-empty): the bytes a sink run of
+/// the same events writes.
+pub fn to_jsonl(events: &[TimedEvent]) -> String {
+    let mut out = String::new();
+    for timed in events {
+        timed.write_json(&mut out);
+        out.push('\n');
+    }
+    out
+}
+
+/// Parses a JSONL event log (as written by an [`EventLog`] sink or
+/// [`to_jsonl`]) back into timed events.
+///
+/// Returns `Err` naming the first malformed line and the byte column
+/// in it, as `line N col M: <message>` — with one deliberate
+/// exception: a malformed *final* line in a log that does not end with
+/// a newline is a torn tail from a crash mid-write.
+/// That line is skipped with a warning so an otherwise-intact log
+/// replays cleanly after a crash; a malformed line anywhere else (or a
+/// newline-terminated final line) stays a hard error, since it means
+/// corruption rather than a cut.
+pub fn parse_log(jsonl: &str) -> Result<Vec<TimedEvent>, String> {
+    let torn_tail_possible = !jsonl.is_empty() && !jsonl.ends_with('\n');
+    let mut events = Vec::new();
+    let mut lines = jsonl.lines().enumerate().peekable();
+    while let Some((no, raw)) = lines.next() {
+        let line = raw.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match serde_json::from_str::<TimedEvent>(line) {
+            Ok(ev) => events.push(ev),
+            Err(e) => {
+                let indent = raw.len() - raw.trim_start().len();
+                let at = format!("line {} col {}: {e}", no + 1, indent + e.column());
+                if !(torn_tail_possible && lines.peek().is_none()) {
+                    return Err(at);
+                }
+                eprintln!("warning: skipping torn final log line (crash artifact): {at}");
+            }
+        }
+    }
+    Ok(events)
 }
 
 #[cfg(test)]
@@ -360,7 +399,7 @@ mod tests {
             },
             SchedEvent::JobComplete {
                 job: 1,
-                jct_s: 3600.000_000_1,
+                jct_s: 3_600.000_000_1,
             },
             SchedEvent::DeadlineMiss {
                 job: 1,
@@ -432,22 +471,16 @@ mod tests {
         for (i, event) in samples.iter().enumerate() {
             log.emit(i as u64 * 250, event.clone());
         }
-        let jsonl = log.to_jsonl();
+        let events = log.take_events();
+        let jsonl = to_jsonl(&events);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), samples.len());
-        for (line, (i, event)) in lines.iter().zip(samples.iter().enumerate()) {
-            let timed = TimedEvent {
-                time_ms: i as u64 * 250,
-                seq: i as u64,
-                event: event.clone(),
-            };
+        for (line, timed) in lines.iter().zip(&events) {
             let mut tree = String::new();
             serde::write_compact(&mut tree, &timed.to_value());
-            assert_eq!(*line, tree, "{}", event.kind_name());
+            assert_eq!(*line, tree, "{}", timed.event.kind_name());
         }
-        let parsed = crate::explain::parse_log(&jsonl).expect("parses");
-        let events: Vec<SchedEvent> = parsed.into_iter().map(|t| t.event).collect();
-        assert_eq!(events, samples);
+        assert_eq!(parse_log(&jsonl), Ok(events));
     }
 
     proptest::proptest! {
@@ -476,58 +509,40 @@ mod tests {
     }
 
     #[test]
-    fn take_lines_moves_the_lines_out_and_keeps_the_cursor() {
+    fn in_memory_log_returns_typed_events_in_seq_order() {
         let mut log = EventLog::new();
-        for id in 0..3u64 {
-            log.emit(id, SchedEvent::JobAdmit { job: id });
+        let samples = event_samples();
+        for (i, event) in samples.iter().enumerate() {
+            log.emit(1_000 - i as u64, event.clone());
         }
-        let expected: Vec<String> = log.to_jsonl().lines().map(str::to_string).collect();
-        assert_eq!(log.take_lines(), expected);
-        assert_eq!(log.to_jsonl(), "");
-        assert_eq!(log.next_seq(), 3);
+        let events = log.take_events();
+        assert_eq!(events.len(), samples.len());
+        for (i, (timed, event)) in events.iter().zip(&samples).enumerate() {
+            assert_eq!(timed.seq, i as u64);
+            assert_eq!(timed.time_ms, 1_000 - i as u64);
+            assert_eq!(&timed.event, event);
+        }
+        assert_eq!(parse_log(&to_jsonl(&events)), Ok(events));
+        assert!(log.take_events().is_empty(), "taking leaves none behind");
+        assert_eq!(log.next_seq(), samples.len() as u64, "cursor kept");
+        assert_eq!(to_jsonl(&[]), "");
     }
 
     #[test]
-    fn in_memory_log_keeps_every_line() {
+    fn in_memory_log_keeps_every_event() {
         const N: u64 = 70_000;
         let mut log = EventLog::new();
         for id in 0..N {
             log.emit(id, SchedEvent::JobAdmit { job: id });
         }
-        let lines = log.take_lines();
-        assert_eq!(lines.len() as u64, N);
-        assert!(lines[0].contains("\"seq\":0,"), "{}", lines[0]);
-        assert!(lines[N as usize - 1].contains(&format!("\"seq\":{},", N - 1)));
+        let events = log.take_events();
+        assert_eq!(events.len() as u64, N);
+        assert_eq!(events[0].seq, 0);
+        assert_eq!(events[N as usize - 1].seq, N - 1);
     }
 
     #[test]
-    fn lines_round_trip_through_parse() {
-        let mut log = EventLog::new();
-        log.emit(
-            500,
-            SchedEvent::JobStart {
-                job: 7,
-                workers: 2,
-                on_loan: true,
-                servers: vec![1, 4],
-            },
-        );
-        let events = crate::explain::parse_log(&log.to_jsonl()).expect("parses");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].time_ms, 500);
-        assert_eq!(
-            events[0].event,
-            SchedEvent::JobStart {
-                job: 7,
-                workers: 2,
-                on_loan: true,
-                servers: vec![1, 4],
-            }
-        );
-    }
-
-    #[test]
-    fn state_round_trip_resumes_the_cursor_and_lines() {
+    fn state_round_trip_resumes_the_cursor_and_events() {
         let mut log = EventLog::new();
         for id in 0..3u64 {
             log.emit(id * 100, SchedEvent::JobAdmit { job: id });
@@ -536,9 +551,10 @@ mod tests {
         let mut restored = EventLog::from_state(state).expect("restore");
         assert_eq!(restored.next_seq(), 3);
         restored.emit(400, SchedEvent::JobAdmit { job: 9 });
-        let lines = restored.take_lines();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[3].contains("\"seq\":3"), "{lines:?}");
+        let events = restored.take_events();
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[3].seq, 3);
+        assert_eq!(events[3].event, SchedEvent::JobAdmit { job: 9 });
     }
 
     #[test]
@@ -597,11 +613,74 @@ mod tests {
                 log.emit(id, SchedEvent::JobAdmit { job: id });
                 memory.emit(id, SchedEvent::JobAdmit { job: id });
             }
-            assert_eq!(log.to_jsonl(), "", "a sink log keeps nothing in memory");
-            assert!(log.capture_state().lines.is_empty());
+            assert!(
+                log.take_events().is_empty(),
+                "a sink log keeps nothing in memory"
+            );
+            assert!(log.capture_state().events.is_empty());
         }
         let contents = std::fs::read_to_string(&path).expect("read sink");
-        assert_eq!(contents, memory.to_jsonl(), "same bytes either way");
+        assert_eq!(
+            contents,
+            to_jsonl(&memory.take_events()),
+            "same bytes either way"
+        );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// JSONL of three `JobAdmit` events, one second apart.
+    fn three_admits() -> String {
+        let mut log = EventLog::new();
+        for id in 0..3u64 {
+            log.emit(id * 1000, SchedEvent::JobAdmit { job: id });
+        }
+        to_jsonl(&log.take_events())
+    }
+
+    #[test]
+    fn byte_chopped_final_line_is_skipped_not_fatal() {
+        let jsonl = three_admits();
+        // Chop the log mid-way through its final line, as a crash
+        // mid-append would: every complete line parses, the torn tail
+        // is skipped with a warning.
+        let chopped = &jsonl[..jsonl.len() - 7];
+        assert!(!chopped.ends_with('\n'));
+        let events = parse_log(chopped).expect("torn tail is recoverable");
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].event, SchedEvent::JobAdmit { job: 1 });
+    }
+
+    #[test]
+    fn mid_file_corruption_stays_a_hard_error() {
+        let jsonl = three_admits();
+        let corrupted = jsonl.replacen("JobAdmit", "JobAdmi", 1);
+        assert_eq!(
+            parse_log(&corrupted).unwrap_err(),
+            "line 1 col 30: field `event`: unknown variant `JobAdmi` of SchedEvent",
+            "mid-file corruption must fail"
+        );
+        // The column counts bytes from the start of the raw line.
+        let indented = format!("  {}", jsonl.replacen("{\"job\":0}", "{\"job\":0", 1));
+        assert_eq!(
+            parse_log(&indented).unwrap_err(),
+            "line 1 col 54: expected `,` or `}`, found end of input"
+        );
+        // A malformed final line that IS newline-terminated is
+        // corruption too, not a torn tail.
+        let mut lines: Vec<&str> = jsonl.lines().collect();
+        let bad = format!("{}garbage", lines.pop().unwrap());
+        let rebuilt = format!("{}\n{bad}\n", lines.join("\n"));
+        assert!(parse_log(&rebuilt).is_err(), "terminated garbage must fail");
+    }
+
+    #[test]
+    fn a_hostile_nesting_depth_is_an_error_not_a_crash() {
+        let hostile = "[".repeat(100_000) + "\n";
+        let err = parse_log(&hostile).unwrap_err();
+        assert_eq!(err, "line 1 col 1: expected object, found array");
+        // Nested where an unknown key is skipped, the depth limit fires.
+        let hostile = format!("{{\"pad\":{hostile}");
+        let err = parse_log(&hostile).unwrap_err();
+        assert_eq!(err, "line 1 col 135: nesting deeper than 128");
     }
 }

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::alerts::AlertEngine;
 use crate::attribution::{summarize, AttributionSummary};
-use crate::event::SchedEvent;
+use crate::event::{SchedEvent, TimedEvent};
 use crate::graph::ProvenanceGraph;
 use crate::lifecycle::LifecycleTracker;
 use crate::log::{EventLog, EventLogState};
@@ -20,7 +20,7 @@ use crate::timeseries::Telemetry;
 #[derive(Debug, Clone)]
 pub struct ObserverConfig {
     /// JSONL file sink receiving every event line. Without one, the
-    /// lines stay in memory and land in the report's `events`.
+    /// typed events stay in memory and land in the report's `events`.
     pub sink_path: Option<PathBuf>,
     /// Build the decision-provenance graph online (checkpoint-safe
     /// observer state; exported in the report's `provenance`).
@@ -54,7 +54,7 @@ struct Trackers {
 }
 
 /// Serialized form of an [`Observer`] for checkpoint/restore: the log's
-/// cursor (plus its in-memory lines, if any) and the trackers.
+/// cursor (plus its in-memory events, if any) and the trackers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObserverCheckpoint {
     log: EventLogState,
@@ -94,7 +94,7 @@ impl Observer {
     }
 
     /// Records one event at simulated `time_ms`: attribution,
-    /// provenance, counters, then the log line. Returns the event's
+    /// provenance, counters, then the log. Returns the event's
     /// sequence number — its stable `DecisionId`.
     pub fn observe(&mut self, time_ms: u64, event: SchedEvent) -> u64 {
         let t = &mut self.trackers;
@@ -213,16 +213,16 @@ impl Observer {
         })
     }
 
-    /// The run's products for its report: the in-memory event lines
-    /// (empty with a sink), the telemetry store and the provenance
-    /// graph (empty when tracking was off).
-    pub fn into_products(mut self) -> (Vec<String>, Telemetry, ProvenanceGraph) {
-        let lines = self.log.take_lines();
+    /// The run's products for its report: the in-memory events (empty
+    /// with a sink), the telemetry store and the provenance graph (empty
+    /// when tracking was off).
+    pub fn into_products(mut self) -> (Vec<TimedEvent>, Telemetry, ProvenanceGraph) {
+        let events = self.log.take_events();
         let t = self.trackers;
         let graph = t
             .provenance
             .map(ProvenanceTracker::into_graph)
             .unwrap_or_default();
-        (lines, t.telemetry, graph)
+        (events, t.telemetry, graph)
     }
 }

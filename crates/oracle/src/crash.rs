@@ -89,7 +89,7 @@ impl StormReport {
 }
 
 /// The uninterrupted run's artifacts, captured once per storm. A sink
-/// run keeps no log lines in memory, so everything derived from the log
+/// run keeps no events in memory, so everything derived from the log
 /// is derived from the sink file.
 struct Baseline {
     /// Report JSON with the wall-clock profile zeroed.

@@ -23,6 +23,7 @@
 //! and flips the reclaim policy to assert the pinned provenance
 //! artifacts move with the victim-ranking decisions they record.
 
+use lyra_obs::{to_jsonl, TimedEvent};
 use lyra_sim::scenario::generators;
 use lyra_sim::{
     run_scenario_observed, transform, zoo, FaultConfig, FaultPlan, ObserverConfig, Scenario,
@@ -67,10 +68,10 @@ impl GoldenCase {
         .map_err(|e| format!("{}: {e}", self.name))
     }
 
-    /// Runs the scenario under full observation and returns its JSONL
-    /// event log.
-    pub fn event_log(&self) -> Result<Vec<String>, String> {
-        Ok(self.observed_report()?.events)
+    /// Runs the scenario under full observation and returns its event
+    /// log as JSONL, the bytes its committed file holds.
+    pub fn event_log(&self) -> Result<String, String> {
+        Ok(to_jsonl(&self.observed_report()?.events))
     }
 
     /// The on-disk path of this case's committed log inside `dir`.
@@ -99,14 +100,12 @@ impl GoldenCase {
         dir.join(format!("{}.provenance.json", self.name))
     }
 
-    /// Derives the pinned artifacts from a JSONL event log: the
-    /// rendered delay-attribution table, the `why` rendering for the
-    /// log's first preemption victim, and the flow-annotated Chrome
-    /// `trace_event` export (schema-validated before it is returned).
-    pub fn artifacts(&self, log: &[String]) -> Result<PinnedArtifacts, String> {
-        let events = lyra_obs::parse_log(&log.join("\n"))
-            .map_err(|e| format!("{}: event log does not parse: {e}", self.name))?;
-        let attrs = lyra_obs::attribute_log(&events);
+    /// Derives the pinned artifacts from a run's events: the rendered
+    /// delay-attribution table, the `why` rendering for the log's first
+    /// preemption victim, and the flow-annotated Chrome `trace_event`
+    /// export (schema-validated before it is returned).
+    pub fn artifacts(&self, events: &[TimedEvent]) -> Result<PinnedArtifacts, String> {
+        let attrs = lyra_obs::attribute_log(events);
         let table = lyra_obs::summarize(&attrs).render_table();
         // The provenance artifacts anchor on the first preemption
         // victim in the log; a pinned case without any preemption
@@ -120,9 +119,9 @@ impl GoldenCase {
             .ok_or_else(|| {
                 format!("{}: log has no JobPreempt event to anchor provenance on", self.name)
             })?;
-        let why = lyra_obs::why_from_log(&events, victim)
+        let why = lyra_obs::why_from_log(events, victim)
             .map_err(|e| format!("{}: {e}", self.name))?;
-        let prov_trace = lyra_obs::export_provenance_trace(&events);
+        let prov_trace = lyra_obs::export_provenance_trace(events);
         lyra_obs::validate_chrome_trace(&prov_trace)
             .map_err(|e| format!("{}: provenance trace is malformed: {e}", self.name))?;
         Ok(PinnedArtifacts {
@@ -261,14 +260,6 @@ pub struct GoldenDiff {
     pub detail: String,
 }
 
-fn render(lines: &[String]) -> String {
-    let mut out = lines.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
-}
-
 fn first_divergence(expected: &str, got: &str) -> String {
     for (i, (e, g)) in expected.lines().zip(got.lines()).enumerate() {
         if e != g {
@@ -291,16 +282,17 @@ fn first_divergence(expected: &str, got: &str) -> String {
 pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
     let mut diffs = Vec::new();
     for case in cases() {
-        let (lines, series_csv) = match (case.observed_report(), case.observed_report()) {
+        let (events, fresh, series_csv) = match (case.observed_report(), case.observed_report()) {
             (Ok(a), Ok(b)) => {
-                if a.events != b.events || a.telemetry != b.telemetry {
+                let fresh = to_jsonl(&a.events);
+                if fresh != to_jsonl(&b.events) || a.telemetry != b.telemetry {
                     diffs.push(GoldenDiff {
                         name: case.name.to_string(),
                         detail: "two consecutive runs diverged (nondeterminism)".into(),
                     });
                     continue;
                 }
-                (a.events, a.telemetry.to_csv())
+                (a.events, fresh, a.telemetry.to_csv())
             }
             (Err(e), _) | (_, Err(e)) => {
                 diffs.push(GoldenDiff {
@@ -310,7 +302,6 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
                 continue;
             }
         };
-        let fresh = render(&lines);
         match fs::read_to_string(case.path(dir)) {
             Ok(committed) => {
                 if committed != fresh {
@@ -331,7 +322,7 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
         if !case.pin_artifacts {
             continue;
         }
-        let arts = match case.artifacts(&lines) {
+        let arts = match case.artifacts(&events) {
             Ok(a) => a,
             Err(e) => {
                 diffs.push(GoldenDiff {
@@ -383,12 +374,16 @@ pub fn bless(dir: &Path) -> Result<Vec<String>, String> {
     let mut written = Vec::new();
     for case in cases() {
         let report = case.observed_report()?;
-        let log = report.events.clone();
         let path = case.path(dir);
-        fs::write(&path, render(&log)).map_err(|e| format!("{}: {e}", path.display()))?;
-        written.push(format!("{} ({} events)", path.display(), log.len()));
+        fs::write(&path, to_jsonl(&report.events))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        written.push(format!(
+            "{} ({} events)",
+            path.display(),
+            report.events.len()
+        ));
         if case.pin_artifacts {
-            let arts = case.artifacts(&log)?;
+            let arts = case.artifacts(&report.events)?;
             let spath = case.series_path(dir);
             fs::write(&spath, report.telemetry.to_csv())
                 .map_err(|e| format!("{}: {e}", spath.display()))?;
@@ -418,7 +413,7 @@ pub fn mutation_smoke(dir: &Path) -> Result<(), String> {
         let log = case.event_log()?;
         let committed = fs::read_to_string(case.path(dir))
             .map_err(|e| format!("{} ({e}); bless first", case.path(dir).display()))?;
-        if committed != render(&log) {
+        if committed != log {
             fired.push(case.name);
         }
     }
@@ -455,8 +450,7 @@ pub fn provenance_mutation_smoke(dir: &Path) -> Result<(), String> {
         .find(|c| c.name == "tiny-faulty")
         .expect("tiny-faulty golden case exists");
     case.scenario.loaning = Some(ReclaimPolicy::Random);
-    let log = case.event_log()?;
-    let arts = case.artifacts(&log)?;
+    let arts = case.artifacts(&case.observed_report()?.events)?;
     let committed_why = fs::read_to_string(case.provenance_path(dir))
         .map_err(|e| format!("{} ({e}); bless first", case.provenance_path(dir).display()))?;
     let committed_trace = fs::read_to_string(case.provenance_trace_path(dir)).map_err(|e| {
@@ -495,7 +489,7 @@ pub fn zoo_mutation_smoke(dir: &Path) -> Result<(), String> {
     let log = hetero.event_log()?;
     let committed = fs::read_to_string(hetero.path(dir))
         .map_err(|e| format!("{} ({e}); bless first", hetero.path(dir).display()))?;
-    if committed == render(&log) {
+    if committed == log {
         return Err("golden gate did not fire on tiny-hetero under flipped speed factors".into());
     }
 
@@ -525,7 +519,7 @@ pub fn zoo_mutation_smoke(dir: &Path) -> Result<(), String> {
     let log = tight.event_log()?;
     let committed = fs::read_to_string(tight.path(dir))
         .map_err(|e| format!("{} ({e}); bless first", tight.path(dir).display()))?;
-    if committed == render(&log) {
+    if committed == log {
         return Err("golden gate did not fire on tiny-deadline under tightened deadlines".into());
     }
 

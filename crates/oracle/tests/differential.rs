@@ -9,7 +9,7 @@ use lyra_sim::{run_scenario, run_scenario_observed, transform, ObserverConfig};
 use proptest::prelude::*;
 
 proptest::proptest! {
-    #![proptest_config(proptest::ProptestConfig { cases: 96, ..Default::default() })]
+    #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
     /// The production MCKP DP is exact on arbitrary small instances.
     #[test]
@@ -64,7 +64,7 @@ proptest::proptest! {
 // Whole-simulation differentials are costlier per case than the
 // combinatorial oracles above, so they run a smaller sample.
 proptest::proptest! {
-    #![proptest_config(proptest::ProptestConfig { cases: 12, ..Default::default() })]
+    #![proptest_config(proptest::ProptestConfig::with_cases(12))]
 
     /// A malleable scenario is a pure function of its spec: replaying
     /// the identical spec yields identical per-job records and
@@ -86,7 +86,7 @@ proptest::proptest! {
 
     /// The report's deadline rollup and the observer's event stream are
     /// independent computations of the same facts: every job that
-    /// completed late emits exactly one `DeadlineMiss` line, and every
+    /// completed late emits exactly one `DeadlineMiss` event, and every
     /// traced job carries the deadline the transform stamped.
     #[test]
     fn deadline_rollup_matches_event_stream(spec in gen::deadline_spec()) {
@@ -98,7 +98,7 @@ proptest::proptest! {
         let event_misses = r
             .events
             .iter()
-            .filter(|line| line.contains("\"DeadlineMiss\""))
+            .filter(|e| matches!(e.event, lyra_obs::SchedEvent::DeadlineMiss { .. }))
             .count();
         let completed_late = r
             .records

@@ -3,6 +3,7 @@
 //! nondeterminism also fails here). `lyra-bench golden --bless`
 //! regenerates the logs after an intended behavioural change.
 
+use lyra_obs::SchedEvent;
 use lyra_oracle::golden;
 use lyra_sim::{run_scenario_observed, ObserverConfig};
 
@@ -16,15 +17,15 @@ fn faulted_case_fires_at_least_one_alert() {
         .into_iter()
         .find(|c| c.scenario.faults.is_some())
         .expect("a faulted golden case exists");
-    let log = case.event_log().expect("faulted case runs");
-    let fired = log
+    let events = case.observed_report().expect("faulted case runs").events;
+    let fired = events
         .iter()
-        .filter(|l| l.contains("\"Alert\"") && l.contains("\"fired\":true"))
+        .filter(|e| matches!(e.event, SchedEvent::Alert { fired: true, .. }))
         .count();
     assert!(
         fired >= 1,
-        "no Alert events in the faulted golden log ({} lines)",
-        log.len()
+        "no Alert events in the faulted golden log ({} events)",
+        events.len()
     );
 }
 
@@ -37,16 +38,29 @@ fn checkpointed_case_pins_the_rollback() {
         .into_iter()
         .find(|c| c.name == "tiny-checkpointed")
         .expect("the checkpointed golden case exists");
-    let log = case.event_log().expect("checkpointed case runs");
-    for needle in [
-        "\"checkpointed\":true",
-        "\"kind\":\"checkpoint_restore\"",
-        "\"kind\":\"checkpoint_restore_failure\"",
-    ] {
+    let events = case
+        .observed_report()
+        .expect("checkpointed case runs")
+        .events;
+    let fault = |kind: &str| {
+        events
+            .iter()
+            .any(|e| matches!(&e.event, SchedEvent::Fault { kind: k, .. } if k == kind))
+    };
+    assert!(
+        events.iter().any(|e| matches!(
+            e.event,
+            SchedEvent::JobPreempt {
+                checkpointed: true,
+                ..
+            }
+        )),
+        "no checkpointed preemption in the checkpointed golden log"
+    );
+    for kind in ["checkpoint_restore", "checkpoint_restore_failure"] {
         assert!(
-            log.iter().any(|l| l.contains(needle)),
-            "no `{needle}` line in the checkpointed golden log ({} lines)",
-            log.len()
+            fault(kind),
+            "no `{kind}` fault in the checkpointed golden log"
         );
     }
 }
@@ -67,9 +81,10 @@ fn committed_golden_logs_match() {
 
 #[test]
 fn sink_and_replay_agree_with_the_in_memory_run() {
-    // A sink run must write exactly the in-memory run's lines, and the
-    // live counters (counted off the observer's event stream) must be
-    // what a replay of those lines counts.
+    // A sink run must write exactly the JSONL of the in-memory run's
+    // events, which must parse back to those events, and the live
+    // counters (counted off the observer's event stream) must be what a
+    // replay of the sink file counts.
     let dir = std::env::temp_dir().join(format!("lyra-golden-sink-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     for case in golden::cases() {
@@ -83,12 +98,21 @@ fn sink_and_replay_agree_with_the_in_memory_run() {
             .expect("sink run");
         assert!(filed.events.is_empty(), "{}", case.name);
         let written = std::fs::read_to_string(&sink).expect("sink written");
-        let expected: String = memory.events.iter().map(|l| format!("{l}\n")).collect();
-        assert!(written == expected, "{}: sink differs", case.name);
+        assert!(
+            written == lyra_obs::to_jsonl(&memory.events),
+            "{}: sink differs",
+            case.name
+        );
+        let parsed = lyra_obs::parse_log(&written).expect("log parses");
+        assert!(
+            parsed == memory.events,
+            "{}: sink parses to other events",
+            case.name
+        );
         assert_eq!(filed.telemetry, memory.telemetry, "{}", case.name);
 
         let mut replayed = lyra_obs::Telemetry::default();
-        for e in lyra_obs::parse_log(&written).expect("log parses") {
+        for e in &parsed {
             replayed.observe(&e.event);
         }
         let live = &memory.telemetry;

@@ -61,7 +61,7 @@ fn raising_w_max_never_worsens_own_jct() {
             .jobs
             .iter()
             .enumerate()
-            .find_map(|(i, j)| j.is_elastic().then(|| (i, j.id)))
+            .find_map(|(i, j)| j.is_elastic().then_some((i, j.id)))
             .expect("the 90%-elastic trace has an elastic job");
         let job = &mut jobs.jobs[idx];
         let el = job.elasticity.as_mut().expect("elastic");

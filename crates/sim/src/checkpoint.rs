@@ -13,7 +13,7 @@
 //! On-disk format (two lines, both JSON):
 //!
 //! ```text
-//! {"magic":"lyra-checkpoint","version":1,"checksum":"<fnv1a64 hex>"}
+//! {"magic":"lyra-checkpoint","version":<CHECKPOINT_VERSION>,"checksum":"<fnv1a64 hex>"}
 //! {<payload: SimCheckpoint>}
 //! ```
 //!
@@ -47,8 +47,10 @@ use std::path::Path;
 /// so a sink run carries no log lines; version 9 made the phase-1,
 /// phase-2 and placement audit records columnar verdict records;
 /// version 10 added the cluster state's gauge counters (`empty_gpus`,
-/// `flexible_used`).
-pub const CHECKPOINT_VERSION: u32 = 10;
+/// `flexible_used`); version 11 checkpoints an in-memory event log as
+/// typed events instead of JSON lines and dropped `SimConfig`'s
+/// `loan_all_offered` switch.
+pub const CHECKPOINT_VERSION: u32 = 11;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";
@@ -360,6 +362,45 @@ mod tests {
             "resumed run must replay bit-identically to the uninterrupted run"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn in_memory_event_log_survives_save_and_load_typed() {
+        let seed = 7;
+        let crash_ms = 10_000_000;
+        let (jobs, inf) = tiny_traces(seed);
+        let observed = |scenario: &Scenario| {
+            build_simulation(scenario, &jobs, &inf)
+                .expect("build")
+                .with_observer(crate::ObserverConfig::default())
+                .expect("in-memory observer")
+                .run_to_outcome(&scenario.name)
+                .expect("run")
+        };
+        let clean = tiny_basic(seed);
+        let baseline = match observed(&clean) {
+            RunOutcome::Completed(r) => r.events,
+            RunOutcome::Crashed(_) => panic!("the clean scenario has no crash"),
+        };
+        let scenario = crash_scenario(seed, crash_ms as f64 / 1000.0);
+        let RunOutcome::Crashed(state) = observed(&scenario) else {
+            panic!("expected the seeded crash to fire");
+        };
+        let dir = std::env::temp_dir().join("lyra-ckpt-typed-log");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("c.ckpt");
+        SimCheckpoint::new(scenario, jobs.clone(), inf.clone(), *state)
+            .save(&path)
+            .expect("save");
+        let resumed = match resume(&path, &clean.name).expect("resume") {
+            RunOutcome::Completed(r) => r.events,
+            RunOutcome::Crashed(_) => panic!("no second crash is scheduled"),
+        };
+        std::fs::remove_file(&path).ok();
+        // The events logged before the crash came back from the file.
+        assert!(resumed.iter().any(|e| e.time_ms < crash_ms));
+        assert!(resumed.iter().any(|e| e.time_ms > crash_ms));
+        assert_eq!(lyra_obs::to_jsonl(&resumed), lyra_obs::to_jsonl(&baseline));
     }
 
     #[test]

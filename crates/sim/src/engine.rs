@@ -78,9 +78,6 @@ pub struct SimConfig {
     /// span), so the post-trace drain does not dilute the utilisation
     /// columns. `0` means the whole run.
     pub usage_horizon_s: f64,
-    /// Take every server the inference cluster offers instead of gating
-    /// loans on current fungible demand.
-    pub loan_all_offered: bool,
     /// Whether the scheduling policy applies §5.3's special elastic
     /// placement. When false (Table 6's ablation) flexible workers are
     /// not segregated, so no server may be labelled `Flexible` — the
@@ -113,7 +110,6 @@ impl Default for SimConfig {
             tuned: false,
             drain_horizon_s: 30.0 * 86_400.0,
             usage_horizon_s: 0.0,
-            loan_all_offered: false,
             special_placement: true,
             checkpoint_interval_work: 600.0,
             reclaim_retry_backoff_s: 300.0,
@@ -1867,12 +1863,8 @@ impl Simulation {
         }
         match instruction {
             LoanInstruction::Loan(offered) => {
-                let take = if self.config.loan_all_offered {
-                    offered
-                } else {
-                    let wanted = self.loan_demand_servers();
-                    offered.min(wanted.saturating_sub(self.cluster.loaned_count()))
-                };
+                let wanted = self.loan_demand_servers();
+                let take = offered.min(wanted.saturating_sub(self.cluster.loaned_count()));
                 // Inference is offering servers again: any pending reclaim
                 // debt has been resolved on its side.
                 self.reclaim_ledger.clear();
@@ -1984,7 +1976,7 @@ impl Simulation {
     /// would depress the on-loan usage the paper keeps above 92 %
     /// (Figure 9) and would inflate reclaim waves for no benefit.
     fn return_surplus_idle_loans(&mut self) -> Result<(), SimError> {
-        if self.config.loan_all_offered || self.orchestrator.is_none() {
+        if self.orchestrator.is_none() {
             return Ok(());
         }
         // Only *idle* loaned servers can be returned; the cluster keeps
@@ -2384,7 +2376,7 @@ impl Simulation {
         }
     }
 
-    /// Assembles the run's report. The observer's products (event lines,
+    /// Assembles the run's report. The observer's products (events,
     /// telemetry, provenance graph), the span profile and the
     /// attribution summary are moved out rather than copied: the report
     /// is the run's last step.

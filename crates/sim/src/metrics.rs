@@ -352,10 +352,11 @@ pub struct SimReport {
     pub deadlines: DeadlineStats,
     /// Per-job records for downstream analysis (Figure 2 etc.).
     pub records: Vec<JobRecord>,
-    /// Structured event log: every JSONL line of an observed run
-    /// without a file sink (empty with a sink, whose file holds the
-    /// lines, and when no observer was attached).
-    pub events: Vec<String>,
+    /// Structured event log: every event of an observed run without a
+    /// file sink, in `seq` order (empty with a sink, whose file holds
+    /// the lines, and when no observer was attached).
+    /// [`lyra_obs::to_jsonl`] renders them as the sink's bytes.
+    pub events: Vec<lyra_obs::TimedEvent>,
     /// Per-phase self-time profile of an observed run. Carries
     /// wall-clock data, so it compares equal to any other profile —
     /// same-seed reports stay `==`.

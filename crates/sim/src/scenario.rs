@@ -880,7 +880,11 @@ mod tests {
         let a = run_scenario_observed(&s, &jobs, &inf, ObserverConfig::default()).expect("runs");
         let b = run_scenario_observed(&s, &jobs, &inf, ObserverConfig::default()).expect("runs");
         assert!(!a.events.is_empty(), "observed run emits events");
-        assert_eq!(a.events, b.events, "same-seed logs are byte-identical");
+        assert_eq!(
+            lyra_obs::to_jsonl(&a.events),
+            lyra_obs::to_jsonl(&b.events),
+            "same-seed logs are byte-identical"
+        );
         assert_eq!(a.telemetry, b.telemetry, "same-seed telemetry matches");
         assert!(
             a.profile.0.iter().any(|p| p.name == "sim.scheduler_tick"),
@@ -985,14 +989,10 @@ mod tests {
             0xFA11,
         ));
         let r = run_scenario_observed(&s, &jobs, &inf, ObserverConfig::default()).expect("runs");
-        let log = r.events.join("\n");
-        let parsed = lyra_obs::parse_log(&log).expect("log parses");
         let count = |kind: &str| {
-            parsed
+            r.events
                 .iter()
-                .filter(
-                    |e| matches!(&e.event, SchedEvent::Fault { kind: k, .. } if k == kind),
-                )
+                .filter(|e| matches!(&e.event, SchedEvent::Fault { kind: k, .. } if k == kind))
                 .count() as u32
         };
         assert!(r.fault.injected > 0, "plan injected faults");
@@ -1009,12 +1009,14 @@ mod tests {
             count("checkpoint_restore_failure"),
             r.fault.checkpoint_restore_failures
         );
-        let carryovers = parsed
+        let carryovers = r
+            .events
             .iter()
             .filter(|e| matches!(e.event, SchedEvent::ReclaimCarryover { .. }))
             .count() as u32;
         assert_eq!(carryovers, r.fault.reclaim_carryovers);
-        let misses = parsed
+        let misses = r
+            .events
             .iter()
             .filter(|e| matches!(e.event, SchedEvent::ReclaimDeadlineMiss { .. }))
             .count() as u32;
@@ -1120,10 +1122,7 @@ mod tests {
     // pinned in `lyra-core`'s `incremental_engine_matches_from_scratch`
     // differential test and by `lyra-oracle`'s `check_reclaim_optimality`.
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 8,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
         #[test]
         fn snapshot_cache_matches_rebuild_every_epoch(
             seed in 0u64..1024,

@@ -92,13 +92,12 @@ proptest! {
         // `finish_observation`); an error here means a partition broke.
         let r = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default())
             .expect("attribution reconciles inside the engine");
-        let log = r.events.join("\n");
-        let parsed = lyra_obs::parse_log(&log).expect("log parses");
-        let admits = parsed
+        let events = &r.events;
+        let admits = events
             .iter()
             .filter(|e| matches!(e.event, lyra_obs::SchedEvent::JobAdmit { .. }))
             .count();
-        let attrs = attribute_log(&parsed);
+        let attrs = attribute_log(events);
         prop_assert_eq!(attrs.len(), admits, "one attribution per admitted job");
         for a in &attrs {
             if let Err(e) = a.reconcile() {
@@ -140,10 +139,8 @@ fn same_seed_runs_yield_identical_tables_and_traces() {
         b.attribution.render_table(),
         "attribution tables are byte-identical"
     );
-    let parsed_a = lyra_obs::parse_log(&a.events.join("\n")).expect("parses");
-    let parsed_b = lyra_obs::parse_log(&b.events.join("\n")).expect("parses");
-    let trace_a = export_provenance_trace(&parsed_a);
-    let trace_b = export_provenance_trace(&parsed_b);
+    let trace_a = export_provenance_trace(&a.events);
+    let trace_b = export_provenance_trace(&b.events);
     assert_eq!(trace_a, trace_b, "Chrome traces are byte-identical");
     let stats = validate_chrome_trace(&trace_a).expect("trace is well-formed");
     assert!(stats.events > 0 && stats.span_pairs > 0, "trace has content");

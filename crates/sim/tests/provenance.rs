@@ -94,11 +94,11 @@ proptest! {
         let (s, jobs, inference) = faulty_scenario(seed, fault_seed, crash_rate, worker_rate);
         let r = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default())
             .expect("faulted run completes");
-        let parsed = lyra_obs::parse_log(&r.events.join("\n")).expect("log parses");
+        let events = &r.events;
 
         // Online ≡ offline: the engine-maintained graph and the pure
         // log replay must be exactly equal.
-        let offline = build_provenance(&parsed);
+        let offline = build_provenance(events);
         prop_assert_eq!(&r.provenance, &offline, "online graph ≠ offline replay");
 
         // Causes strictly precede effects.
@@ -116,7 +116,7 @@ proptest! {
             prop_assert_eq!(from.kind, NodeKind::ReclaimChoice);
             prop_assert_eq!(to.kind, NodeKind::Preempt);
             let victim = to.job.expect("preempt node names its victim");
-            let matching: Vec<_> = parsed
+            let matching: Vec<_> = events
                 .iter()
                 .filter(|ev| ev.seq == e.from)
                 .filter_map(|ev| match &ev.event {
@@ -143,7 +143,7 @@ proptest! {
 
         // No orphan blame: every reclaim-preemption interval anchors to
         // a Preempt node carrying an incoming victim-ranking edge.
-        for a in attribute_log(&parsed) {
+        for a in attribute_log(events) {
             for iv in &a.intervals {
                 if iv.cause != DelayCause::ReclaimPreemption {
                     continue;
@@ -173,13 +173,13 @@ fn why_is_byte_identical_live_vs_log_replay() {
     // High fault pressure so reclaim preemptions actually occur.
     let (s, jobs, inference) = faulty_scenario(17, 23, 1.0, 8.0);
     let r = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
-    let parsed = lyra_obs::parse_log(&r.events.join("\n")).expect("parses");
-    let attrs = attribute_log(&parsed);
+    let events = &r.events;
+    let attrs = attribute_log(events);
     // The live rendering reads the engine's online graph; the replay
     // rebuilds everything from the log. Same bytes, for every job.
     for a in &attrs {
         let live = render_why(&r.provenance, &attrs, a.job).expect("job is in the attribution");
-        let replay = why_from_log(&parsed, a.job).expect("job is in the log");
+        let replay = why_from_log(events, a.job).expect("job is in the log");
         assert_eq!(live, replay, "job {}: live vs replay `why` diverged", a.job);
     }
     assert!(!attrs.is_empty(), "run admitted jobs");
@@ -189,8 +189,8 @@ fn why_is_byte_identical_live_vs_log_replay() {
 fn victims_trace_back_to_demand_and_ranking() {
     let (s, jobs, inference) = faulty_scenario(17, 23, 1.0, 8.0);
     let r = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
-    let parsed = lyra_obs::parse_log(&r.events.join("\n")).expect("parses");
-    let victims: Vec<u64> = parsed
+    let events = &r.events;
+    let victims: Vec<u64> = events
         .iter()
         .filter_map(|e| match &e.event {
             SchedEvent::JobPreempt { job, .. } => Some(*job),
@@ -202,7 +202,7 @@ fn victims_trace_back_to_demand_and_ranking() {
         "scenario must produce at least one reclaim preemption for this test to bite"
     );
     for victim in victims {
-        let why = why_from_log(&parsed, victim).expect("victim is in the log");
+        let why = why_from_log(events, victim).expect("victim is in the log");
         assert!(
             why.contains("caused by preempt #"),
             "victim {victim}: `why` does not anchor the preemption:\n{why}"
@@ -224,15 +224,13 @@ fn same_seed_runs_pin_blame_and_provenance_export() {
     let a = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
     let b = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
     assert_eq!(a.provenance, b.provenance, "online graphs match");
-    let parsed_a = lyra_obs::parse_log(&a.events.join("\n")).expect("parses");
-    let parsed_b = lyra_obs::parse_log(&b.events.join("\n")).expect("parses");
     assert_eq!(
-        blame_from_log(&parsed_a, 10),
-        blame_from_log(&parsed_b, 10),
+        blame_from_log(&a.events, 10),
+        blame_from_log(&b.events, 10),
         "blame tables are byte-identical"
     );
-    let trace_a = export_provenance_trace(&parsed_a);
-    let trace_b = export_provenance_trace(&parsed_b);
+    let trace_a = export_provenance_trace(&a.events);
+    let trace_b = export_provenance_trace(&b.events);
     assert_eq!(trace_a, trace_b, "provenance traces are byte-identical");
     let stats = validate_chrome_trace(&trace_a).expect("provenance trace is well-formed");
     assert!(
@@ -255,6 +253,5 @@ fn provenance_can_be_disabled() {
         "provenance off leaves an empty graph in the report"
     );
     // The log still supports the offline path.
-    let parsed = lyra_obs::parse_log(&r.events.join("\n")).expect("parses");
-    assert!(build_provenance(&parsed).node_count() > 0);
+    assert!(build_provenance(&r.events).node_count() > 0);
 }
