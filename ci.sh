@@ -74,15 +74,20 @@ smoke_bytes=$(wc -c <"$smoke_dir/smoke.jsonl")
   --log "$smoke_dir/smoke.jsonl" >/dev/null
 ./target/release/lyra-bench blame --top 5 --log "$smoke_dir/smoke.jsonl"
 
-# Provenance smoke: the log-replay tooling must run end to end — `why`
-# for a job known to exist (ranked causes, intervals with their causal
-# chains, the audited decision chain), the `blame` rankings from two
-# fresh same-seed runs (must be byte-identical, and byte-identical to
-# the rankings replayed from the smoke run's sink file), the filter's cause
+# Provenance smoke: the log-replay tooling must run end to end, and
+# every provenance view must come out byte-identical from a fresh
+# same-seed in-memory run and from the smoke run's sink file: `why` for
+# a job known to exist (intervals with their causal chains), the
+# `blame` rankings (also from two fresh runs) and the trace export,
+# whose provenance flow arrows must be present. Then the filter's cause
 # taxonomy validation (unknown cause must exit 2 and list the
-# alternatives), and the trace export, whose provenance flow arrows
-# must be present.
-./target/release/lyra-bench why 0 --log "$smoke_dir/smoke.jsonl" >/dev/null
+# alternatives).
+./target/release/lyra-bench why 0 >"$smoke_dir/why-run.txt"
+./target/release/lyra-bench why 0 --log "$smoke_dir/smoke.jsonl" >"$smoke_dir/why-sink.txt"
+cmp "$smoke_dir/why-run.txt" "$smoke_dir/why-sink.txt" || {
+  echo "ci: why 0 from the sink log differs from the same-seed in-memory run" >&2
+  exit 1
+}
 ./target/release/lyra-bench blame --top 5 >"$smoke_dir/blame-a.txt"
 ./target/release/lyra-bench blame --top 5 >"$smoke_dir/blame-b.txt"
 cmp "$smoke_dir/blame-a.txt" "$smoke_dir/blame-b.txt" || {
@@ -95,8 +100,13 @@ cmp "$smoke_dir/blame-a.txt" "$smoke_dir/blame-sink.txt" || {
   echo "ci: blame from the sink log differs from the same-seed in-memory run" >&2
   exit 1
 }
+./target/release/lyra-bench export-trace --out "$smoke_dir/run.trace.json" >/dev/null
 ./target/release/lyra-bench export-trace --log "$smoke_dir/smoke.jsonl" \
   --out "$smoke_dir/smoke.trace.json"
+cmp "$smoke_dir/run.trace.json" "$smoke_dir/smoke.trace.json" || {
+  echo "ci: export-trace from the sink log differs from the same-seed in-memory run" >&2
+  exit 1
+}
 grep -q '"ph":"s"' "$smoke_dir/smoke.trace.json" || {
   echo "ci: export-trace wrote no provenance flow events" >&2
   exit 1
@@ -167,9 +177,8 @@ done
 rm -rf "$smoke_dir"
 
 # Perf gates: full observation (event log + telemetry sampling) must fit
-# the telemetry overhead budget, the decision-provenance tracker must
-# cost at most 5 % (+ slack) over plain observation, and a reclaim-churn
-# probe fails if `core.reclaim` burns over 25 % of span self time. The
+# the telemetry overhead budget, and a reclaim-churn probe fails if
+# `core.reclaim` burns over 25 % of span self time. The
 # gates write nothing: the frozen BENCH_scheduler.json must come out
 # byte-identical. Simulator timing is `lyra-benchmark`'s job. `perf`
 # takes no arguments: a stray one must exit 2 rather than run.

@@ -54,7 +54,6 @@ pub fn checkpoint_cmd(at_s: f64, out: &Path, log: Option<&Path>) -> i32 {
     };
     let sim = match sim.with_observer(ObserverConfig {
         sink_path: log.map(Path::to_path_buf),
-        ..ObserverConfig::default()
     }) {
         Ok(sim) => sim,
         Err(e) => {

@@ -410,7 +410,6 @@ fn observed_small_run(sink: Option<&str>) -> Result<lyra_sim::SimReport, CliErro
     scenario.cluster = Scale::Small.cluster_config();
     let observer = ObserverConfig {
         sink_path: sink.map(std::path::PathBuf::from),
-        ..ObserverConfig::default()
     };
     run_scenario_observed(&scenario, &jobs, &inference, observer)
         .map_err(|e| failed(format!("observed run failed: {e}")))

@@ -1,10 +1,9 @@
 //! `lyra-bench perf`: the observation and reclaim cost gates.
 //!
-//! Three gates run at Small (CI) scale: full observation must stay
-//! within a generous multiple of the bare run, the decision-provenance
-//! tracker may cost at most 5 % over plain observation, and a
-//! reclaim-heavy probe fails if `core.reclaim` burns too large a share
-//! of span self time. The gates print their probes and write nothing;
+//! Two gates run at Small (CI) scale: full observation must stay
+//! within a generous multiple of the bare run, and a reclaim-heavy
+//! probe fails if `core.reclaim` burns too large a share of span self
+//! time. The gates print their probes and write nothing;
 //! `BENCH_scheduler.json` is a frozen scheduler-epoch measurement.
 //! Wall-time timing of the simulator, end to end and layer by layer, is
 //! `lyra-benchmark`'s job.
@@ -14,14 +13,6 @@ use lyra_obs::Profile;
 use lyra_sim::{run_scenario, run_scenario_observed, ObserverConfig, Scenario};
 use lyra_trace::{InferenceTrace, JobTrace};
 use std::time::Instant;
-
-/// The provenance-tracking run may take at most 5 % over the plain
-/// observed run…
-pub const PROVENANCE_BUDGET_RATIO: f64 = 1.05;
-/// …plus this much absolute slack: Small-scale CI runs finish in well
-/// under a second, where a 5 % relative budget alone would be pure
-/// timer noise.
-pub const PROVENANCE_BUDGET_SLACK_S: f64 = 0.5;
 
 /// The observed run may take at most `OVERHEAD_BUDGET_RATIO` × the
 /// bare run plus `OVERHEAD_BUDGET_SLACK_S` of absolute slack. The
@@ -138,32 +129,24 @@ fn reclaim_probe() -> i32 {
     0
 }
 
-/// Runs the three gates; returns the process exit code.
+/// Runs the two gates; returns the process exit code.
 pub fn run() -> i32 {
     let scale = Scale::Small;
     let (jobs, inference) = scale.traces(5);
     let mut scenario = Scenario::basic();
     scenario.cluster = scale.cluster_config();
-    let observed = |config: ObserverConfig| {
-        run_scenario_observed(&scenario, &jobs, &inference, config)
-            .unwrap_or_else(|e| panic!("observed run failed: {e}"));
-    };
 
-    // Three runs of one scenario: bare, observed without provenance, and
-    // fully observed (event log + telemetry sampling + provenance,
-    // everything `ObserverConfig::default()` turns on). The fully
-    // observed run serves both gates.
+    // Two runs of one scenario: bare, and fully observed (event log,
+    // telemetry sampling, decision audits and span timing, everything
+    // `ObserverConfig::default()` turns on).
     let bare_s = timed(|| {
         run_scenario(&scenario, &jobs, &inference)
             .unwrap_or_else(|e| panic!("bare run failed: {e}"));
     });
-    let no_provenance_s = timed(|| {
-        observed(ObserverConfig {
-            provenance: false,
-            ..ObserverConfig::default()
-        })
+    let observed_s = timed(|| {
+        run_scenario_observed(&scenario, &jobs, &inference, ObserverConfig::default())
+            .unwrap_or_else(|e| panic!("observed run failed: {e}"));
     });
-    let observed_s = timed(|| observed(ObserverConfig::default()));
 
     // Telemetry overhead budget: full observation must stay within a
     // generous multiple of the bare run.
@@ -181,26 +164,10 @@ pub fn run() -> i32 {
         );
         return 1;
     }
-    // Provenance overhead budget: the decision-provenance tracker may
-    // cost at most 5 % (plus slack) over plain observation.
-    println!(
-        "provenance overhead: {no_provenance_s:.3}s observed vs {observed_s:.3}s with \
-         provenance ({:.2}x, budget {}x + {}s)",
-        ratio(observed_s, no_provenance_s),
-        PROVENANCE_BUDGET_RATIO,
-        PROVENANCE_BUDGET_SLACK_S
-    );
-    if observed_s > PROVENANCE_BUDGET_RATIO * no_provenance_s + PROVENANCE_BUDGET_SLACK_S {
-        eprintln!(
-            "perf: provenance overhead budget EXCEEDED \
-             ({observed_s:.3}s with provenance vs {no_provenance_s:.3}s observed)"
-        );
-        return 1;
-    }
     let rc = reclaim_probe();
     if rc != 0 {
         return rc;
     }
-    println!("perf: telemetry, provenance and reclaim overheads within budget");
+    println!("perf: telemetry and reclaim overheads within budget");
     0
 }

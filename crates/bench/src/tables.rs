@@ -174,7 +174,6 @@ mod tests {
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
             telemetry: lyra_obs::Telemetry::default(),
-            provenance: lyra_obs::ProvenanceGraph::default(),
         }
     }
 

@@ -15,15 +15,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Stable identifier of a scheduling decision: the log `seq` of the
 /// event that recorded it.
 pub type DecisionId = u64;
 
 /// What kind of decision (or decision-relevant lifecycle event) a node
 /// represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeKind {
     /// A job was admitted to the pending queue (`JobAdmit`).
     Admit,
@@ -77,7 +75,7 @@ impl NodeKind {
 }
 
 /// The causal relationship an edge encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EdgeKind {
     /// Admission (or a prior preemption/restart) fed a phase-1 ranking.
     Rank,
@@ -119,7 +117,7 @@ impl EdgeKind {
 }
 
 /// One decision node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvenanceNode {
     /// The decision's stable id (log `seq`).
     pub id: DecisionId,
@@ -132,7 +130,7 @@ pub struct ProvenanceNode {
 }
 
 /// One causal edge; `from` is the cause, `to` the effect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvenanceEdge {
     /// Cause decision.
     pub from: DecisionId,
@@ -143,7 +141,7 @@ pub struct ProvenanceEdge {
 }
 
 /// The causal graph of scheduling decisions for one run (or one log).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProvenanceGraph {
     nodes: BTreeMap<DecisionId, ProvenanceNode>,
     edges: Vec<ProvenanceEdge>,
@@ -260,16 +258,5 @@ mod tests {
         g.add_node(node(1, NodeKind::Admit, Some(1)));
         g.add_edge(1, 99, EdgeKind::Launch);
         assert!(!g.is_acyclic());
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_graph() {
-        let mut g = ProvenanceGraph::default();
-        g.add_node(node(4, NodeKind::LoanGrant, None));
-        g.add_node(node(9, NodeKind::ScaleOut, Some(2)));
-        g.add_edge(4, 9, EdgeKind::LoanEnabled);
-        let json = serde_json::to_string(&g).expect("serialize");
-        let back: ProvenanceGraph = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, g);
     }
 }

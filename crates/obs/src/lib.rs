@@ -47,13 +47,14 @@
 //! placement → launch per job, plus the cross-job edges (loan-grant →
 //! the scale-out it enabled, loan-demand → victim ranking → the
 //! preemptions it triggered, fault → restart → re-placement). The graph
-//! builds online (checkpoint-safe observer state) or offline from any
-//! JSONL log, and renders as `why`/`blame` reports and Perfetto flow
-//! arrows.
+//! is built from the logged events alone ([`build_provenance`]), so a
+//! live run and any JSONL log of it yield the same graph; it renders as
+//! `why`/`blame` reports and Perfetto flow arrows.
 //!
 //! [`observer`] ties them together for a simulator run: one
-//! [`Observer`] owns the log, the trackers, the telemetry store and the
-//! alert engine, and every event reaches all of them through one call.
+//! [`Observer`] owns the log, the delay-attribution tracker, the
+//! telemetry store and the alert engine, and every event reaches all of
+//! them through one call.
 //!
 //! [`output`] is the small experiment-output writer used by the bench
 //! CLI's `--quiet` / `--json` modes.
@@ -94,9 +95,7 @@ pub use graph::{
 pub use lifecycle::{attribute_log, LifecycleTracker};
 pub use log::{parse_log, to_jsonl, EventLog, EventLogState};
 pub use observer::{Observer, ObserverCheckpoint, ObserverConfig};
-pub use provenance::{
-    blame_from_log, build_provenance, render_blame, render_why, why_from_log, ProvenanceTracker,
-};
+pub use provenance::{blame_from_log, build_provenance, render_blame, render_why, why_from_log};
 pub use output::OutputMode;
 pub use prom::render_prometheus;
 pub use span::{PhaseStat, Profile, SpanGuard};

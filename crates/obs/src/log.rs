@@ -75,8 +75,8 @@ impl EventLog {
 
     /// Stamps `event` with `time_ms` and the next sequence number, then
     /// writes it to the log's destination. Returns the sequence number
-    /// assigned — the event's stable `DecisionId` for provenance
-    /// tracking (persisted in the line itself and in checkpoints, so it
+    /// assigned — the event's stable `DecisionId` for decision
+    /// provenance (persisted in the line itself and in checkpoints, so it
     /// survives log replay and crash/resume unchanged).
     pub fn emit(&mut self, time_ms: u64, event: SchedEvent) -> u64 {
         let seq = self.seq;
@@ -100,12 +100,6 @@ impl EventLog {
             }
         }
         seq
-    }
-
-    /// The sequence number the *next* emitted event will carry (the
-    /// number of events emitted so far).
-    pub fn next_seq(&self) -> u64 {
-        self.seq
     }
 
     /// Moves the in-memory events out, oldest first, leaving none
@@ -524,7 +518,8 @@ mod tests {
         }
         assert_eq!(parse_log(&to_jsonl(&events)), Ok(events));
         assert!(log.take_events().is_empty(), "taking leaves none behind");
-        assert_eq!(log.next_seq(), samples.len() as u64, "cursor kept");
+        let next = log.emit(0, SchedEvent::JobAdmit { job: 0 });
+        assert_eq!(next, samples.len() as u64, "cursor kept");
         assert_eq!(to_jsonl(&[]), "");
     }
 
@@ -549,8 +544,7 @@ mod tests {
         }
         let state = log.capture_state();
         let mut restored = EventLog::from_state(state).expect("restore");
-        assert_eq!(restored.next_seq(), 3);
-        restored.emit(400, SchedEvent::JobAdmit { job: 9 });
+        assert_eq!(restored.emit(400, SchedEvent::JobAdmit { job: 9 }), 3);
         let events = restored.take_events();
         assert_eq!(events.len(), 4);
         assert_eq!(events[3].seq, 3);

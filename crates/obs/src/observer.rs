@@ -1,6 +1,7 @@
 //! The run's one observer: every logged event goes through
-//! [`Observer::observe`], which feeds the delay-attribution and
-//! provenance trackers, the telemetry counters and the event log.
+//! [`Observer::observe`], which feeds the delay-attribution tracker,
+//! the telemetry counters and the event log. Decision provenance is not
+//! tracked here: `build_provenance` derives it from the logged events.
 
 use std::path::PathBuf;
 
@@ -9,31 +10,16 @@ use serde::{Deserialize, Serialize};
 use crate::alerts::AlertEngine;
 use crate::attribution::{summarize, AttributionSummary};
 use crate::event::{SchedEvent, TimedEvent};
-use crate::graph::ProvenanceGraph;
 use crate::lifecycle::LifecycleTracker;
 use crate::log::{EventLog, EventLogState};
-use crate::provenance::ProvenanceTracker;
 use crate::timeseries::Telemetry;
 
-/// What to attach to a run: where its event log goes and whether the
-/// decision-provenance graph is built online.
-#[derive(Debug, Clone)]
+/// What to attach to a run: where its event log goes.
+#[derive(Debug, Clone, Default)]
 pub struct ObserverConfig {
     /// JSONL file sink receiving every event line. Without one, the
     /// typed events stay in memory and land in the report's `events`.
     pub sink_path: Option<PathBuf>,
-    /// Build the decision-provenance graph online (checkpoint-safe
-    /// observer state; exported in the report's `provenance`).
-    pub provenance: bool,
-}
-
-impl Default for ObserverConfig {
-    fn default() -> Self {
-        ObserverConfig {
-            sink_path: None,
-            provenance: true,
-        }
-    }
 }
 
 /// Everything the observer keeps besides the log: plain data, cloned
@@ -41,8 +27,6 @@ impl Default for ObserverConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Trackers {
     lifecycle: LifecycleTracker,
-    /// `None` when provenance tracking is off.
-    provenance: Option<ProvenanceTracker>,
     telemetry: Telemetry,
     alerts: AlertEngine,
     /// Last logged `SchedulerEpoch` shape: quiet epochs are not logged.
@@ -83,7 +67,6 @@ impl Observer {
             log,
             trackers: Trackers {
                 lifecycle: LifecycleTracker::new(),
-                provenance: cfg.provenance.then(ProvenanceTracker::new),
                 telemetry: Telemetry::default(),
                 alerts: AlertEngine::default(),
                 last_epoch: None,
@@ -93,15 +76,12 @@ impl Observer {
         })
     }
 
-    /// Records one event at simulated `time_ms`: attribution,
-    /// provenance, counters, then the log. Returns the event's
-    /// sequence number — its stable `DecisionId`.
+    /// Records one event at simulated `time_ms`: attribution, counters,
+    /// then the log. Returns the event's sequence number — its stable
+    /// `DecisionId`.
     pub fn observe(&mut self, time_ms: u64, event: SchedEvent) -> u64 {
         let t = &mut self.trackers;
         t.lifecycle.observe(time_ms, &event);
-        if let Some(prov) = t.provenance.as_mut() {
-            prov.observe(time_ms, self.log.next_seq(), &event);
-        }
         t.telemetry.observe(&event);
         self.log.emit(time_ms, event)
     }
@@ -214,15 +194,8 @@ impl Observer {
     }
 
     /// The run's products for its report: the in-memory events (empty
-    /// with a sink), the telemetry store and the provenance graph (empty
-    /// when tracking was off).
-    pub fn into_products(mut self) -> (Vec<TimedEvent>, Telemetry, ProvenanceGraph) {
-        let events = self.log.take_events();
-        let t = self.trackers;
-        let graph = t
-            .provenance
-            .map(ProvenanceTracker::into_graph)
-            .unwrap_or_default();
-        (events, t.telemetry, graph)
+    /// with a sink) and the telemetry store.
+    pub fn into_products(mut self) -> (Vec<TimedEvent>, Telemetry) {
+        (self.log.take_events(), self.trackers.telemetry)
     }
 }

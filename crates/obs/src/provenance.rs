@@ -1,14 +1,11 @@
-//! Decision-provenance tracking: building the causal graph online from
-//! the live event stream, or offline from any JSONL log, and rendering
-//! it (`why`, `blame`).
+//! Decision provenance: building the causal graph from a run's logged
+//! events and rendering it (`why`, `blame`).
 //!
-//! The tracker mirrors [`LifecycleTracker`](crate::LifecycleTracker):
-//! it consumes `(time_ms, seq, &SchedEvent)` triples in emission order.
-//! The engine feeds it as each event is emitted (online); offline,
-//! [`build_provenance`] feeds a fresh tracker from a parsed log. Both
-//! paths run the exact same transition function over the exact same
-//! `(seq, event)` stream, so online ≡ offline holds by construction —
-//! and is pinned by a differential test in `lyra-sim`.
+//! [`build_provenance`] folds the `(time_ms, seq, &SchedEvent)` stream,
+//! in emission order, through one private transition function. The
+//! stream is the same whether it comes from a run's in-memory events or
+//! from its JSONL sink read back with [`parse_log`](crate::parse_log),
+//! so both yield the same graph.
 //!
 //! # DecisionId stability
 //!
@@ -20,8 +17,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::attribution::{fmt_s, DelayCause, JobAttribution};
 use crate::audit::AuditRecord;
 use crate::event::{SchedEvent, TimedEvent};
@@ -29,12 +24,8 @@ use crate::graph::{DecisionId, EdgeKind, NodeKind, ProvenanceGraph, ProvenanceNo
 use crate::lifecycle::attribute_log;
 
 /// Builds a [`ProvenanceGraph`] incrementally from an event stream.
-///
-/// All state is serialisable: the observer checkpoints the tracker
-/// alongside the event log, so a resumed run continues growing the
-/// same graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ProvenanceTracker {
+#[derive(Default)]
+struct ProvenanceTracker {
     graph: ProvenanceGraph,
     /// Per-job tail of the admission→rank→verdict→placement chain: the
     /// decision the job's *next* chain event links back to.
@@ -51,21 +42,6 @@ pub struct ProvenanceTracker {
 }
 
 impl ProvenanceTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The graph built so far.
-    pub fn graph(&self) -> &ProvenanceGraph {
-        &self.graph
-    }
-
-    /// Consumes the tracker, yielding the graph.
-    pub fn into_graph(self) -> ProvenanceGraph {
-        self.graph
-    }
-
     fn add(&mut self, id: DecisionId, time_ms: u64, kind: NodeKind, job: Option<u64>) {
         self.graph.add_node(ProvenanceNode {
             id,
@@ -76,9 +52,8 @@ impl ProvenanceTracker {
     }
 
     /// Feeds one event. `seq` must be the log sequence number the event
-    /// was (or will be) emitted under; events must arrive in `seq`
-    /// order.
-    pub fn observe(&mut self, time_ms: u64, seq: u64, event: &SchedEvent) {
+    /// was emitted under; events must arrive in `seq` order.
+    fn observe(&mut self, time_ms: u64, seq: u64, event: &SchedEvent) {
         match event {
             SchedEvent::JobAdmit { job } => {
                 self.add(seq, time_ms, NodeKind::Admit, Some(*job));
@@ -197,17 +172,14 @@ impl ProvenanceTracker {
     }
 }
 
-/// Builds the provenance graph offline from a parsed JSONL log.
-///
-/// Runs the same transition function the online tracker runs, over the
-/// persisted `(seq, event)` stream, so the result is identical to the
-/// graph the live observer built.
+/// Builds the provenance graph from a run's events, oldest first: the
+/// report's in-memory events or a JSONL log read back.
 pub fn build_provenance(events: &[TimedEvent]) -> ProvenanceGraph {
-    let mut tracker = ProvenanceTracker::new();
+    let mut tracker = ProvenanceTracker::default();
     for ev in events {
         tracker.observe(ev.time_ms, ev.seq, &ev.event);
     }
-    tracker.into_graph()
+    tracker.graph
 }
 
 /// The node a delay interval is anchored on: the decision (or fault)
@@ -298,9 +270,8 @@ pub fn render_why(
     Ok(out)
 }
 
-/// [`render_why`] over a parsed log: builds the graph and attributions
-/// offline, then renders. Byte-identical to the live-run rendering of
-/// the same events.
+/// [`render_why`] over a run's events: builds the graph and the
+/// attributions, then renders.
 pub fn why_from_log(events: &[TimedEvent], job: u64) -> Result<String, String> {
     render_why(&build_provenance(events), &attribute_log(events), job)
 }
@@ -546,26 +517,5 @@ mod tests {
         assert!(out.contains("#5"), "demand column: {out}");
         // 3s of reclaim-preemption delay (5000..8000ms), one victim.
         assert!(out.contains("3.000"), "{out}");
-    }
-
-    #[test]
-    fn tracker_state_round_trips_through_serde() {
-        let events = sample_events();
-        // Split mid-run: checkpoint after the preemption, resume, finish.
-        let mut live = ProvenanceTracker::new();
-        for ev in &events {
-            live.observe(ev.time_ms, ev.seq, &ev.event);
-        }
-        let mut half = ProvenanceTracker::new();
-        for ev in &events[..8] {
-            half.observe(ev.time_ms, ev.seq, &ev.event);
-        }
-        let json = serde_json::to_string(&half).expect("serialize");
-        let mut resumed: ProvenanceTracker = serde_json::from_str(&json).expect("parse");
-        for ev in &events[8..] {
-            resumed.observe(ev.time_ms, ev.seq, &ev.event);
-        }
-        assert_eq!(resumed, live);
-        assert_eq!(resumed.into_graph(), build_provenance(&events));
     }
 }

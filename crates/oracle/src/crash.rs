@@ -106,8 +106,8 @@ struct Baseline {
     prom: String,
     /// `why` rendering for the first preemption victim, top-5 `blame`
     /// table and flow-annotated provenance trace, all derived from the
-    /// log — the online graph is pinned through the report JSON, these
-    /// pin the offline rendering pipeline too.
+    /// log: the provenance graph exists only as built from the log, so
+    /// these pin it through kill/restore.
     why: String,
     blame: String,
     prov_trace: String,
@@ -164,7 +164,6 @@ fn run_observed(
         .map_err(|e| format!("building `{}`: {e}", scenario.name))?
         .with_observer(ObserverConfig {
             sink_path: Some(sink.to_path_buf()),
-            ..ObserverConfig::default()
         })
         .map_err(|e| format!("opening sink {}: {e}", sink.display()))?
         .run_to_outcome(&scenario.name)

@@ -57,7 +57,7 @@ pub struct GoldenCase {
 
 impl GoldenCase {
     /// Runs the scenario under full observation and returns the whole
-    /// report (event log, telemetry, attribution, provenance, …).
+    /// report (event log, telemetry, attribution, …).
     pub fn observed_report(&self) -> Result<SimReport, String> {
         run_scenario_observed(
             &self.scenario,

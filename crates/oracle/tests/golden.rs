@@ -92,7 +92,6 @@ fn sink_and_replay_agree_with_the_in_memory_run() {
         let sink = dir.join(format!("{}.jsonl", case.name));
         let cfg = ObserverConfig {
             sink_path: Some(sink.clone()),
-            ..ObserverConfig::default()
         };
         let filed = run_scenario_observed(&case.scenario, &case.jobs, &case.inference, cfg)
             .expect("sink run");

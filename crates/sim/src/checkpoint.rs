@@ -49,8 +49,9 @@ use std::path::Path;
 /// version 10 added the cluster state's gauge counters (`empty_gpus`,
 /// `flexible_used`); version 11 checkpoints an in-memory event log as
 /// typed events instead of JSON lines and dropped `SimConfig`'s
-/// `loan_all_offered` switch.
-pub const CHECKPOINT_VERSION: u32 = 11;
+/// `loan_all_offered` switch; version 12 dropped the observer's
+/// decision-provenance tracker (provenance is rebuilt from the log).
+pub const CHECKPOINT_VERSION: u32 = 12;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

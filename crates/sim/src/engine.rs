@@ -601,8 +601,7 @@ impl Simulation {
     }
 
     /// Observes `ev` (no-op without an observer). Returns the sequence
-    /// number the event was logged under — its stable `DecisionId` for
-    /// provenance tracking.
+    /// number the event was logged under — its stable `DecisionId`.
     fn emit(&mut self, ev: SchedEvent) -> Option<u64> {
         let time_ms = self.now_ms();
         self.observer.as_mut().map(|o| o.observe(time_ms, ev))
@@ -2376,8 +2375,8 @@ impl Simulation {
         }
     }
 
-    /// Assembles the run's report. The observer's products (events,
-    /// telemetry, provenance graph), the span profile and the
+    /// Assembles the run's report. The observer's products (events and
+    /// telemetry), the span profile and the
     /// attribution summary are moved out rather than copied: the report
     /// is the run's last step.
     fn report(&mut self, name: &str) -> SimReport {
@@ -2415,7 +2414,7 @@ impl Simulation {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        let (events, telemetry, provenance) = self
+        let (events, telemetry) = self
             .observer
             .take()
             .map(Observer::into_products)
@@ -2450,7 +2449,6 @@ impl Simulation {
             profile: std::mem::take(&mut self.profile),
             attribution: std::mem::take(&mut self.attribution),
             telemetry,
-            provenance,
         }
     }
 }

@@ -371,12 +371,6 @@ pub struct SimReport {
     /// histograms; empty without an observer). Fully deterministic, so
     /// it participates in report equality and the crash-storm gate.
     pub telemetry: lyra_obs::Telemetry,
-    /// Decision-provenance graph built online by the observer (empty
-    /// without an observer or with provenance tracking disabled). A
-    /// differential test pins it equal to the graph rebuilt offline
-    /// from the event log; report equality pins it through
-    /// checkpoint/resume.
-    pub provenance: lyra_obs::ProvenanceGraph,
 }
 
 impl SimReport {
@@ -720,7 +714,6 @@ mod tests {
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
             telemetry: lyra_obs::Telemetry::default(),
-            provenance: lyra_obs::ProvenanceGraph::default(),
         }
     }
 }

@@ -909,7 +909,6 @@ mod tests {
         s.cluster = tiny_cluster();
         let cfg = ObserverConfig {
             sink_path: Some("/dev/full".into()),
-            ..ObserverConfig::default()
         };
         let err = run_scenario_observed(&s, &jobs, &inf, cfg).expect_err("disk full");
         assert!(err.0.contains("/dev/full"), "{err}");

@@ -1,18 +1,17 @@
 //! Decision-provenance properties over randomly faulted scenarios.
 //!
-//! The engine's online [`ProvenanceTracker`] and the offline
-//! [`build_provenance`] replay consume the same event stream through
-//! the same transition function, so the two graphs must be equal for
-//! any run — checked here as a differential over random faulted
-//! scenarios, together with the structural invariants the graph
-//! promises: acyclicity (causes strictly precede effects), every
-//! preemption edge backed by exactly one `ReclaimChoice` audit record
-//! naming the victim, and no orphan blame (every reclaim-preemption
-//! delay interval reachable from a victim-ranking decision).
+//! [`build_provenance`] over a run's events must give a graph that
+//! keeps its structural promises for any faulted run: acyclicity
+//! (causes strictly precede effects), every preemption edge backed by
+//! exactly one `ReclaimChoice` audit record naming the victim, and no
+//! orphan blame (every reclaim-preemption delay interval reachable from
+//! a victim-ranking decision). The renderers must give the same bytes
+//! from a run's in-memory events and from its JSONL sink read back, and
+//! from two runs of the same seed.
 
 use lyra_cluster::state::ClusterConfig;
 use lyra_obs::{
-    attribute_log, blame_from_log, build_provenance, export_provenance_trace, render_why,
+    attribute_log, blame_from_log, build_provenance, export_provenance_trace, parse_log,
     validate_chrome_trace, why_from_log, AuditRecord, DelayCause, EdgeKind, NodeKind, SchedEvent,
 };
 use lyra_sim::{
@@ -79,11 +78,11 @@ fn faulty_scenario(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any faulted run: the online graph equals the offline replay,
-    /// the graph is acyclic, every preemption edge is backed by exactly
-    /// one `ReclaimChoice` audit record naming the victim, and every
-    /// reclaim-preemption delay interval anchors to a preemption node
-    /// with an incoming victim-ranking edge (no orphan blame).
+    /// For any faulted run, the graph built from its events is acyclic,
+    /// every preemption edge is backed by exactly one `ReclaimChoice`
+    /// audit record naming the victim, and every reclaim-preemption
+    /// delay interval anchors to a preemption node with an incoming
+    /// victim-ranking edge (no orphan blame).
     #[test]
     fn provenance_graph_is_sound_under_faults(
         seed in 0u64..500,
@@ -95,24 +94,20 @@ proptest! {
         let r = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default())
             .expect("faulted run completes");
         let events = &r.events;
-
-        // Online ≡ offline: the engine-maintained graph and the pure
-        // log replay must be exactly equal.
-        let offline = build_provenance(events);
-        prop_assert_eq!(&r.provenance, &offline, "online graph ≠ offline replay");
+        let graph = build_provenance(events);
 
         // Causes strictly precede effects.
-        prop_assert!(r.provenance.is_acyclic(), "provenance graph has a cycle or dangling edge");
+        prop_assert!(graph.is_acyclic(), "provenance graph has a cycle or dangling edge");
 
         // Every preemption edge matches exactly one ReclaimChoice audit
         // record: the edge's source decision is the log event at that
         // seq, and its `preempted` list names the victim.
-        for e in r.provenance.edges() {
+        for e in graph.edges() {
             if e.kind != EdgeKind::Preemption {
                 continue;
             }
-            let from = r.provenance.node(e.from).expect("edge source exists");
-            let to = r.provenance.node(e.to).expect("edge target exists");
+            let from = graph.node(e.from).expect("edge source exists");
+            let to = graph.node(e.to).expect("edge target exists");
             prop_assert_eq!(from.kind, NodeKind::ReclaimChoice);
             prop_assert_eq!(to.kind, NodeKind::Preempt);
             let victim = to.job.expect("preempt node names its victim");
@@ -148,15 +143,14 @@ proptest! {
                 if iv.cause != DelayCause::ReclaimPreemption {
                     continue;
                 }
-                let anchor = r
-                    .provenance
+                let anchor = graph
                     .latest_for_job(a.job, NodeKind::Preempt, iv.start_ms)
                     .unwrap_or_else(|| {
                         panic!("job {}: reclaim-preemption interval at {}ms has no Preempt node",
                                a.job, iv.start_ms)
                     });
                 prop_assert!(
-                    r.provenance
+                    graph
                         .incoming(anchor.id)
                         .any(|e| e.kind == EdgeKind::Preemption),
                     "job {}: Preempt #{} has no incoming victim-ranking edge (orphan blame)",
@@ -173,14 +167,25 @@ fn why_is_byte_identical_live_vs_log_replay() {
     // High fault pressure so reclaim preemptions actually occur.
     let (s, jobs, inference) = faulty_scenario(17, 23, 1.0, 8.0);
     let r = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
-    let events = &r.events;
-    let attrs = attribute_log(events);
-    // The live rendering reads the engine's online graph; the replay
-    // rebuilds everything from the log. Same bytes, for every job.
+    // The same seed again, its events written to a JSONL sink and read
+    // back: the renderer sees the encode/decode path instead of the
+    // typed in-memory events. Same bytes, for every job.
+    let dir = std::env::temp_dir().join(format!("lyra-provenance-sink-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let sink = dir.join("run.jsonl");
+    let cfg = ObserverConfig {
+        sink_path: Some(sink.clone()),
+    };
+    let filed = run_scenario_observed(&s, &jobs, &inference, cfg).expect("sink run");
+    assert!(filed.events.is_empty(), "a sink run keeps no events in memory");
+    let replayed = parse_log(&std::fs::read_to_string(&sink).expect("sink written"))
+        .expect("sink parses");
+    std::fs::remove_dir_all(&dir).ok();
+    let attrs = attribute_log(&r.events);
     for a in &attrs {
-        let live = render_why(&r.provenance, &attrs, a.job).expect("job is in the attribution");
-        let replay = why_from_log(events, a.job).expect("job is in the log");
-        assert_eq!(live, replay, "job {}: live vs replay `why` diverged", a.job);
+        let memory = why_from_log(&r.events, a.job).expect("job is in the run");
+        let replay = why_from_log(&replayed, a.job).expect("job is in the log");
+        assert_eq!(memory, replay, "job {}: in-memory vs sink `why` diverged", a.job);
     }
     assert!(!attrs.is_empty(), "run admitted jobs");
 }
@@ -223,7 +228,11 @@ fn same_seed_runs_pin_blame_and_provenance_export() {
     let (s, jobs, inference) = faulty_scenario(17, 23, 1.0, 8.0);
     let a = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
     let b = run_scenario_observed(&s, &jobs, &inference, ObserverConfig::default()).expect("runs");
-    assert_eq!(a.provenance, b.provenance, "online graphs match");
+    assert_eq!(
+        build_provenance(&a.events),
+        build_provenance(&b.events),
+        "provenance graphs match"
+    );
     assert_eq!(
         blame_from_log(&a.events, 10),
         blame_from_log(&b.events, 10),
@@ -237,21 +246,4 @@ fn same_seed_runs_pin_blame_and_provenance_export() {
         stats.flow_events > 0,
         "provenance trace carries flow arrows"
     );
-}
-
-#[test]
-fn provenance_can_be_disabled() {
-    let (s, jobs, inference) = faulty_scenario(3, 5, 0.5, 2.0);
-    let cfg = ObserverConfig {
-        provenance: false,
-        ..ObserverConfig::default()
-    };
-    let r = run_scenario_observed(&s, &jobs, &inference, cfg).expect("runs");
-    assert_eq!(
-        r.provenance.node_count(),
-        0,
-        "provenance off leaves an empty graph in the report"
-    );
-    // The log still supports the offline path.
-    assert!(build_provenance(&r.events).node_count() > 0);
 }
