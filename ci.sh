@@ -157,11 +157,23 @@ for hostile in truncated deep; do
 done
 
 # Telemetry smoke: the sparkline dashboard must render from both a live
-# run and a replayed log. The Prometheus exposition must declare every
-# metric name once and carry the completed-jobs counter and the JCT
-# histogram.
-./target/release/lyra-bench timeline >/dev/null
-./target/release/lyra-bench timeline --log "$smoke_dir/smoke.jsonl" >/dev/null
+# run and a replayed log, and each must print the exact extreme of a
+# decimated series: `jobs.running` `max=` equals the largest `running`
+# over the smoke log's `SchedulerEpoch` events. The Prometheus
+# exposition must declare every metric name once and carry the
+# completed-jobs counter and the JCT histogram.
+running_max=$(grep -o '"SchedulerEpoch":{[^}]*"running":[0-9]*' "$smoke_dir/smoke.jsonl" \
+  | sed 's/.*"running"://' | sort -n | tail -n 1)
+./target/release/lyra-bench timeline >"$smoke_dir/timeline-run.txt"
+./target/release/lyra-bench timeline --log "$smoke_dir/smoke.jsonl" >"$smoke_dir/timeline-log.txt"
+for view in run log; do
+  printed=$(awk '$1 == "jobs.running" { sub(/.*max=/, ""); print }' \
+    "$smoke_dir/timeline-$view.txt")
+  [ -n "$running_max" ] && [ "$printed" = "$running_max" ] || {
+    echo "ci: timeline ($view) prints jobs.running max=$printed, the log reaches $running_max" >&2
+    exit 1
+  }
+done
 ./target/release/lyra-bench prom --out "$smoke_dir/smoke.prom"
 dup_types=$(grep '^# TYPE' "$smoke_dir/smoke.prom" | awk '{print $3}' | sort | uniq -d)
 [ -z "$dup_types" ] || {

@@ -82,7 +82,8 @@ pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
 }
 
 /// Renders the full dashboard: a header, one sparkline row per series
-/// (name, chart, min/last/max), the two epoch histograms as
+/// (name, chart, min/last/max; the extremes cover every sample, not only
+/// the retained points the chart draws), the two epoch histograms as
 /// single-line summaries, and the `Alert` transitions in `events` (if
 /// any), in log order.
 pub fn render_dashboard(t: &Telemetry, events: &[TimedEvent], width: usize) -> String {
@@ -98,16 +99,14 @@ pub fn render_dashboard(t: &Telemetry, events: &[TimedEvent], width: usize) -> S
     }
     for (name, s) in &series {
         let values: Vec<f64> = s.points().iter().map(|p| p.value).collect();
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let last = values.last().copied().unwrap_or(0.0);
         out.push_str(&format!(
             "{:<24} {:<width$}  min={} last={} max={}\n",
             name,
             sparkline(&values, width),
-            format_value(if lo.is_finite() { lo } else { 0.0 }),
+            format_value(s.min().unwrap_or(0.0)),
             format_value(last),
-            format_value(if hi.is_finite() { hi } else { 0.0 }),
+            format_value(s.max().unwrap_or(0.0)),
             width = width
         ));
     }

@@ -4,7 +4,6 @@ use lyra_core::gpu::GpuType;
 use lyra_core::job::JobId;
 use lyra_core::snapshot::{PoolKind, ServerGroup, ServerId, ServerView};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One physical server tracked by the cluster state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,8 +23,9 @@ pub struct Server {
     /// Generation speed multiplier on this server's capability (1.0 in
     /// the paper's single-generation clusters).
     pub speed_factor: f64,
-    /// GPUs occupied per job.
-    allocations: BTreeMap<JobId, u32>,
+    /// GPUs occupied per job, ascending by job. A server holds at most
+    /// `total_gpus` jobs, so a lookup here is O(1).
+    allocations: Vec<(JobId, u32)>,
 }
 
 impl Server {
@@ -38,7 +38,7 @@ impl Server {
             pool,
             group: ServerGroup::Unassigned,
             speed_factor: 1.0,
-            allocations: BTreeMap::new(),
+            allocations: Vec::new(),
         }
     }
 
@@ -55,7 +55,7 @@ impl Server {
 
     /// GPUs currently allocated.
     pub fn used_gpus(&self) -> u32 {
-        self.allocations.values().sum()
+        self.allocations.iter().map(|&(_, g)| g).sum()
     }
 
     /// Whether no job occupies this server.
@@ -63,14 +63,27 @@ impl Server {
         self.allocations.is_empty()
     }
 
-    /// GPUs `job` occupies here (0 if absent).
-    pub fn gpus_of(&self, job: JobId) -> u32 {
-        self.allocations.get(&job).copied().unwrap_or(0)
+    /// Where `job` sits in the job table. A scan, not a binary search,
+    /// so an out-of-order table (a hand-edited checkpoint) still finds
+    /// every entry.
+    fn slot(&self, job: JobId) -> Option<usize> {
+        self.allocations.iter().position(|&(j, _)| j == job)
     }
 
-    /// Jobs with at least one GPU here, with their GPU counts.
+    /// GPUs `job` occupies here (0 if absent).
+    pub fn gpus_of(&self, job: JobId) -> u32 {
+        self.holding(job).unwrap_or(0)
+    }
+
+    /// GPUs in `job`'s entry of the job table, `None` when it has none.
+    pub(crate) fn holding(&self, job: JobId) -> Option<u32> {
+        self.slot(job).map(|i| self.allocations[i].1)
+    }
+
+    /// Jobs with at least one GPU here, with their GPU counts, ascending
+    /// by job.
     pub fn jobs(&self) -> impl Iterator<Item = (JobId, u32)> + '_ {
-        self.allocations.iter().map(|(j, g)| (*j, *g))
+        self.allocations.iter().copied()
     }
 
     /// Allocates `gpus` to `job`.
@@ -85,9 +98,14 @@ impl Server {
                 self.free_gpus()
             ));
         }
-        let entry = self.allocations.entry(job).or_insert(0);
-        *entry += gpus;
-        Ok(*entry)
+        let i = self.slot(job).unwrap_or_else(|| {
+            let i = self.allocations.partition_point(|&(j, _)| j < job);
+            self.allocations.insert(i, (job, 0));
+            i
+        });
+        let held = &mut self.allocations[i].1;
+        *held += gpus;
+        Ok(*held)
     }
 
     /// Releases `gpus` of `job`; removes the job entry at zero.
@@ -102,10 +120,12 @@ impl Server {
                 self.id
             ));
         }
-        if gpus == held {
-            self.allocations.remove(&job);
-        } else if let Some(entry) = self.allocations.get_mut(&job) {
-            *entry -= gpus;
+        if let Some(i) = self.slot(job) {
+            if gpus == held {
+                self.allocations.remove(i);
+            } else {
+                self.allocations[i].1 -= gpus;
+            }
         }
         if self.is_empty() {
             self.group = ServerGroup::Unassigned;
@@ -115,7 +135,7 @@ impl Server {
 
     /// Removes a job entirely, returning the GPUs it held here.
     pub fn evict(&mut self, job: JobId) -> u32 {
-        let held = self.allocations.remove(&job).unwrap_or(0);
+        let held = self.slot(job).map_or(0, |i| self.allocations.remove(i).1);
         if self.is_empty() {
             self.group = ServerGroup::Unassigned;
         }

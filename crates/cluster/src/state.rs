@@ -125,7 +125,11 @@ struct JobOccupancy {
 pub struct ClusterState {
     /// Shape the state was built with.
     pub config: ClusterConfig,
-    servers: BTreeMap<ServerId, Server>,
+    /// Every server, server `i` in slot `i`: ids are dense by
+    /// construction ([`ClusterState::new`]; checked by
+    /// [`ClusterState::audit`]), so a lookup by id is an index and
+    /// iteration runs in id order.
+    servers: Vec<Server>,
     whitelist: BTreeSet<ServerId>,
     loaned: BTreeSet<ServerId>,
     /// Derived index: the loaned servers currently hosting no workers —
@@ -164,6 +168,14 @@ pub struct ClusterState {
     /// OnLoan server and `Server::release`/`Server::evict` clear it once
     /// the server empties.
     flexible_used: u32,
+    /// Mutation generation: every `&mut self` public mutator bumps it on
+    /// entry, refused calls included (see [`ClusterState::generation`]).
+    generation: u64,
+}
+
+/// The slot of the dense server table that holds server `id`.
+fn slot(id: ServerId) -> usize {
+    id.0 as usize
 }
 
 /// The share of `free` GPUs stranded off the `on_empty` ones sitting on
@@ -180,13 +192,14 @@ impl ClusterState {
     /// Builds the cluster: training servers get ids `0..T`, inference
     /// servers `T..T+I`.
     pub fn new(config: ClusterConfig) -> Self {
-        let mut servers = BTreeMap::new();
+        let mut servers =
+            Vec::with_capacity((config.training_servers + config.inference_servers) as usize);
         let mut whitelist = BTreeSet::new();
         for i in 0..config.training_servers {
             let s = Server::new(i, GpuType::V100, config.gpus_per_server, PoolKind::Training)
                 .with_speed_factor(config.speed.factor(GpuType::V100));
             whitelist.insert(s.id);
-            servers.insert(s.id, s);
+            servers.push(s);
         }
         for i in 0..config.inference_servers {
             let s = Server::new(
@@ -196,7 +209,7 @@ impl ClusterState {
                 PoolKind::OnLoan,
             )
             .with_speed_factor(config.speed.factor(GpuType::T4));
-            servers.insert(s.id, s);
+            servers.push(s);
         }
         ClusterState {
             servers,
@@ -209,8 +222,23 @@ impl ClusterState {
             usage_on_loan: (0, 0),
             empty_gpus: config.training_servers * config.gpus_per_server,
             flexible_used: 0,
+            generation: 0,
             config,
         }
+    }
+
+    /// The mutation generation. Every `&mut self` public mutator bumps it
+    /// on entry, so equal generations prove the state unchanged in
+    /// between: a caller may skip re-checking what it already checked at
+    /// this generation.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Bumps the mutation generation; the first statement of every
+    /// `&mut self` public mutator.
+    fn touch(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
     }
 
     /// The mutable usage counter of `pool`.
@@ -261,13 +289,13 @@ impl ClusterState {
     pub fn server_views(&self) -> Vec<ServerView> {
         self.whitelist
             .iter()
-            .filter_map(|id| self.servers.get(id).map(Server::view))
+            .filter_map(|id| self.server(*id).map(Server::view))
             .collect()
     }
 
     /// Access one server.
     pub fn server(&self, id: ServerId) -> Option<&Server> {
-        self.servers.get(&id)
+        self.servers.get(slot(id))
     }
 
     /// Ids of servers currently on loan, ascending.
@@ -330,7 +358,7 @@ impl ClusterState {
     fn flexible_gpu_usage_walk(&self) -> u32 {
         self.loaned
             .iter()
-            .filter_map(|id| self.servers.get(id))
+            .filter_map(|id| self.server(*id))
             .filter(|s| s.group == ServerGroup::Flexible)
             .map(Server::used_gpus)
             .sum()
@@ -344,7 +372,7 @@ impl ClusterState {
         let mut free_total = 0u32;
         let mut free_on_empty = 0u32;
         for id in &self.whitelist {
-            let Some(s) = self.servers.get(id) else {
+            let Some(s) = self.server(*id) else {
                 continue;
             };
             let free = s.free_gpus();
@@ -371,12 +399,13 @@ impl ClusterState {
     /// until [`Self::recover_server`]. Returns the `(job, gpus)` pairs
     /// that were running there.
     pub fn crash_server(&mut self, id: ServerId) -> Result<Vec<(JobId, u32)>, ClusterError> {
+        self.touch();
         if self.down.contains(&id) {
             return Err(ClusterError::ServerDown(id));
         }
         let s = self
             .servers
-            .get_mut(&id)
+            .get_mut(slot(id))
             .ok_or(ClusterError::UnknownServer(id))?;
         let victims: Vec<(JobId, u32)> = s.jobs().collect();
         // Read the group before the evictions reset it.
@@ -410,12 +439,13 @@ impl ClusterState {
     /// the whitelist immediately; inference-owned servers return to the
     /// inference pool and become loanable again.
     pub fn recover_server(&mut self, id: ServerId) -> Result<(), ClusterError> {
+        self.touch();
         if !self.down.remove(&id) {
             return Err(ClusterError::UnknownServer(id));
         }
         let s = self
             .servers
-            .get_mut(&id)
+            .get_mut(slot(id))
             .ok_or(ClusterError::UnknownServer(id))?;
         s.group = ServerGroup::Unassigned;
         let total = s.total_gpus;
@@ -435,6 +465,7 @@ impl ClusterState {
     /// Audits the bookkeeping invariants and returns a typed error on the
     /// first violation:
     ///
+    /// * the server table is dense: slot `i` holds server `i`;
     /// * per-server GPU accounting never exceeds capacity;
     /// * the loan ledger is a subset of the whitelist and only ever holds
     ///   inference-owned (T4) servers;
@@ -451,18 +482,31 @@ impl ClusterState {
     ///   walk, and the Flexible-usage counter equals a loan-ledger walk.
     ///
     /// One pass over the servers in id order, with the four id sets
-    /// stepped alongside as cursors, then one pass over the footprint
-    /// index. Nothing is allocated unless a violation is reported.
+    /// stepped alongside as cursors, counts the placements. Then one pass
+    /// over the footprint index looks each host entry up in its server's
+    /// job table, O(1) apiece: an entry must hold what its server holds,
+    /// and as many entries must match as there are placements and index
+    /// entries, so the index and the placements pair off one to one.
+    /// Nothing is allocated unless a violation is reported.
     ///
-    /// Release builds call this explicitly where they want degradation
-    /// instead of a crash; debug builds additionally run it after every
-    /// mutation (via `debug_audit`) so tests fail fast at the corrupting
-    /// operation.
+    /// The engine skips the audit while [`Self::generation`] stands where
+    /// the last passing audit left it; release builds call this
+    /// explicitly where they want degradation instead of a crash; debug
+    /// builds additionally run it after every mutation (via
+    /// `debug_audit`, outside the `cluster.audit` span, so the span counts
+    /// only the audits a release build runs) so tests fail fast at the
+    /// corrupting operation.
     pub fn audit(&self) -> Result<(), ClusterError> {
         let _timing = lyra_obs::span::span("cluster.audit");
+        self.check()
+    }
+
+    /// The body of [`Self::audit`].
+    fn check(&self) -> Result<(), ClusterError> {
         let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
-        // All four sets are sorted by `ServerId`, like `servers`: an id a
-        // cursor has to skip names no server.
+        // All four sets are sorted by `ServerId`, like the dense table:
+        // each cursor steps past an id at its server's slot, so an id
+        // still left after the last server names no server.
         let mut sets = [
             ("whitelisted", self.whitelist.iter().peekable()),
             ("loaned", self.loaned.iter().peekable()),
@@ -473,26 +517,20 @@ impl ClusterState {
         let mut on_loan = (0u32, 0u32);
         let (mut empty_gpus, mut flexible_used) = (0u32, 0u32);
         let mut placements = 0usize;
-        for (&id, s) in &self.servers {
+        for (i, s) in self.servers.iter().enumerate() {
+            let id = s.id;
+            if slot(id) != i {
+                return violation(format!("slot {i} holds {id}"));
+            }
             let mut member = [false; 4];
-            for (is_member, (set, cursor)) in member.iter_mut().zip(&mut sets) {
-                if let Some(unknown) = cursor.next_if(|&&next| next < id) {
-                    return violation(format!("{set} {unknown} does not exist"));
-                }
+            for (is_member, (_, cursor)) in member.iter_mut().zip(&mut sets) {
                 *is_member = cursor.next_if_eq(&&id).is_some();
             }
             let [whitelisted, loaned, idle, down] = member;
             let mut used = 0u32;
-            for (job, gpus) in s.jobs() {
+            for (_, gpus) in s.jobs() {
                 placements += 1;
                 used += gpus;
-                let indexed = self.occupancy.get(&job).and_then(|o| o.hosts.get(&id));
-                if indexed != Some(&gpus) {
-                    return violation(format!(
-                        "job-footprint index out of lockstep: {job} holds {gpus} GPUs \
-                         on {id}, indexed {indexed:?}"
-                    ));
-                }
             }
             if used > s.total_gpus {
                 return violation(format!("{id}: {used} GPUs used of {}", s.total_gpus));
@@ -525,12 +563,12 @@ impl ClusterState {
                 ));
             }
             if whitelisted {
-                let slot = match s.pool {
+                let usage = match s.pool {
                     PoolKind::Training => &mut training,
                     PoolKind::OnLoan => &mut on_loan,
                 };
-                slot.0 += used;
-                slot.1 += s.total_gpus;
+                usage.0 += used;
+                usage.1 += s.total_gpus;
                 if empty {
                     empty_gpus += s.total_gpus;
                 }
@@ -558,18 +596,35 @@ impl ClusterState {
                 self.empty_gpus, self.flexible_used
             ));
         }
-        // Every placement matched its host entry above. With no empty or
-        // mis-summed entry and no host entry beyond those placements, the
-        // index equals a rebuild from the servers' job tables.
-        let mut host_entries = 0usize;
-        for (job, occ) in &self.occupancy {
-            if occ.hosts.is_empty() || occ.gpus != occ.hosts.values().sum::<u32>() {
+        // Each host entry names one (job, server) pair, and an entry the
+        // server holds must hold the same GPUs. An entry the server does
+        // not hold matches nothing: it is caught by the counts below.
+        let (mut host_entries, mut matched) = (0usize, 0usize);
+        for (&job, occ) in &self.occupancy {
+            let mut gpus = 0u32;
+            for (&id, &indexed) in &occ.hosts {
+                gpus += indexed;
+                match self.server(id).and_then(|s| s.holding(job)) {
+                    Some(held) if held == indexed => matched += 1,
+                    Some(held) => {
+                        return violation(format!(
+                            "job-footprint index out of lockstep: {job} holds {held} GPUs \
+                             on {id}, indexed Some({indexed})"
+                        ));
+                    }
+                    None => {}
+                }
+            }
+            if occ.hosts.is_empty() || occ.gpus != gpus {
                 return violation(format!(
                     "job-footprint index out of lockstep: {job} indexes {} GPUs on {:?}",
                     occ.gpus, occ.hosts
                 ));
             }
             host_entries += occ.hosts.len();
+        }
+        if matched != placements {
+            return self.unindexed_placement(placements, matched);
         }
         if host_entries != placements {
             return violation(format!(
@@ -580,6 +635,44 @@ impl ClusterState {
         Ok(())
     }
 
+    /// The violation of a state whose footprint index matches fewer
+    /// placements than the servers hold: a server-major scan names the
+    /// first placement the index misses. Runs only once [`Self::audit`]
+    /// has already failed.
+    fn unindexed_placement(&self, placements: usize, matched: usize) -> Result<(), ClusterError> {
+        let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
+        for s in &self.servers {
+            for (job, gpus) in s.jobs() {
+                let indexed = self.occupancy.get(&job).and_then(|o| o.hosts.get(&s.id));
+                if indexed != Some(&gpus) {
+                    return violation(format!(
+                        "job-footprint index out of lockstep: {job} holds {gpus} GPUs \
+                         on {}, indexed {indexed:?}",
+                        s.id
+                    ));
+                }
+            }
+        }
+        // Every placement is indexed, but a job table lists one job twice.
+        violation(format!(
+            "job-footprint index out of lockstep: {matched} of {placements} placements \
+             indexed"
+        ))
+    }
+
+    /// [`Self::audit`], skipped while `last_passed` holds the current
+    /// generation: nothing has changed since an audit passed there. A
+    /// passing audit records its generation in `last_passed`; a failing
+    /// one clears it, so a violation is reported again on every call.
+    pub fn audit_if_changed(&self, last_passed: &mut Option<u64>) -> Result<(), ClusterError> {
+        if *last_passed == Some(self.generation) {
+            return Ok(());
+        }
+        let verdict = self.audit();
+        *last_passed = verdict.is_ok().then_some(self.generation);
+        verdict
+    }
+
     /// The same invariants checked the direct way: one pass per
     /// invariant with set lookups, and the job-footprint index compared
     /// with a full rebuild. The oracle that [`Self::audit`]'s verdicts
@@ -587,7 +680,12 @@ impl ClusterState {
     #[cfg(test)]
     fn audit_reference(&self) -> Result<(), ClusterError> {
         let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
-        for s in self.servers.values() {
+        for (i, s) in self.servers.iter().enumerate() {
+            if slot(s.id) != i {
+                return violation(format!("slot {i} holds {}", s.id));
+            }
+        }
+        for s in &self.servers {
             if s.used_gpus() > s.total_gpus {
                 return violation(format!(
                     "{}: {} GPUs used of {}",
@@ -598,7 +696,7 @@ impl ClusterState {
             }
         }
         for id in &self.whitelist {
-            if !self.servers.contains_key(id) {
+            if self.server(*id).is_none() {
                 return violation(format!("whitelisted {id} does not exist"));
             }
         }
@@ -606,7 +704,7 @@ impl ClusterState {
             if !self.whitelist.contains(id) {
                 return violation(format!("loaned {id} is not whitelisted"));
             }
-            match self.servers.get(id) {
+            match self.server(*id) {
                 Some(s) if s.gpu_type != GpuType::T4 => {
                     return violation(format!("loaned {id} is a dedicated training server"));
                 }
@@ -621,11 +719,11 @@ impl ClusterState {
             if self.loaned.contains(id) {
                 return violation(format!("down {id} is still on the loan ledger"));
             }
-            if self.servers.get(id).is_some_and(|s| !s.is_empty()) {
+            if self.server(*id).is_some_and(|s| !s.is_empty()) {
                 return violation(format!("down {id} still hosts workers"));
             }
         }
-        for s in self.servers.values() {
+        for s in &self.servers {
             if !self.whitelist.contains(&s.id) && !s.is_empty() {
                 return violation(format!(
                     "{} hosts workers but is outside the whitelist",
@@ -634,7 +732,7 @@ impl ClusterState {
             }
         }
         for id in &self.loaned {
-            let empty = self.servers.get(id).is_some_and(|s| s.is_empty());
+            let empty = self.server(*id).is_some_and(|s| s.is_empty());
             if empty != self.idle_loaned.contains(id) {
                 return violation(format!(
                     "idle-loan index out of lockstep for {id} (empty: {empty})"
@@ -647,7 +745,7 @@ impl ClusterState {
         // The job-footprint index must equal what a full-cluster rebuild
         // produces — every mutator keeps it in lockstep.
         let mut rebuilt: BTreeMap<JobId, JobOccupancy> = BTreeMap::new();
-        for s in self.servers.values() {
+        for s in &self.servers {
             for (job, gpus) in s.jobs() {
                 let entry = rebuilt.entry(job).or_default();
                 entry.hosts.insert(s.id, gpus);
@@ -661,15 +759,15 @@ impl ClusterState {
         let mut training = (0u32, 0u32);
         let mut on_loan = (0u32, 0u32);
         for id in &self.whitelist {
-            let Some(s) = self.servers.get(id) else {
+            let Some(s) = self.server(*id) else {
                 continue;
             };
-            let slot = match s.pool {
+            let usage = match s.pool {
                 PoolKind::Training => &mut training,
                 PoolKind::OnLoan => &mut on_loan,
             };
-            slot.0 += s.used_gpus();
-            slot.1 += s.total_gpus;
+            usage.0 += s.used_gpus();
+            usage.1 += s.total_gpus;
         }
         if (training, on_loan) != (self.usage_training, self.usage_on_loan) {
             return violation(format!(
@@ -696,7 +794,7 @@ impl ClusterState {
     #[inline]
     fn debug_audit(&self) {
         #[cfg(debug_assertions)]
-        if let Err(e) = self.audit() {
+        if let Err(e) = self.check() {
             panic!("cluster-state {e}");
         }
     }
@@ -704,9 +802,10 @@ impl ClusterState {
     /// Loans `n` idle inference-owned servers to training, adding them to
     /// the whitelist. Returns the loaned ids.
     pub fn loan(&mut self, n: u32) -> Result<Vec<ServerId>, ClusterError> {
+        self.touch();
         let candidates: Vec<ServerId> = self
             .servers
-            .values()
+            .iter()
             .filter(|s| {
                 s.gpu_type == GpuType::T4
                     && !self.whitelist.contains(&s.id)
@@ -727,7 +826,7 @@ impl ClusterState {
             self.loaned.insert(*id);
             // Freshly loaned servers arrive empty.
             self.idle_loaned.insert(*id);
-            if let Some(s) = self.servers.get_mut(id) {
+            if let Some(s) = self.servers.get_mut(slot(*id)) {
                 s.pool = PoolKind::OnLoan;
                 s.group = ServerGroup::Unassigned;
                 let total = s.total_gpus;
@@ -742,11 +841,9 @@ impl ClusterState {
     /// Returns loaned servers to the inference cluster. Each must be on
     /// loan and empty.
     pub fn return_servers(&mut self, ids: &[ServerId]) -> Result<(), ClusterError> {
+        self.touch();
         for id in ids {
-            let s = self
-                .servers
-                .get(id)
-                .ok_or(ClusterError::UnknownServer(*id))?;
+            let s = self.server(*id).ok_or(ClusterError::UnknownServer(*id))?;
             if !self.loaned.contains(id) {
                 return Err(ClusterError::NotLoaned(*id));
             }
@@ -755,7 +852,7 @@ impl ClusterState {
             }
         }
         for id in ids {
-            let total = self.servers.get(id).map_or(0, |s| s.total_gpus);
+            let total = self.server(*id).map_or(0, |s| s.total_gpus);
             // Returned servers are validated empty above, so only the
             // capacity leaves the counters.
             if self.whitelist.remove(id) {
@@ -779,11 +876,9 @@ impl ClusterState {
         gpus_per_worker: u32,
         group: ServerGroup,
     ) -> Result<(), ClusterError> {
+        self.touch();
         for (id, workers) in assignment {
-            let s = self
-                .servers
-                .get(id)
-                .ok_or(ClusterError::UnknownServer(*id))?;
+            let s = self.server(*id).ok_or(ClusterError::UnknownServer(*id))?;
             if !self.whitelist.contains(id) {
                 return Err(ClusterError::NotWhitelisted(*id));
             }
@@ -797,7 +892,7 @@ impl ClusterState {
         }
         for (id, workers) in assignment {
             let gpus = workers * gpus_per_worker;
-            let s = self.servers.get_mut(id).expect("validated above");
+            let s = self.servers.get_mut(slot(*id)).expect("validated above");
             let was_empty = s.is_empty();
             s.allocate(job, gpus).map_err(ClusterError::Occupancy)?;
             if s.pool == PoolKind::OnLoan && s.group == ServerGroup::Unassigned {
@@ -828,11 +923,9 @@ impl ClusterState {
         assignment: &[(ServerId, u32)],
         gpus_per_worker: u32,
     ) -> Result<(), ClusterError> {
+        self.touch();
         for (id, workers) in assignment {
-            let s = self
-                .servers
-                .get(id)
-                .ok_or(ClusterError::UnknownServer(*id))?;
+            let s = self.server(*id).ok_or(ClusterError::UnknownServer(*id))?;
             if s.gpus_of(job) < workers * gpus_per_worker {
                 return Err(ClusterError::Occupancy(format!(
                     "{id}: {job} holds {} GPUs, releasing {}",
@@ -843,7 +936,7 @@ impl ClusterState {
         }
         for (id, workers) in assignment {
             let gpus = workers * gpus_per_worker;
-            let s = self.servers.get_mut(id).expect("validated above");
+            let s = self.servers.get_mut(slot(*id)).expect("validated above");
             // Read the group before the release resets it.
             let (was_empty, flexible) = (s.is_empty(), s.group == ServerGroup::Flexible);
             s.release(job, gpus).map_err(ClusterError::Occupancy)?;
@@ -869,9 +962,10 @@ impl ClusterState {
     /// Vacates every allocation on one server (flexible-group release),
     /// returning the `(job, gpus)` pairs that were freed.
     pub fn vacate_server(&mut self, id: ServerId) -> Result<Vec<(JobId, u32)>, ClusterError> {
+        self.touch();
         let s = self
             .servers
-            .get_mut(&id)
+            .get_mut(slot(id))
             .ok_or(ClusterError::UnknownServer(id))?;
         let jobs: Vec<(JobId, u32)> = s.jobs().collect();
         // Read the group before the evictions reset it.
@@ -904,6 +998,7 @@ impl ClusterState {
     /// Evicts `job` everywhere (preemption). Returns `(server, gpus)`
     /// freed. O(hosting servers) via the footprint index.
     pub fn evict_job(&mut self, job: JobId) -> Vec<(ServerId, u32)> {
+        self.touch();
         let hosts: Vec<ServerId> = self
             .occupancy
             .get(&job)
@@ -911,7 +1006,7 @@ impl ClusterState {
             .unwrap_or_default();
         let mut freed = Vec::new();
         for &sid in &hosts {
-            let Some(s) = self.servers.get_mut(&sid) else {
+            let Some(s) = self.servers.get_mut(slot(sid)) else {
                 continue;
             };
             // Read the group before the eviction resets it.
@@ -931,9 +1026,7 @@ impl ClusterState {
         }
         self.occupancy.remove(&job);
         for &(sid, _) in &freed {
-            if self.loaned.contains(&sid)
-                && self.servers.get(&sid).is_some_and(|s| s.is_empty())
-            {
+            if self.loaned.contains(&sid) && self.server(sid).is_some_and(|s| s.is_empty()) {
                 self.idle_loaned.insert(sid);
             }
         }
@@ -947,7 +1040,7 @@ impl ClusterState {
         self.loaned
             .iter()
             .filter_map(|id| {
-                let s = self.servers.get(id)?;
+                let s = self.server(*id)?;
                 (s.group == ServerGroup::Flexible).then(|| (s.id, s.jobs().collect()))
             })
             .collect()
@@ -964,7 +1057,7 @@ impl ClusterState {
             .loaned
             .iter()
             .filter_map(|id| {
-                let s = self.servers.get(id)?;
+                let s = self.server(*id)?;
                 Some(ReclaimServerView {
                     id: s.id,
                     total_gpus: s.total_gpus,
@@ -1251,6 +1344,7 @@ mod tests {
         });
         let (mut flexible_seen, mut fragmented_seen) = (false, false);
         for step in 0..3000 {
+            let mut before = c.clone();
             // Server 10 does not exist; refused operations change nothing.
             let id = ServerId(rng.gen_range(0..11));
             let job = JobId(rng.gen_range(0..6));
@@ -1272,6 +1366,10 @@ mod tests {
                 8 => c.recover_server(id),
                 _ => c.return_servers(&[id]),
             };
+            // A state that changed, generation aside, moved its generation.
+            let generation = before.generation;
+            before.generation = c.generation;
+            assert!(before == c || c.generation != generation, "step {step}");
             assert_eq!(
                 c.flexible_gpu_usage(),
                 c.flexible_gpu_usage_walk(),
@@ -1358,10 +1456,13 @@ mod tests {
         UnknownWhitelisted,
         UnknownLoaned,
         UnknownIdle,
+        /// Swaps two servers' slots in the dense table, as a hand-edited
+        /// checkpoint could.
+        MisSlotted,
     }
 
     impl Corruption {
-        const ALL: [Corruption; 24] = [
+        const ALL: [Corruption; 25] = [
             Corruption::DropHost,
             Corruption::AddHost,
             Corruption::WrongHostGpus,
@@ -1386,6 +1487,7 @@ mod tests {
             Corruption::UnknownWhitelisted,
             Corruption::UnknownLoaned,
             Corruption::UnknownIdle,
+            Corruption::MisSlotted,
         ];
 
         fn apply(self, c: &mut ClusterState, pick: usize) {
@@ -1401,7 +1503,7 @@ mod tests {
                 AddHost => {
                     if let Some((job, _)) = pick_host(c, pick) {
                         let occ = c.occupancy.get_mut(&job).expect("picked");
-                        if let Some(&id) = c.servers.keys().find(|id| !occ.hosts.contains_key(id)) {
+                        if let Some(id) = c.servers.iter().map(|s| s.id).find(|id| !occ.hosts.contains_key(id)) {
                             occ.hosts.insert(id, 1);
                             occ.gpus += 1;
                         }
@@ -1449,8 +1551,8 @@ mod tests {
                 LoanedNotWhitelisted | DownLoaned => {
                     if let Some(id) = pick_server(c, pick, |c, s| c.idle_loaned.contains(&s.id)) {
                         c.whitelist.remove(&id);
-                        c.usage_on_loan.1 -= c.servers[&id].total_gpus;
-                        c.empty_gpus -= c.servers[&id].total_gpus;
+                        c.usage_on_loan.1 -= c.servers[slot(id)].total_gpus;
+                        c.empty_gpus -= c.servers[slot(id)].total_gpus;
                         if matches!(self, DownLoaned) {
                             c.down.insert(id);
                         }
@@ -1482,7 +1584,7 @@ mod tests {
                 }
                 OverCapacity => {
                     if let Some(id) = pick_server(c, pick, |_, s| !s.is_empty()) {
-                        let s = c.servers.get_mut(&id).expect("picked");
+                        let s = c.servers.get_mut(slot(id)).expect("picked");
                         s.total_gpus = s.used_gpus() - 1;
                     }
                 }
@@ -1494,6 +1596,10 @@ mod tests {
                 }
                 UnknownIdle => {
                     c.idle_loaned.insert(unknown);
+                }
+                MisSlotted => {
+                    let n = c.servers.len();
+                    c.servers.swap(pick % n, (pick + 1) % n);
                 }
             }
         }
@@ -1507,7 +1613,7 @@ mod tests {
     ) -> Option<ServerId> {
         let ids: Vec<ServerId> = c
             .servers
-            .values()
+            .iter()
             .filter(|s| keep(c, s))
             .map(|s| s.id)
             .collect();
@@ -1527,7 +1633,7 @@ mod tests {
     /// Places one GPU of [`STRAY`] on `id`, footprint index included, so
     /// only the placement rules are broken.
     fn place_stray(c: &mut ClusterState, id: ServerId) {
-        let s = c.servers.get_mut(&id).expect("picked");
+        let s = c.servers.get_mut(slot(id)).expect("picked");
         s.allocate(STRAY, 1)
             .expect("a server off the whitelist is empty");
         c.occupancy_add(STRAY, id, 1);
@@ -1609,20 +1715,26 @@ mod tests {
         audit_rejects_unknown_whitelisted_id: UnknownWhitelisted => "whitelisted server-4294967295 does not exist",
         audit_rejects_unknown_loaned_id: UnknownLoaned => "loaned server-4294967295 does not exist",
         audit_rejects_unknown_idle_loaned_id: UnknownIdle => "idle-loaned server-4294967295 does not exist",
+        audit_rejects_mis_slotted_server: MisSlotted => "slot 0 holds server-1",
     }
 
     #[test]
-    fn audit_rejects_id_of_a_vanished_server_below_the_last() {
-        // The cursor has to skip an id smaller than the next server's.
+    fn audit_if_changed_caches_only_a_pass() {
         let mut c = fixture();
-        c.servers.remove(&ServerId(0));
-        assert_eq!(
-            c.audit(),
-            Err(ClusterError::AuditViolation(
-                "whitelisted server-0 does not exist".to_string()
-            ))
+        let mut passed = None;
+        assert_eq!(c.audit_if_changed(&mut passed), Ok(()));
+        assert_eq!(passed, Some(c.generation()));
+        // A corruption behind the mutators' backs leaves the generation
+        // where it was, so it waits for the next mutation.
+        Corruption::EmptyGpus.apply(&mut c, 0);
+        assert_eq!(c.audit_if_changed(&mut passed), Ok(()));
+        c.touch();
+        assert!(c.audit_if_changed(&mut passed).is_err());
+        assert_eq!(passed, None, "a failed audit is not cached");
+        assert!(
+            c.audit_if_changed(&mut passed).is_err(),
+            "the unchanged state is audited again"
         );
-        assert!(c.audit_reference().is_err());
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub struct RingSeries {
     offered: u64,
     /// Retained points, oldest first.
     points: Vec<SeriesPoint>,
+    /// Smallest and largest value over every sample offered, decimated
+    /// ones included; `0.0` before the first sample.
+    min: f64,
+    max: f64,
 }
 
 impl RingSeries {
@@ -72,6 +76,8 @@ impl RingSeries {
             stride: 1,
             offered: 0,
             points: Vec::new(),
+            min: 0.0,
+            max: 0.0,
         }
     }
 
@@ -79,6 +85,12 @@ impl RingSeries {
     /// multiple of the current stride; triggers decimation when the
     /// buffer is full.
     pub fn record(&mut self, t_ms: u64, value: f64) {
+        if self.offered == 0 {
+            (self.min, self.max) = (value, value);
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
         if self.offered.is_multiple_of(self.stride) {
             if self.points.len() == self.cap {
                 // Keep every other point (even offsets) and double the
@@ -124,6 +136,18 @@ impl RingSeries {
     /// Current decimation stride.
     pub fn stride(&self) -> u64 {
         self.stride
+    }
+
+    /// The smallest value over every sample offered, decimated ones
+    /// included (`None` before the first sample).
+    pub fn min(&self) -> Option<f64> {
+        (self.offered > 0).then_some(self.min)
+    }
+
+    /// The largest value over every sample offered, decimated ones
+    /// included (`None` before the first sample).
+    pub fn max(&self) -> Option<f64> {
+        (self.offered > 0).then_some(self.max)
     }
 
     /// The most recently retained point, if any.
@@ -413,6 +437,25 @@ mod tests {
         assert_eq!(s.stride(), 2);
         let kept: Vec<u64> = s.points().iter().map(|p| p.t_ms).collect();
         assert_eq!(kept, vec![0, 2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn extremes_cover_decimated_samples() {
+        let mut s = RingSeries::new(8);
+        assert_eq!((s.min(), s.max()), (None, None));
+        for i in 0..10u64 {
+            // Index 3 is retained, then dropped by the decimation at
+            // index 8; index 9 falls off the doubled stride at once.
+            let value = match i {
+                3 => 50.0,
+                9 => -7.0,
+                _ => i as f64,
+            };
+            s.record(i, value);
+        }
+        let kept: Vec<u64> = s.points().iter().map(|p| p.t_ms).collect();
+        assert_eq!(kept, vec![0, 2, 4, 6, 8]);
+        assert_eq!((s.min(), s.max()), (Some(-7.0), Some(50.0)));
     }
 
     #[test]

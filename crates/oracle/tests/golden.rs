@@ -30,6 +30,34 @@ fn faulted_case_fires_at_least_one_alert() {
 }
 
 #[test]
+fn faulted_case_skips_audits_of_an_unchanged_cluster() {
+    // The engine audits the cluster after each orchestrator tick and
+    // fault and once at the end, unless nothing has changed since the
+    // last passing audit. The faulted case has quiet stretches, so some
+    // audits must be skipped, and none of those run may fail.
+    let case = golden::cases()
+        .into_iter()
+        .find(|c| c.name == "tiny-faulty")
+        .expect("the faulted golden case exists");
+    let report = case.observed_report().expect("faulted case runs");
+    let calls = |name: &str| {
+        report
+            .profile
+            .0
+            .iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.calls)
+    };
+    let (audits, ticks) = (calls("cluster.audit"), calls("sim.orchestrator_tick"));
+    let faults = u64::from(report.fault.injected);
+    assert!(
+        audits > 0 && audits < ticks + faults + 1,
+        "{audits} audits for {ticks} orchestrator ticks and {faults} faults"
+    );
+    assert_eq!(report.fault.audit_violations, 0);
+}
+
+#[test]
 fn checkpointed_case_pins_the_rollback() {
     // The checkpoint rollback has two callers (reclaim preemption and
     // fault kill) and two restore outcomes; the checkpointed case must

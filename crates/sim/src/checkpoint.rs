@@ -50,8 +50,11 @@ use std::path::Path;
 /// `flexible_used`); version 11 checkpoints an in-memory event log as
 /// typed events instead of JSON lines and dropped `SimConfig`'s
 /// `loan_all_offered` switch; version 12 dropped the observer's
-/// decision-provenance tracker (provenance is rebuilt from the log).
-pub const CHECKPOINT_VERSION: u32 = 12;
+/// decision-provenance tracker (provenance is rebuilt from the log);
+/// version 13 made the cluster's server table and each server's job
+/// table dense lists, added the cluster's mutation generation and gave
+/// every telemetry series its running min and max.
+pub const CHECKPOINT_VERSION: u32 = 13;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

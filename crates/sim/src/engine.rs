@@ -441,6 +441,10 @@ pub struct Simulation {
     /// `apply_preemption` within the same reclaim wave. Always empty
     /// between events, so it is deliberately *not* checkpointed.
     pending_preempt_decisions: std::collections::BTreeMap<u64, u64>,
+    /// The cluster generation the last passing audit saw (see
+    /// [`ClusterState::audit_if_changed`]). Not checkpointed: a resumed
+    /// run audits once more.
+    audited_generation: Option<u64>,
 }
 
 /// GPUs a pending job contributes to loan-eligible demand: zero unless
@@ -546,6 +550,7 @@ impl Simulation {
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
             pending_preempt_decisions: std::collections::BTreeMap::new(),
+            audited_generation: None,
         };
         let n = specs.len();
         for (i, spec) in specs.into_iter().enumerate() {
@@ -2103,6 +2108,7 @@ impl Simulation {
     pub(crate) fn restore_state(&mut self, state: EngineState) -> Result<(), SimError> {
         self.config = state.config;
         self.cluster = state.cluster;
+        self.audited_generation = None;
         self.jobs = state.jobs;
         self.queue = state.queue;
         self.events = state.events.into_iter().map(Reverse).collect();
@@ -2286,9 +2292,7 @@ impl Simulation {
                         self.drop_next_orch_tick = false;
                     } else {
                         self.handle_orchestrator_tick()?;
-                        if self.cluster.audit().is_err() {
-                            self.fault_stats.audit_violations += 1;
-                        }
+                        self.audit_cluster();
                         self.validate_snapshot = true;
                     }
                     if self.completed < n_jobs {
@@ -2300,9 +2304,7 @@ impl Simulation {
                 }
                 EventKind::Fault(i) => {
                     self.handle_fault(i)?;
-                    if self.cluster.audit().is_err() {
-                        self.fault_stats.audit_violations += 1;
-                    }
+                    self.audit_cluster();
                     self.validate_snapshot = true;
                 }
                 EventKind::ServerRecover(sid) => {
@@ -2322,11 +2324,21 @@ impl Simulation {
             }
         }
         // Final consistency check: a clean run ends with zero violations.
-        if self.cluster.audit().is_err() {
-            self.fault_stats.audit_violations += 1;
-        }
+        self.audit_cluster();
         self.finish_observation()?;
         Ok(RunOutcome::Completed(Box::new(self.report(name))))
+    }
+
+    /// Audits the cluster state unless it is unchanged since the last
+    /// passing audit, counting a violation on every failing call.
+    fn audit_cluster(&mut self) {
+        if self
+            .cluster
+            .audit_if_changed(&mut self.audited_generation)
+            .is_err()
+        {
+            self.fault_stats.audit_violations += 1;
+        }
     }
 
     /// Closes out an observed run: drains pending audit records, settles
