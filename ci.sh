@@ -37,7 +37,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # (a `#[cfg(test)]` line directly followed by `mod `); a `#[cfg(test)]`
 # item in mid-file is counted through. Lower the limit when a call
 # becomes a typed error.
-panic_limit=36
+panic_limit=35
 panic_sites=$(find crates/*/src src -name '*.rs' | while read -r f; do
   awk '/^#\[cfg\(test\)\]$/ { getline nxt; if (nxt ~ /^mod /) exit; print; print nxt; next } { print }' "$f"
 done | grep -cE '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || true)
@@ -128,7 +128,8 @@ grep -q 'known causes' "$smoke_dir/cause-err.txt" || {
 # Argument strictness: a removed subcommand and a stray flag must each
 # exit 2 with the usage text rather than run.
 # (`$bad` is unquoted on purpose: it word-splits into the arguments.)
-for bad in "explain 0" "why 0 --bogus"; do
+for bad in "explain 0" "why 0 --bogus" "checkpoint --at 10" "resume --ckpt x.ckpt" \
+  "crash-storm"; do
   status=0
   ./target/release/lyra-bench $bad >/dev/null 2>"$smoke_dir/bad-err.txt" || status=$?
   [ "$status" -eq 2 ] && grep -q '^usage: ' "$smoke_dir/bad-err.txt" || {
@@ -249,15 +250,5 @@ grep -q 'unknown policy' "$ablate_dir/err.txt" || {
   exit 1
 }
 rm -rf "$ablate_dir"
-
-# Crash-storm gate: kill the faulted golden scenario at 10 seeded
-# epochs, checkpoint the crash-point state through the durable file
-# format (torn sink tail included), restore, and require the resumed
-# run's event log, attribution table, report and JSONL sink to be
-# byte-identical to the uninterrupted run's. Also proves corrupted/
-# truncated/version-bumped checkpoints are refused with typed errors.
-storm_dir=$(mktemp -d)
-./target/release/lyra-bench crash-storm --kills 10 --seed 1 --dir "$storm_dir"
-rm -rf "$storm_dir"
 
 echo "ci: all gates passed (${total_passed} tests)"

@@ -11,7 +11,6 @@
 //! pass `--full` for the paper-scale 15-day, 50k-job configuration.
 
 pub mod ablate;
-pub mod crash;
 pub mod experiments;
 pub mod golden;
 pub mod perf;

@@ -11,10 +11,9 @@
 
 use lyra_core::job::JobId;
 use lyra_core::snapshot::ServerId;
-use serde::{Deserialize, Serialize};
 
 /// One operation issued to the resource manager.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RmOp {
     /// Server added to the training scheduler's whitelist (loaning).
     AddToWhitelist(ServerId),
@@ -48,7 +47,7 @@ pub enum RmOp {
 /// Latency constants for resource-manager operations, from the testbed
 /// measurements (§7.5: the full preempt–relaunch–restore cycle averages
 /// 63 s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RmLatencies {
     /// Seconds to launch a worker container batch on one server.
     pub launch_s: f64,
@@ -70,7 +69,7 @@ impl Default for RmLatencies {
 
 /// The resource-manager facade: records ops and accumulates the modelled
 /// control-plane latency.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResourceManager {
     /// Latency model.
     pub latencies: RmLatencies,

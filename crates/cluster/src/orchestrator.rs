@@ -25,7 +25,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Which server-selection policy reclaiming uses (§7.3's comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReclaimPolicy {
     /// Lyra's server-fraction preemption-cost heuristic.
     Lyra,
@@ -104,17 +104,6 @@ impl Orchestrator {
             rng: StdRng::seed_from_u64(seed),
             engine: ReclaimEngine::new(),
         }
-    }
-
-    /// Raw RNG state, for checkpointing.
-    pub fn rng_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Restores the RNG to a previously captured state so `Random`
-    /// reclaims resume the identical draw sequence.
-    pub fn restore_rng_state(&mut self, state: u64) {
-        self.rng = StdRng::seed_from_u64(state);
     }
 
     /// Executes a loan of up to `n` servers (bounded by idle inference

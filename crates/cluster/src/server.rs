@@ -3,10 +3,9 @@
 use lyra_core::gpu::GpuType;
 use lyra_core::job::JobId;
 use lyra_core::snapshot::{PoolKind, ServerGroup, ServerId, ServerView};
-use serde::{Deserialize, Serialize};
 
 /// One physical server tracked by the cluster state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     /// Identity.
     pub id: ServerId,
@@ -64,8 +63,7 @@ impl Server {
     }
 
     /// Where `job` sits in the job table. A scan, not a binary search,
-    /// so an out-of-order table (a hand-edited checkpoint) still finds
-    /// every entry.
+    /// so an out-of-order table still finds every entry.
     fn slot(&self, job: JobId) -> Option<usize> {
         self.allocations.iter().position(|&(j, _)| j == job)
     }

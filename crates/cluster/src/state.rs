@@ -11,11 +11,10 @@ use lyra_core::gpu::{GpuType, SpeedFactors};
 use lyra_core::job::JobId;
 use lyra_core::reclaim::{JobFootprint, ReclaimRequest, ReclaimServerView};
 use lyra_core::snapshot::{PoolKind, ServerGroup, ServerId, ServerView};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cluster shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Dedicated training servers (the paper: 443).
     pub training_servers: u32,
@@ -111,7 +110,7 @@ impl std::error::Error for ClusterError {}
 /// Cluster-wide footprint of one running job: the GPUs it holds on each
 /// hosting server (any pool). Maintained eagerly by every occupancy
 /// mutator so reclaim-request assembly never rescans the whole cluster.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct JobOccupancy {
     /// GPUs held per hosting server; entries are removed at zero, so
     /// `hosts.len()` is the paper's `servers(j)` denominator.
@@ -121,7 +120,7 @@ struct JobOccupancy {
 }
 
 /// The whole cluster as the training scheduler and orchestrator see it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterState {
     /// Shape the state was built with.
     pub config: ClusterConfig,
@@ -1456,8 +1455,7 @@ mod tests {
         UnknownWhitelisted,
         UnknownLoaned,
         UnknownIdle,
-        /// Swaps two servers' slots in the dense table, as a hand-edited
-        /// checkpoint could.
+        /// Swaps two servers' slots in the dense table.
         MisSlotted,
     }
 

@@ -95,7 +95,7 @@ impl GpuType {
 /// assert_eq!(refresh.factor(GpuType::V100), 1.5);
 /// assert_eq!(SpeedFactors::default().factor(GpuType::T4), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedFactors {
     /// Multiplier applied to every V100's capability.
     pub v100: f64,

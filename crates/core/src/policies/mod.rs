@@ -44,20 +44,6 @@ pub trait JobScheduler {
     /// own seeded state, and must return *feasible* actions: launches and
     /// scale-outs come with placements that fit the snapshot's free GPUs.
     fn schedule(&mut self, snapshot: &Snapshot) -> Vec<Action>;
-
-    /// Raw RNG state for checkpointing, `None` for stateless policies.
-    ///
-    /// A policy whose decisions consume randomness must expose its
-    /// generator state here (and accept it back via
-    /// [`restore_rng_state`](Self::restore_rng_state)) so a restored
-    /// run replays the identical epoch decisions.
-    fn rng_state(&self) -> Option<u64> {
-        None
-    }
-
-    /// Restores a previously captured RNG state; no-op for stateless
-    /// policies.
-    fn restore_rng_state(&mut self, _state: u64) {}
 }
 
 /// Builds a scale-in removal for `k` workers of a running elastic job,

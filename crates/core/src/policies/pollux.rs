@@ -113,14 +113,6 @@ impl JobScheduler for PolluxScheduler {
         "pollux"
     }
 
-    fn rng_state(&self) -> Option<u64> {
-        Some(self.rng.state())
-    }
-
-    fn restore_rng_state(&mut self, state: u64) {
-        self.rng = StdRng::seed_from_u64(state);
-    }
-
     fn schedule(&mut self, snapshot: &Snapshot) -> Vec<Action> {
         // Capacity: idle GPUs plus the entire allocation of running elastic
         // jobs — their genes pay for every worker down to `w_min`, so the

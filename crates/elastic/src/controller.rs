@@ -33,7 +33,7 @@ pub enum ControllerEvent {
 }
 
 /// Per-job elastic controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticController {
     /// Workers currently active.
     active: u32,

@@ -10,17 +10,14 @@
 //! attributable against the surrounding events, and pinned by the
 //! golden-trace gate like every other event.
 //!
-//! Evaluation is a pure function of the sampled values, and the
-//! per-rule counters are `serde`-serialisable checkpoint state — a
-//! restored run fires and resolves the same alerts at the same epochs
-//! as an uninterrupted one.
+//! Evaluation is a pure function of the sampled values and the
+//! per-rule counters, so same-seed runs fire and resolve the same
+//! alerts at the same epochs.
 //!
 //! [`SchedEvent::Alert`]: crate::event::SchedEvent::Alert
 
-use serde::{Deserialize, Serialize};
-
 /// The comparison a rule applies to its gauge each epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AlertCondition {
     /// Holds while the gauge is strictly above the threshold.
     Above(f64),
@@ -47,7 +44,7 @@ impl AlertCondition {
 
 /// One alert rule: a condition over a named telemetry series, sustained
 /// for a window of consecutive epochs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertRule {
     /// Rule name, unique within the engine (`kebab-case` by convention).
     pub name: String,
@@ -61,7 +58,7 @@ pub struct AlertRule {
 }
 
 /// Per-rule evaluation state (checkpointed with the engine).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct RuleState {
     /// Consecutive epochs the condition has held.
     consecutive: u32,
@@ -85,7 +82,7 @@ pub struct AlertTransition {
 }
 
 /// Evaluates a fixed rule set against per-epoch gauge samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
     states: Vec<RuleState>,
@@ -242,19 +239,5 @@ mod tests {
         assert!(eng.evaluate(|_| None).is_empty());
         let fired = eng.evaluate(|_| Some(9.0));
         assert_eq!(fired.len(), 1);
-    }
-
-    #[test]
-    fn state_survives_serde_round_trip() {
-        let mut eng = AlertEngine::new(vec![rule(3)]);
-        let _ = eng.evaluate(|_| Some(9.0));
-        let _ = eng.evaluate(|_| Some(9.0));
-        let json = serde_json::to_string(&eng).expect("serialises");
-        let mut back: AlertEngine = serde_json::from_str(&json).expect("deserialises");
-        assert_eq!(eng, back);
-        // The restored engine continues the streak: third epoch fires.
-        let fired = back.evaluate(|_| Some(9.0));
-        assert_eq!(fired.len(), 1);
-        assert!(fired[0].fired);
     }
 }

@@ -3,10 +3,9 @@
 //!
 //! Every node is keyed by its [`DecisionId`] — the log sequence number
 //! of the [`TimedEvent`](crate::TimedEvent) that recorded the decision.
-//! Sequence numbers are persisted in the JSONL lines themselves and in
-//! event-log checkpoints, so a DecisionId is stable across live runs,
-//! log replay, and crash/resume: the same decision carries the same id
-//! everywhere.
+//! Sequence numbers are persisted in the JSONL lines themselves, so a
+//! DecisionId is stable across live runs and log replay: the same
+//! decision carries the same id everywhere.
 //!
 //! Because a cause is always logged before its effects, every edge runs
 //! from a lower sequence number to a higher one; the graph is acyclic

@@ -93,8 +93,8 @@ pub use graph::{
     DecisionId, EdgeKind, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode,
 };
 pub use lifecycle::{attribute_log, LifecycleTracker};
-pub use log::{parse_log, to_jsonl, EventLog, EventLogState};
-pub use observer::{Observer, ObserverCheckpoint, ObserverConfig};
+pub use log::{parse_log, to_jsonl, EventLog};
+pub use observer::{Observer, ObserverConfig};
 pub use provenance::{blame_from_log, build_provenance, render_blame, render_why, why_from_log};
 pub use output::OutputMode;
 pub use prom::render_prometheus;

@@ -24,28 +24,27 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 
 use crate::attribution::{AttributedInterval, DelayCause, JobAttribution};
 use crate::event::{SchedEvent, TimedEvent};
 
 /// A pending stall window `[start_ms, end_ms)` with its cause, not yet
 /// folded into a closed segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct StallWindow {
     start_ms: u64,
     end_ms: u64,
     cause: DelayCause,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum LifeState {
     Pending(DelayCause),
     Running,
     Done,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct JobLife {
     arrival_ms: u64,
     completion_ms: Option<u64>,
@@ -143,7 +142,7 @@ impl JobLife {
 /// call [`finish`](Self::finish) once with the end-of-observation time;
 /// [`into_attributions`](Self::into_attributions) yields the
 /// decompositions sorted by job id.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LifecycleTracker {
     jobs: BTreeMap<u64, JobLife>,
     finished: bool,

@@ -17,31 +17,13 @@
 //! I/O error, stops writing, and [`EventLog::flush`] returns it naming
 //! the sink, so no line is lost silently.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::event::{SchedEvent, TimedEvent};
-
-/// Serializable snapshot of an [`EventLog`] for checkpoint/restore.
-///
-/// Captures everything needed to resume emission exactly where it left
-/// off: the in-memory events (empty with a sink), the sequence cursor
-/// and the sink path (the sink file itself is repaired and reopened in
-/// append mode on restore).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventLogState {
-    /// In-memory events at capture time, oldest first (empty with a
-    /// sink: those events live in the file).
-    pub events: Vec<TimedEvent>,
-    /// Next sequence number to stamp, which is also the number of
-    /// events emitted so far.
-    pub seq: u64,
-    /// File sink path, if a sink was attached.
-    pub sink_path: Option<PathBuf>,
-}
 
 /// Event log writing each event once: as a JSON line to a file sink
 /// when one is attached, as a typed event into memory otherwise.
@@ -54,7 +36,7 @@ pub struct EventLog {
     /// The first sink I/O error; the sink is closed when it is set.
     error: Option<std::io::Error>,
     seq: u64,
-    /// Encode buffer reused across sink lines; not checkpointed.
+    /// Encode buffer reused across sink lines.
     buf: String,
 }
 
@@ -76,8 +58,8 @@ impl EventLog {
     /// Stamps `event` with `time_ms` and the next sequence number, then
     /// writes it to the log's destination. Returns the sequence number
     /// assigned — the event's stable `DecisionId` for decision
-    /// provenance (persisted in the line itself and in checkpoints, so it
-    /// survives log replay and crash/resume unchanged).
+    /// provenance (persisted in the line itself, so it survives log
+    /// replay unchanged).
     pub fn emit(&mut self, time_ms: u64, event: SchedEvent) -> u64 {
         let seq = self.seq;
         let timed = TimedEvent {
@@ -124,95 +106,6 @@ impl EventLog {
             _ => Ok(()),
         }
     }
-
-    /// Captures the log's complete state for a checkpoint.
-    ///
-    /// Flushes the sink first so the file on disk holds every emitted
-    /// line — the restore path can then repair any *externally* torn
-    /// tail (a crash mid-append) by truncating to whole lines. A sink
-    /// that failed is caught there too: its file holds fewer lines than
-    /// the captured cursor, and restore refuses it.
-    pub fn capture_state(&mut self) -> EventLogState {
-        let _ = self.flush();
-        EventLogState {
-            events: self.events.clone(),
-            seq: self.seq,
-            sink_path: self.sink_path.clone(),
-        }
-    }
-
-    /// Rebuilds a log from a captured state, repairing the sink file.
-    ///
-    /// The sink file is cut back to exactly `state.seq` complete
-    /// (newline-terminated) lines — dropping a torn final line from a
-    /// crash mid-write, and any lines emitted after the checkpoint was
-    /// taken — then reopened in *append* mode so resumed emission
-    /// continues the same file. Fewer complete lines than `seq` means
-    /// unrecoverable data loss and is an error (never a silent partial
-    /// restore).
-    pub fn from_state(state: EventLogState) -> std::io::Result<Self> {
-        let sink = match &state.sink_path {
-            Some(path) => {
-                let keep = repair_sink(path, state.seq)?;
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(keep)?;
-                let file = OpenOptions::new().append(true).open(path)?;
-                Some(BufWriter::new(file))
-            }
-            None => None,
-        };
-        Ok(EventLog {
-            events: state.events,
-            sink,
-            sink_path: state.sink_path,
-            error: None,
-            seq: state.seq,
-            buf: String::new(),
-        })
-    }
-}
-
-/// Byte offset after the first `emitted` newline-terminated lines of
-/// the sink at `path`; errors if the file holds fewer complete lines.
-fn repair_sink(path: &Path, emitted: u64) -> std::io::Result<u64> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && emitted == 0 => {
-            File::create(path)?;
-            Vec::new()
-        }
-        Err(e) => return Err(e),
-    };
-    let mut complete = 0u64;
-    let mut offset = 0u64;
-    for (i, b) in bytes.iter().enumerate() {
-        if complete == emitted {
-            break;
-        }
-        if *b == b'\n' {
-            complete += 1;
-            offset = i as u64 + 1;
-        }
-    }
-    if complete < emitted {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "sink {} holds {complete} complete lines but the checkpoint \
-                 recorded {emitted}: unrecoverable log loss",
-                path.display()
-            ),
-        ));
-    }
-    if (bytes.len() as u64) > offset {
-        eprintln!(
-            "warning: sink {}: dropping {} bytes past the checkpointed log tail \
-             (torn line or post-checkpoint emission)",
-            path.display(),
-            bytes.len() as u64 - offset
-        );
-    }
-    Ok(offset)
 }
 
 impl Drop for EventLog {
@@ -537,65 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trip_resumes_the_cursor_and_events() {
-        let mut log = EventLog::new();
-        for id in 0..3u64 {
-            log.emit(id * 100, SchedEvent::JobAdmit { job: id });
-        }
-        let state = log.capture_state();
-        let mut restored = EventLog::from_state(state).expect("restore");
-        assert_eq!(restored.emit(400, SchedEvent::JobAdmit { job: 9 }), 3);
-        let events = restored.take_events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[3].seq, 3);
-        assert_eq!(events[3].event, SchedEvent::JobAdmit { job: 9 });
-    }
-
-    #[test]
-    fn restore_repairs_torn_sink_tail_and_appends() {
-        let dir = std::env::temp_dir().join("lyra-obs-test-torn");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("events.jsonl");
-        let state = {
-            let mut log = EventLog::new().with_sink(&path).expect("sink");
-            for id in 0..3u64 {
-                log.emit(id, SchedEvent::JobAdmit { job: id });
-            }
-            log.capture_state()
-        };
-        // Simulate a crash mid-append: a torn, newline-less extra line.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-            write!(f, "{{\"time_ms\":99,\"se").expect("tear");
-        }
-        let mut restored = EventLog::from_state(state).expect("restore");
-        restored.emit(3, SchedEvent::JobAdmit { job: 3 });
-        drop(restored);
-        let contents = std::fs::read_to_string(&path).expect("read sink");
-        assert_eq!(contents.lines().count(), 4, "torn tail dropped, new line appended");
-        assert!(contents.ends_with('\n'));
-        assert!(!contents.contains("\"se\n"), "no torn fragment survives");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn restore_refuses_a_sink_missing_checkpointed_lines() {
-        let dir = std::env::temp_dir().join("lyra-obs-test-lost");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("events.jsonl");
-        let state = {
-            let mut log = EventLog::new().with_sink(&path).expect("sink");
-            for id in 0..3u64 {
-                log.emit(id, SchedEvent::JobAdmit { job: id });
-            }
-            log.capture_state()
-        };
-        std::fs::write(&path, "{\"one\":1}\n").expect("clobber");
-        assert!(EventLog::from_state(state).is_err(), "lost lines must refuse");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn sink_lines_go_to_the_file_only() {
         let dir = std::env::temp_dir().join("lyra-obs-test-sink");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -611,7 +445,6 @@ mod tests {
                 log.take_events().is_empty(),
                 "a sink log keeps nothing in memory"
             );
-            assert!(log.capture_state().events.is_empty());
         }
         let contents = std::fs::read_to_string(&path).expect("read sink");
         assert_eq!(

@@ -5,13 +5,11 @@
 
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alerts::AlertEngine;
 use crate::attribution::{summarize, AttributionSummary};
 use crate::event::{SchedEvent, TimedEvent};
 use crate::lifecycle::LifecycleTracker;
-use crate::log::{EventLog, EventLogState};
+use crate::log::EventLog;
 use crate::timeseries::Telemetry;
 
 /// What to attach to a run: where its event log goes.
@@ -22,9 +20,8 @@ pub struct ObserverConfig {
     pub sink_path: Option<PathBuf>,
 }
 
-/// Everything the observer keeps besides the log: plain data, cloned
-/// as is into a checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Everything the observer keeps besides the log.
+#[derive(Debug)]
 struct Trackers {
     lifecycle: LifecycleTracker,
     telemetry: Telemetry,
@@ -35,14 +32,6 @@ struct Trackers {
     rm_latency_seen_s: f64,
     /// When the open reclaim debt was first sampled; `None` without one.
     carry_since_ms: Option<u64>,
-}
-
-/// Serialized form of an [`Observer`] for checkpoint/restore: the log's
-/// cursor (plus its in-memory events, if any) and the trackers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ObserverCheckpoint {
-    log: EventLogState,
-    trackers: Trackers,
 }
 
 /// The attached observability of one run (see the module docs).
@@ -169,28 +158,6 @@ impl Observer {
         }
         self.log.flush()?;
         Ok(summarize(&attrs))
-    }
-
-    /// Captures the observer for a checkpoint, flushing the sink first
-    /// so the file on disk agrees with the captured cursor.
-    pub fn capture_state(&mut self) -> ObserverCheckpoint {
-        ObserverCheckpoint {
-            log: self.log.capture_state(),
-            trackers: self.trackers.clone(),
-        }
-    }
-
-    /// Rebuilds an observer from a checkpoint, repairing and reopening
-    /// its sink (see [`EventLog::from_state`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the sink cannot be repaired.
-    pub fn from_state(state: ObserverCheckpoint) -> std::io::Result<Self> {
-        Ok(Observer {
-            log: EventLog::from_state(state.log)?,
-            trackers: state.trackers,
-        })
     }
 
     /// The run's products for its report: the in-memory events (empty

@@ -11,9 +11,8 @@
 //!
 //! A [`DecisionId`] is the log sequence number of the event that
 //! recorded the decision. Sequence numbers are stamped at emission,
-//! serialised into every JSONL line, and carried through event-log
-//! checkpoints, so the id of a decision is identical in a live run, a
-//! log replay, and a crash/resume of the same seed.
+//! and serialised into every JSONL line, so the id of a decision is
+//! identical in a live run and in a replay of its log.
 
 use std::collections::{BTreeMap, BTreeSet};
 

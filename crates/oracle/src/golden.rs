@@ -207,8 +207,7 @@ pub fn cases() -> Vec<GoldenCase> {
         },
         // Every job checkpoints and 30 % of the restores fail, so
         // both rollback paths (reclaim preemption and fault kill) and
-        // both restore outcomes are pinned. Listed after `tiny-faulty`,
-        // which stays the first faulted case (the crash storm's).
+        // both restore outcomes are pinned.
         GoldenCase {
             name: "tiny-checkpointed",
             scenario: checkpointed,

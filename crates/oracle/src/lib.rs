@@ -22,16 +22,11 @@
 //! * [`golden`] — pinned tiny scenarios whose full JSONL event logs are
 //!   committed under `tests/golden/` and compared byte-for-byte in CI,
 //!   with a bless flow and a mutation-smoke mode proving the gate fires.
-//! * [`crash`] — the kill-and-resume storm: the faulted golden scenario
-//!   is killed at seeded epochs, checkpointed, restored, and must
-//!   replay to a byte-identical event log, attribution table and
-//!   report; corrupted checkpoints must be refused with typed errors.
 //!
 //! The oracles are deliberately *slow and obvious*: exponential
 //! enumeration, no shared code with the production solvers beyond the
 //! instance types. A disagreement is always a bug in exactly one place.
 
-pub mod crash;
 pub mod gen;
 pub mod golden;
 pub mod mckp;

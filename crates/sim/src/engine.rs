@@ -41,16 +41,15 @@ use lyra_core::tuning::GoodputModel;
 use lyra_elastic::controller::{ControllerEvent, ElasticController};
 use lyra_elastic::hetero::{hetero_rate_scaled, HeteroGroup};
 pub use lyra_obs::ObserverConfig;
-use lyra_obs::{Observer, ObserverCheckpoint, SchedEvent};
+use lyra_obs::{Observer, SchedEvent};
 use lyra_predictor::RuntimeEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// Engine timing and overhead parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Scheduler epoch length (the job scheduler runs "in a much smaller
     /// interval than the orchestrator", §3).
@@ -118,7 +117,7 @@ impl Default for SimConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     Arrival(usize),
     Finish(usize, u64),
@@ -132,7 +131,7 @@ enum EventKind {
     StragglerEnd(ServerId),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
     time_ms: u64,
     seq: u64,
@@ -151,14 +150,14 @@ impl PartialOrd for Event {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
     Pending,
     Running,
     Done,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SimJob {
     spec: JobSpec,
     state: JobState,
@@ -297,68 +296,6 @@ struct SnapshotCache {
     pending_dead: std::collections::HashSet<JobId>,
 }
 
-/// The complete runtime state of a [`Simulation`] between two events —
-/// everything [`crate::checkpoint::SimCheckpoint`] must persist so a
-/// restored run replays bit-identically to an uninterrupted one.
-///
-/// Rebuildable structures are deliberately *not* captured: the policy,
-/// orchestrator, inference scheduler and runtime estimator are
-/// reconstructed from the scenario (only their RNG states are saved),
-/// and the incremental snapshot cache is rebuilt on restore.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineState {
-    config: SimConfig,
-    cluster: ClusterState,
-    jobs: Vec<SimJob>,
-    queue: Vec<usize>,
-    /// Event queue as a sorted vec (a `BinaryHeap` has no stable
-    /// serialized order); the heap is rebuilt on restore.
-    events: Vec<Event>,
-    seq: u64,
-    now_s: f64,
-    completed: usize,
-    arrived: usize,
-    stuck_since_s: Option<f64>,
-    training_usage: UsageIntegral,
-    on_loan_usage: UsageIntegral,
-    on_loan_servers: UsageIntegral,
-    overall_usage: UsageIntegral,
-    reclaims: Vec<ReclaimRecord>,
-    loan_ops: usize,
-    scaling_ops: usize,
-    rm: ResourceManager,
-    /// The *runtime* fault plan (it may contain events, such as the
-    /// crash itself, that the scenario's generated plan does not), so
-    /// queued `Fault(i)` indices keep resolving after restore.
-    faults: Option<FaultPlan>,
-    /// Raw fire-time RNG state.
-    fault_rng: u64,
-    fault_stats: FaultStats,
-    /// Straggler slowdowns as pairs (maps serialize as pair arrays
-    /// anyway; a vec keeps the shape explicit).
-    slowdown: Vec<(ServerId, f64)>,
-    drop_next_orch_tick: bool,
-    reclaim_ledger: ReclaimLedger,
-    /// Raw policy RNG state, for policies that consume randomness.
-    policy_rng: Option<u64>,
-    /// Raw orchestrator RNG state (`Random` reclaim policy draws).
-    orchestrator_rng: Option<u64>,
-    observer: Option<ObserverCheckpoint>,
-}
-
-/// How a run ended: to completion with a report, or aborted by an
-/// injected [`FaultKind::SchedulerCrash`] with the state to resume from.
-#[derive(Debug)]
-pub enum RunOutcome {
-    /// The run drained normally; here is its report.
-    Completed(Box<SimReport>),
-    /// An injected scheduler crash aborted the run at a seeded instant.
-    /// Persist the state via [`crate::checkpoint::SimCheckpoint`] and
-    /// resume with [`Simulation::run_to_outcome`]; the resumed run's
-    /// outputs are byte-identical to an uninterrupted run's.
-    Crashed(Box<EngineState>),
-}
-
 /// The discrete-event simulation.
 pub struct Simulation {
     /// Engine parameters.
@@ -439,11 +376,10 @@ pub struct Simulation {
     /// Victim job id → `DecisionId` of the `ReclaimChoice` that picked
     /// it, captured by `drain_audit` and consumed by
     /// `apply_preemption` within the same reclaim wave. Always empty
-    /// between events, so it is deliberately *not* checkpointed.
+    /// between events.
     pending_preempt_decisions: std::collections::BTreeMap<u64, u64>,
     /// The cluster generation the last passing audit saw (see
-    /// [`ClusterState::audit_if_changed`]). Not checkpointed: a resumed
-    /// run audits once more.
+    /// [`ClusterState::audit_if_changed`]).
     audited_generation: Option<u64>,
 }
 
@@ -1393,13 +1329,6 @@ impl Simulation {
         let Some(event) = plan.events.get(i).copied() else {
             return Ok(());
         };
-        if matches!(event.kind, FaultKind::SchedulerCrash) {
-            // Crashes are intercepted in the run loop before dispatch
-            // and must stay invisible in every observable; this arm only
-            // exists so an unintercepted crash event (impossible today)
-            // could never emit or count anything.
-            return Ok(());
-        }
         let include_loaned = plan.include_loaned;
         self.fault_stats.injected += 1;
         self.emit(SchedEvent::Fault {
@@ -1528,8 +1457,6 @@ impl Simulation {
                     target: 0,
                 });
             }
-            // Handled by the early return above, before anything counted.
-            FaultKind::SchedulerCrash => {}
         }
         Ok(())
     }
@@ -1803,6 +1730,7 @@ impl Simulation {
     /// The derived indexes recomputed from scratch out of the queue and
     /// the job states: `(pending_gpus, pending_fungible_gpus,
     /// running_jobs, elastic_headroom_gpus, elastic_workers)`.
+    #[cfg(debug_assertions)]
     fn recount(&self) -> (u64, u64, std::collections::BTreeSet<usize>, u64, u32) {
         let mut all: u64 = 0;
         let mut fungible: u64 = 0;
@@ -2046,168 +1974,14 @@ impl Simulation {
         }
     }
 
-    /// Whether fault-plan event `i` is a scheduler crash.
-    fn scheduler_crash_at(&self, i: usize) -> bool {
-        self.faults
-            .as_ref()
-            .and_then(|p| p.events.get(i))
-            .is_some_and(|e| matches!(e.kind, FaultKind::SchedulerCrash))
-    }
-
-    /// Captures the complete engine state (see [`EngineState`]).
-    ///
-    /// Takes `&mut self` because the observer's file sink is flushed
-    /// first, so the on-disk log agrees with the captured cursor.
-    pub(crate) fn capture_state(&mut self) -> EngineState {
-        let mut events: Vec<Event> = self.events.iter().map(|Reverse(e)| *e).collect();
-        events.sort();
-        EngineState {
-            config: self.config,
-            cluster: self.cluster.clone(),
-            jobs: self.jobs.clone(),
-            queue: self.queue.clone(),
-            events,
-            seq: self.seq,
-            now_s: self.now_s,
-            completed: self.completed,
-            arrived: self.arrived,
-            stuck_since_s: self.stuck_since_s,
-            training_usage: self.training_usage.clone(),
-            on_loan_usage: self.on_loan_usage.clone(),
-            on_loan_servers: self.on_loan_servers.clone(),
-            overall_usage: self.overall_usage.clone(),
-            reclaims: self.reclaims.clone(),
-            loan_ops: self.loan_ops,
-            scaling_ops: self.scaling_ops,
-            rm: self.rm.clone(),
-            faults: self.faults.clone(),
-            fault_rng: self.fault_rng.state(),
-            fault_stats: self.fault_stats,
-            slowdown: self.slowdown.iter().map(|(s, f)| (*s, *f)).collect(),
-            drop_next_orch_tick: self.drop_next_orch_tick,
-            reclaim_ledger: self.reclaim_ledger,
-            policy_rng: self.policy.rng_state(),
-            orchestrator_rng: self.orchestrator.as_ref().map(|o| o.rng_state()),
-            observer: self.observer.as_mut().map(Observer::capture_state),
-        }
-    }
-
-    /// Overwrites this simulation's runtime state with a captured one.
-    ///
-    /// `self` must have been built from the same scenario inputs (the
-    /// policy, orchestrator, inference scheduler and estimator are
-    /// rebuilt, not persisted); this restores everything that evolves
-    /// during a run and recomputes the derived structures: demand
-    /// counters and the running set from the restored jobs, and the
-    /// incremental snapshot cache from the restored queue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the event-log file sink cannot be
-    /// repaired and reopened for append.
-    pub(crate) fn restore_state(&mut self, state: EngineState) -> Result<(), SimError> {
-        self.config = state.config;
-        self.cluster = state.cluster;
-        self.audited_generation = None;
-        self.jobs = state.jobs;
-        self.queue = state.queue;
-        self.events = state.events.into_iter().map(Reverse).collect();
-        self.seq = state.seq;
-        self.now_s = state.now_s;
-        self.completed = state.completed;
-        self.arrived = state.arrived;
-        self.stuck_since_s = state.stuck_since_s;
-        self.training_usage = state.training_usage;
-        self.on_loan_usage = state.on_loan_usage;
-        self.on_loan_servers = state.on_loan_servers;
-        self.overall_usage = state.overall_usage;
-        self.reclaims = state.reclaims;
-        self.loan_ops = state.loan_ops;
-        self.scaling_ops = state.scaling_ops;
-        self.rm = state.rm;
-        self.faults = state.faults;
-        self.fault_rng = StdRng::seed_from_u64(state.fault_rng);
-        self.fault_stats = state.fault_stats;
-        self.slowdown = state.slowdown.into_iter().collect();
-        self.drop_next_orch_tick = state.drop_next_orch_tick;
-        self.reclaim_ledger = state.reclaim_ledger;
-        if let Some(s) = state.policy_rng {
-            self.policy.restore_rng_state(s);
-        }
-        if let (Some(orch), Some(s)) = (self.orchestrator.as_mut(), state.orchestrator_rng) {
-            orch.restore_rng_state(s);
-        }
-        self.observer = state
-            .observer
-            .map(Observer::from_state)
-            .transpose()
-            .map_err(|e| SimError(format!("restoring the event-log sink: {e}")))?;
-        (
-            self.pending_gpus,
-            self.pending_fungible_gpus,
-            self.running_jobs,
-            self.elastic_headroom_gpus,
-            self.elastic_workers,
-        ) = self.recount();
-        // The snapshot cache starts cold (servers and running views are
-        // rebuilt at the first refresh), but `enqueue` maintains the
-        // pending mirror from t=0 and the refresh never rebuilds it, so
-        // it must be reconstructed from the restored queue here (a
-        // pending view is static while queued).
-        self.cache = SnapshotCache::default();
-        self.cache.snap.pending = self.queue.iter().map(|&i| self.pending_view(i)).collect();
-        self.validate_snapshot = true;
-        self.profile = lyra_obs::Profile::default();
-        self.attribution = lyra_obs::AttributionSummary::default();
-        Ok(())
-    }
-
-    /// Test-only reclaim-ledger access for checkpoint round-trip tests.
-    #[cfg(test)]
-    pub(crate) fn reclaim_ledger_mut(&mut self) -> &mut ReclaimLedger {
-        &mut self.reclaim_ledger
-    }
-
-    /// Test-only reclaim-ledger view.
-    #[cfg(test)]
-    pub(crate) fn reclaim_ledger(&self) -> &ReclaimLedger {
-        &self.reclaim_ledger
-    }
-
     /// Runs the simulation to completion and produces the report.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on internal inconsistencies (a policy emitting
     /// infeasible actions), which indicate bugs rather than workload
-    /// conditions — and when the run is aborted by an injected
-    /// [`FaultKind::SchedulerCrash`]; callers that expect crashes use
-    /// [`run_to_outcome`](Self::run_to_outcome) instead.
-    pub fn run(self, name: &str) -> Result<SimReport, SimError> {
-        match self.run_to_outcome(name)? {
-            RunOutcome::Completed(report) => Ok(*report),
-            RunOutcome::Crashed(_) => Err(SimError(
-                "run aborted by an injected scheduler crash; \
-                 use run_to_outcome and checkpoint the state to resume"
-                    .to_string(),
-            )),
-        }
-    }
-
-    /// Runs the simulation until it completes *or* an injected
-    /// [`FaultKind::SchedulerCrash`] aborts it.
-    ///
-    /// The crash is intercepted the instant its event is popped, before
-    /// any handler runs: nothing is logged, counted or integrated for
-    /// it, so the crash is invisible in every observable and a resumed
-    /// run replays byte-identically to an uninterrupted one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on internal inconsistencies (a policy
-    /// emitting infeasible actions), which indicate bugs rather than
-    /// workload conditions.
-    pub fn run_to_outcome(mut self, name: &str) -> Result<RunOutcome, SimError> {
+    /// conditions.
+    pub fn run(mut self, name: &str) -> Result<SimReport, SimError> {
         if self.observer.is_some() {
             lyra_obs::span::set_enabled(true);
             lyra_obs::audit::set_enabled(true);
@@ -2223,28 +1997,6 @@ impl Simulation {
             let t = event.time_ms as f64 / 1000.0;
             if t > horizon {
                 break;
-            }
-            if let EventKind::Fault(i) = event.kind {
-                if self.scheduler_crash_at(i) {
-                    // The scheduler process dies *between* events: state
-                    // is captured before any of this event's bookkeeping
-                    // (usage integrals, clock, metrics) runs, so the
-                    // crash perturbs nothing observable. The crash event
-                    // itself was consumed above and is deliberately not
-                    // part of the captured queue.
-                    let stale = lyra_obs::audit::drain();
-                    debug_assert!(
-                        stale.is_empty(),
-                        "audit records pending at a crash point: {}",
-                        stale.len()
-                    );
-                    drop(stale);
-                    let state = self.capture_state();
-                    let _ = lyra_obs::span::take_profile();
-                    lyra_obs::span::set_enabled(false);
-                    lyra_obs::audit::set_enabled(false);
-                    return Ok(RunOutcome::Crashed(Box::new(state)));
-                }
             }
             self.advance_usage(t);
             self.now_s = t;
@@ -2326,7 +2078,7 @@ impl Simulation {
         // Final consistency check: a clean run ends with zero violations.
         self.audit_cluster();
         self.finish_observation()?;
-        Ok(RunOutcome::Completed(Box::new(self.report(name))))
+        Ok(self.report(name))
     }
 
     /// Audits the cluster state unless it is unchanged since the last
@@ -2549,42 +2301,5 @@ mod tests {
             kind: EventKind::Arrival(0),
         };
         assert!(c < a && a < b);
-    }
-
-    #[test]
-    fn elastic_worker_counter_survives_a_checkpoint_restore() {
-        use crate::checkpoint::SimCheckpoint;
-        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
-        use crate::scenario::{build_simulation, generators};
-        // The faulted golden scenario, killed at several points.
-        let (jobs, inf) = generators::tiny_traces(13);
-        let mut busiest = 0;
-        for kill_s in [5_000.0, 20_000.0, 40_000.0, 60_000.0] {
-            let mut scenario = generators::tiny_basic(13);
-            let mut plan = FaultPlan::generate(&FaultConfig::moderate(2.0 * 86_400.0), 16, 13);
-            plan.events.push(FaultEvent {
-                time_s: kill_s,
-                kind: FaultKind::SchedulerCrash,
-            });
-            scenario.faults = Some(plan);
-            let sim = build_simulation(&scenario, &jobs, &inf).expect("build");
-            let RunOutcome::Crashed(state) = sim.run_to_outcome(&scenario.name).expect("run")
-            else {
-                panic!("the kill at {kill_s} s lands before the run ends");
-            };
-            let restored = SimCheckpoint::new(scenario, jobs.clone(), inf.clone(), *state)
-                .into_simulation()
-                .expect("restore");
-            let walk: u32 = restored
-                .running_jobs
-                .iter()
-                .map(|&i| &restored.jobs[i])
-                .filter(|j| j.spec.is_elastic())
-                .map(|j| j.workers)
-                .sum();
-            assert_eq!(restored.elastic_workers, walk, "kill at {kill_s} s");
-            busiest = busiest.max(walk);
-        }
-        assert!(busiest > 0, "some kill lands while elastic jobs run");
     }
 }

@@ -90,7 +90,7 @@ impl FaultConfig {
 /// `selector` fields are uniform `u64` draws fixed at plan-generation
 /// time; the engine maps them onto the eligible server (and job) set at
 /// fire time, keeping plans meaningful under any cluster evolution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// A whole server dies: its workers are lost, it leaves the
     /// whitelist, and it rejoins its pool after `recovery_s`.
@@ -117,16 +117,10 @@ pub enum FaultKind {
     },
     /// The next orchestrator tick is lost (no loan/reclaim executes).
     DropOrchestratorTick,
-    /// The scheduler process itself dies: the engine snapshots its
-    /// complete state and aborts the run at this instant. The crash is
-    /// invisible to every observable output (event log, counters,
-    /// metrics) — the contract is that a resumed run is byte-identical
-    /// to an uninterrupted one, so the crash must not perturb either.
-    SchedulerCrash,
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Absolute simulation time the fault fires, seconds.
     pub time_s: f64,
@@ -135,7 +129,7 @@ pub struct FaultEvent {
 }
 
 /// A complete, reproducible fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed the plan was generated from; also seeds the engine's
     /// fire-time rolls (checkpoint-restore failures).
@@ -253,7 +247,7 @@ impl FaultPlan {
 /// A reclaim demand that could not be satisfied at its tick: carried
 /// forward and retried with exponential backoff until met, resolved
 /// externally, or expired (a counted deadline violation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReclaimCarry {
     /// Servers still owed to the inference cluster.
     pub servers: u32,
@@ -300,7 +294,7 @@ pub enum CarryTransition {
 ///
 /// The ledger is pure state (no clock, no event sink), so the paths are
 /// directly unit-testable; the engine owns event emission and counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReclaimLedger {
     carry: Option<ReclaimCarry>,
 }
@@ -452,29 +446,6 @@ mod tests {
             high.events.len(),
             low.events.len()
         );
-    }
-
-    #[test]
-    fn serde_round_trip_replays_identical_fault_sequence() {
-        let cfg = FaultConfig {
-            checkpoint_restore_failure_prob: 0.25,
-            ..config()
-        };
-        let plan = FaultPlan::generate(&cfg, 20, 13);
-        let json = serde_json::to_string(&plan).expect("serialize plan");
-        let restored: FaultPlan = serde_json::from_str(&json).expect("deserialize plan");
-        assert_eq!(plan, restored, "round-trip must preserve the schedule exactly");
-        // The engine's fire-time rolls (checkpoint-restore failures) are
-        // drawn from an RNG seeded off the plan seed; a restored plan must
-        // therefore reproduce the identical roll sequence too.
-        let mut a = StdRng::seed_from_u64(plan.seed ^ 0x5EED_F417);
-        let mut b = StdRng::seed_from_u64(restored.seed ^ 0x5EED_F417);
-        for _ in 0..256 {
-            assert_eq!(
-                a.gen_bool(plan.checkpoint_restore_failure_prob),
-                b.gen_bool(restored.checkpoint_restore_failure_prob)
-            );
-        }
     }
 
     #[test]

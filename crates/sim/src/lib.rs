@@ -26,14 +26,12 @@
 //! println!("mean JCT: {:.0}s", report.jct.mean);
 //! ```
 
-pub mod checkpoint;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
 pub mod scenario;
 
-pub use checkpoint::{CheckpointError, SimCheckpoint};
-pub use engine::{EngineState, ObserverConfig, RunOutcome, SimConfig, SimError, Simulation};
+pub use engine::{ObserverConfig, SimConfig, SimError, Simulation};
 pub use faults::{
     CarryTransition, FaultConfig, FaultEvent, FaultKind, FaultPlan, ReclaimCarry, ReclaimLedger,
 };

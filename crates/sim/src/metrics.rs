@@ -201,7 +201,7 @@ pub struct FaultStats {
 }
 
 /// One reclaiming operation's outcome, for Figure 10's metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReclaimRecord {
     /// When it happened.
     pub time_s: f64,
@@ -221,7 +221,7 @@ pub struct ReclaimRecord {
 }
 
 /// Piecewise-constant usage integral with hourly buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageIntegral {
     last_time_s: f64,
     /// Total busy GPU-seconds.
@@ -369,7 +369,7 @@ pub struct SimReport {
     /// Per-epoch scheduler-health time series (ring series with
     /// deterministic decimation plus the epoch-span / decision-latency
     /// histograms; empty without an observer). Fully deterministic, so
-    /// it participates in report equality and the crash-storm gate.
+    /// it participates in report equality.
     pub telemetry: lyra_obs::Telemetry,
 }
 

@@ -23,7 +23,6 @@ use lyra_predictor::{LstmConfig, RuntimeEstimator, RuntimeEstimatorConfig, Usage
 use lyra_trace::{InferenceTrace, JobTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Why a scenario configuration was rejected before the engine ever ran.
 ///
@@ -139,7 +138,7 @@ pub fn validate_scenario(scenario: &Scenario, jobs: &JobTrace) -> Result<(), Con
 }
 
 /// A full experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Label used in reports.
     pub name: String,
@@ -430,10 +429,9 @@ pub fn run_scenario_observed(
 }
 
 /// Builds the ready-to-run [`Simulation`] for a scenario without running
-/// it. This is the entry point for harnesses that drive the engine
-/// through [`Simulation::run_to_outcome`] — attaching their own observer
-/// first and handling crash outcomes — instead of the one-shot
-/// [`run_scenario`] wrappers.
+/// it. This is the entry point for harnesses that time the build and the
+/// run apart or attach their own observer before [`Simulation::run`],
+/// instead of the one-shot [`run_scenario`] wrappers.
 ///
 /// # Errors
 ///

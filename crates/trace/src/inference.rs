@@ -14,13 +14,12 @@
 use crate::distributions::{exponential, standard_normal};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seconds per trace sample (the paper measures every 5 minutes).
 pub const SAMPLE_INTERVAL_S: u64 = 300;
 
 /// Configuration of the synthetic utilisation model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceTraceConfig {
     /// Days of trace to generate.
     pub days: u32,
@@ -56,7 +55,7 @@ impl Default for InferenceTraceConfig {
 }
 
 /// A generated utilisation trace: one sample per 5-minute interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceTrace {
     /// Configuration it was generated with.
     pub config: InferenceTraceConfig,

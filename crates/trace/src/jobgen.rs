@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the job-trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Days the trace spans.
     pub days: u32,
@@ -115,7 +115,7 @@ impl TraceConfig {
 }
 
 /// A generated job trace, sorted by submission time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTrace {
     /// Configuration the trace was generated with.
     pub config: TraceConfig,
