@@ -74,7 +74,7 @@ fn push_histogram(out: &mut String, name: &str, h: &Histogram) {
 pub fn render_prometheus(telemetry: &Telemetry) -> String {
     let mut out = String::new();
 
-    // Telemetry gauge series: latest retained value of each.
+    // Telemetry gauge series: the last sample of each.
     for (name, series) in telemetry.iter() {
         if let Some(p) = series.last() {
             push_metric(&mut out, &prom_name(name), "gauge", &format_value(p.value));
