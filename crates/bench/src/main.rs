@@ -9,7 +9,6 @@
 //! cargo run -p lyra-bench --release -- why 17          # one job: causes, intervals, decisions
 //! cargo run -p lyra-bench --release -- blame --top 5   # cluster-wide delay rankings
 //! cargo run -p lyra-bench --release -- timeline        # sparkline telemetry dashboard
-//! cargo run -p lyra-bench --release -- prom --out m.prom  # Prometheus exposition
 //! ```
 //!
 //! Results print as tables/series on stdout; `--quiet` suppresses the
@@ -126,7 +125,6 @@ const COMMANDS: &[Command] = &[
         export_trace_cmd),
     cmd("events", Operand::None, &[Flag("--filter", Required(FILTER)), LOG], events_cmd),
     cmd("timeline", Operand::None, &[LOG, Flag("--width", Value("<cols>"))], timeline_cmd),
-    cmd("prom", Operand::None, &[Flag("--out", Value("<file.prom>"))], prom_cmd),
     cmd("perf", Operand::None, &[], perf_cmd),
     cmd("golden", Operand::None, &[Flag("--bless", Switch), Flag("--mutate", Switch)],
         golden_cmd),
@@ -395,8 +393,8 @@ fn plot_cmd(inv: &Invocation) -> CmdResult {
 }
 
 /// Runs one small observed Basic scenario and returns its report; used
-/// by `smoke`, `prom`, and the log-replay commands when no `--log` file
-/// is given.
+/// by `smoke` and the log-replay commands when no `--log` file is
+/// given.
 fn observed_small_run(sink: Option<&str>) -> Result<lyra_sim::SimReport, CliError> {
     // Seed 5 and the Small cluster match tab5's Basic row, which
     // exercises loaning, reclaiming and preemption even at Small scale.
@@ -609,39 +607,20 @@ fn events_cmd(inv: &Invocation) -> CmdResult {
 /// dashboard. Without `--log` it runs one small observed scenario and
 /// charts the live telemetry; with `--log` it replays a recorded event
 /// log, deriving the (smaller) series set the log supports, sampled at
-/// each logged change of the epoch shape. Alert transitions are listed
-/// under the chart in both modes.
+/// each logged change of the epoch shape.
 fn timeline_cmd(inv: &Invocation) -> CmdResult {
     use lyra_bench::timeline;
     let width = inv.parsed("--width", timeline::DEFAULT_WIDTH)?;
     let from_log = inv.value("--log").is_some();
-    let (telemetry, events) = if from_log {
-        let (_, events) = read_log(inv)?;
-        (timeline::telemetry_from_log(&events), events)
+    let telemetry = if from_log {
+        timeline::telemetry_from_log(&read_log(inv)?.1)
     } else {
-        let report = observed_small_run(None)?;
-        (report.telemetry, report.events)
+        observed_small_run(None)?.telemetry
     };
     print!(
         "{}",
-        timeline::render_dashboard(&telemetry, &events, width, from_log)
+        timeline::render_dashboard(&telemetry, width, from_log)
     );
-    Ok(0)
-}
-
-/// `prom [--out <file.prom>]`: run one small observed scenario and
-/// write its telemetry store in Prometheus text exposition format
-/// 0.0.4 (stdout when `--out` is omitted). Same seed, same bytes.
-fn prom_cmd(inv: &Invocation) -> CmdResult {
-    let report = observed_small_run(None)?;
-    let text = lyra_obs::render_prometheus(&report.telemetry);
-    match inv.value("--out") {
-        Some(path) => {
-            write_file(path, &text)?;
-            println!("wrote {path} ({} lines)", text.lines().count());
-        }
-        None => print!("{text}"),
-    }
     Ok(0)
 }
 
@@ -689,7 +668,6 @@ mod tests {
             "events --filter cause=reclaim-preemption --log s.jsonl",
             "timeline",
             "timeline --log s.jsonl",
-            "prom --out s.prom",
             "perf",
             "golden",
             "golden --mutate",
@@ -746,6 +724,8 @@ mod tests {
             "resume --ckpt run.ckpt",
             "crash-storm",
             "crash-storm --kills 10 --seed 1 --dir d",
+            "prom",
+            "prom --out s.prom",
         ] {
             let result = parse_line(line);
             assert!(matches!(result, Err(CliError::Usage(_))), "{line:?}");
@@ -781,8 +761,8 @@ mod tests {
         let names: std::collections::BTreeSet<_> = COMMANDS.iter().map(|c| c.name).collect();
         assert_eq!(
             (COMMANDS.len(), names.len()),
-            (13, 13),
-            "13 distinct subcommands"
+            (12, 12),
+            "12 distinct subcommands"
         );
         let usage = usage_text();
         for name in names {
@@ -796,6 +776,7 @@ mod tests {
             "checkpoint",
             "resume",
             "crash-storm",
+            "prom",
         ] {
             assert!(!usage.contains(&format!("lyra-bench {gone}")), "{gone}");
             assert!(!is_operand_like(gone), "{gone}");

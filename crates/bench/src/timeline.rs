@@ -9,8 +9,7 @@
 //! epoch's `(launches, queued, running)` shape changes, so the log view
 //! samples once per *change point*, not once per epoch: its header
 //! counts epoch changes, and its sparklines space the change points
-//! evenly, whatever the simulated time between them. Alert fire/resolve
-//! transitions are listed under the chart either way.
+//! evenly, whatever the simulated time between them.
 //! Everything here is a pure function of its inputs, so the rendered
 //! dashboard is as deterministic as the series behind it.
 
@@ -90,15 +89,9 @@ pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
 /// Renders the full dashboard: a header (counting epochs, or epoch
 /// changes when `from_log`), one sparkline row per series
 /// (name, chart, min/last/max; these cover every sample, not only the
-/// retained points the chart draws), the two epoch histograms as
-/// single-line summaries, and the `Alert` transitions in `events` (if
-/// any), in log order.
-pub fn render_dashboard(
-    t: &Telemetry,
-    events: &[TimedEvent],
-    width: usize,
-    from_log: bool,
-) -> String {
+/// retained points the chart draws) and the two epoch histograms as
+/// single-line summaries.
+pub fn render_dashboard(t: &Telemetry, width: usize, from_log: bool) -> String {
     let mut out = String::new();
     let series: Vec<_> = t.iter().collect();
     let counted = if from_log {
@@ -135,31 +128,6 @@ pub fn render_dashboard(
             t.decision_latency_ms.count
         ),
     ));
-    let alerts: Vec<String> = events
-        .iter()
-        .filter_map(|e| match &e.event {
-            SchedEvent::Alert {
-                rule,
-                series,
-                value,
-                threshold,
-                fired,
-            } => Some(format!(
-                "  [{:>10}ms] {} {rule} ({series}: {} vs threshold {})\n",
-                e.time_ms,
-                if *fired { "FIRED   " } else { "resolved" },
-                format_value(*value),
-                format_value(*threshold),
-            )),
-            _ => None,
-        })
-        .collect();
-    if alerts.is_empty() {
-        out.push_str("\nalerts: none\n");
-    } else {
-        out.push_str(&format!("\nalerts ({} transitions):\n", alerts.len()));
-        out.extend(alerts);
-    }
     out
 }
 
@@ -203,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn log_replay_derives_series_and_alerts() {
+    fn log_replay_derives_series() {
         let mk = |time_ms, seq, event| TimedEvent {
             time_ms,
             seq,
@@ -232,17 +200,6 @@ mod tests {
             mk(
                 2000,
                 3,
-                SchedEvent::Alert {
-                    rule: "queue-backlog".into(),
-                    series: "queue.depth".into(),
-                    value: 6.0,
-                    threshold: 4.0,
-                    fired: true,
-                },
-            ),
-            mk(
-                2000,
-                4,
                 SchedEvent::SchedulerEpoch {
                     launches: 0,
                     queued: 6,
@@ -252,16 +209,15 @@ mod tests {
         ];
         let t = telemetry_from_log(&events);
         assert_eq!(t.epochs, 2);
-        assert_eq!(t.latest("queue.depth"), Some(6.0));
-        assert_eq!(t.latest("rate.loans"), Some(0.0)); // both loans landed before epoch 1
-        assert_eq!(t.latest("rate.preemptions"), Some(1.0));
-        let dash = render_dashboard(&t, &events, 40, true);
+        let last = |name| t.series(name).and_then(|s| s.last()).map(|p| p.value);
+        assert_eq!(last("queue.depth"), Some(6.0));
+        assert_eq!(last("rate.loans"), Some(0.0)); // both loans landed before epoch 1
+        assert_eq!(last("rate.preemptions"), Some(1.0));
+        let dash = render_dashboard(&t, 40, true);
         assert!(dash.contains("queue.depth"));
-        assert!(dash.contains("FIRED"));
         assert!(dash.contains("2 epoch changes (from log)"));
         // Same inputs, same bytes.
-        assert!(dash.contains("alerts (1 transitions)"));
-        assert_eq!(dash, render_dashboard(&t, &events, 40, true));
+        assert_eq!(dash, render_dashboard(&t, 40, true));
     }
 
     #[test]
@@ -276,11 +232,11 @@ mod tests {
         }
         let (events, live) = obs.into_products();
         assert_eq!(live.epochs, 2);
-        let live_dash = render_dashboard(&live, &events, 40, false);
+        let live_dash = render_dashboard(&live, 40, false);
         assert!(live_dash.starts_with("timeline: 2 epochs, "), "{live_dash}");
         let replayed = telemetry_from_log(&events);
         assert_eq!(replayed.epochs, 1);
-        let log_dash = render_dashboard(&replayed, &events, 40, true);
+        let log_dash = render_dashboard(&replayed, 40, true);
         assert!(
             log_dash.starts_with("timeline: 1 epoch changes (from log), "),
             "{log_dash}"
@@ -289,9 +245,8 @@ mod tests {
 
     #[test]
     fn empty_dashboard_renders_cleanly() {
-        let dash = render_dashboard(&Telemetry::default(), &[], 40, false);
+        let dash = render_dashboard(&Telemetry::default(), 40, false);
         assert!(dash.contains("no telemetry series"));
         assert!(dash.contains("(no observations)"));
-        assert!(dash.contains("alerts: none"));
     }
 }

@@ -196,22 +196,6 @@ pub enum SchedEvent {
     /// A recorded scheduling decision with its inputs (see
     /// [`AuditRecord`]).
     Audit(AuditRecord),
-    /// An alert rule fired (`fired: true`) or resolved
-    /// (`fired: false`). Emitted by the telemetry alert engine once per
-    /// transition, into the same log as everything else, so alerts are
-    /// replayable and golden-pinned.
-    Alert {
-        /// Rule name (e.g. `queue-backlog`).
-        rule: String,
-        /// Telemetry series the rule watches (e.g. `queue.depth`).
-        series: String,
-        /// Sampled value that drove the transition.
-        value: f64,
-        /// The rule's threshold.
-        threshold: f64,
-        /// `true` on fire, `false` on resolve.
-        fired: bool,
-    },
 }
 
 /// Every `kind_name()` a [`SchedEvent`] can report, in declaration
@@ -237,7 +221,6 @@ pub const KIND_NAMES: &[&str] = &[
     "SchedulerEpoch",
     "Fault",
     "Audit",
-    "Alert",
 ];
 
 impl SchedEvent {
@@ -263,7 +246,6 @@ impl SchedEvent {
             SchedEvent::SchedulerEpoch { .. } => "SchedulerEpoch",
             SchedEvent::Fault { .. } => "Fault",
             SchedEvent::Audit(_) => "Audit",
-            SchedEvent::Alert { .. } => "Alert",
         }
     }
 
@@ -311,8 +293,7 @@ impl SchedEvent {
             | SchedEvent::ReclaimDemand { .. }
             | SchedEvent::ReclaimCarryover { .. }
             | SchedEvent::ReclaimDeadlineMiss { .. }
-            | SchedEvent::SchedulerEpoch { .. }
-            | SchedEvent::Alert { .. } => false,
+            | SchedEvent::SchedulerEpoch { .. } => false,
             SchedEvent::Audit(rec) => match rec {
                 AuditRecord::Phase1Order { order, .. } => order.contains(&job),
                 AuditRecord::Phase2Mckp { jobs, .. } => jobs.contains(&job),
@@ -328,20 +309,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_list_is_unique_and_covers_alert() {
+    fn kind_names_list_is_unique() {
         let mut seen = std::collections::BTreeSet::new();
         for k in KIND_NAMES {
             assert!(seen.insert(*k), "duplicate kind {k}");
         }
-        let alert = SchedEvent::Alert {
-            rule: "queue-backlog".to_string(),
-            series: "queue.depth".to_string(),
-            value: 9.0,
-            threshold: 4.0,
-            fired: true,
-        };
-        assert!(KIND_NAMES.contains(&alert.kind_name()));
-        assert!(!alert.touches_job(0));
     }
 
     #[test]

@@ -17,15 +17,12 @@
 //!   [`to_jsonl`] and [`parse_log`]. Event payloads carry only simulated
 //!   quantities, so two runs with the same seed produce byte-identical
 //!   logs.
-//! * [`timeseries`] + [`alerts`] + [`prom`] — **metrics and continuous
-//!   telemetry** in one store: per-epoch scheduler health gauges
-//!   sampled into fixed-capacity ring series with deterministic
-//!   decimation (bounded memory at 1M-job scale), cumulative event
-//!   counters counted off the event stream, fixed-bucket histograms, a
-//!   threshold/sustained-window alert engine emitting typed `Alert`
-//!   events into the log, and
-//!   Prometheus text exposition + CSV export — all byte-reproducible
-//!   under the same seed.
+//! * [`timeseries`] — **metrics and continuous telemetry** in one
+//!   store: per-epoch scheduler health gauges sampled into
+//!   fixed-capacity ring series with deterministic decimation (bounded
+//!   memory at 1M-job scale), cumulative event counters counted off the
+//!   event stream, fixed-bucket histograms and a CSV export — all
+//!   byte-reproducible under the same seed.
 //! * [`span`] — **span timing** for the hot paths (MCKP DP, best-fit
 //!   placement, reclaim cost search, engine ticks), aggregated into a
 //!   per-phase self-time profile.
@@ -52,9 +49,9 @@
 //! `why`/`blame` reports and Perfetto flow arrows.
 //!
 //! [`observer`] ties them together for a simulator run: one
-//! [`Observer`] owns the log, the delay-attribution tracker, the
-//! telemetry store and the alert engine, and every event reaches all of
-//! them through one call.
+//! [`Observer`] owns the log, the delay-attribution tracker and the
+//! telemetry store, and every event reaches all of them through one
+//! call.
 //!
 //! [`output`] is the small experiment-output writer used by the bench
 //! CLI's `--quiet` / `--json` modes.
@@ -64,7 +61,6 @@
 //! `std::thread::scope`), so per-thread state isolates concurrent runs
 //! without any handle threading through the algorithm crates.
 
-pub mod alerts;
 pub mod attribution;
 pub mod audit;
 pub mod chrome;
@@ -76,11 +72,9 @@ pub mod log;
 pub mod observer;
 pub mod output;
 pub mod provenance;
-pub mod prom;
 pub mod span;
 pub mod timeseries;
 
-pub use alerts::{default_rules, AlertCondition, AlertEngine, AlertRule, AlertTransition};
 pub use attribution::{
     render_job, render_top, summarize, AttributedInterval, AttributionSummary, CauseStat,
     DelayCause, JobAttribution,
@@ -97,6 +91,5 @@ pub use log::{parse_log, to_jsonl, EventLog};
 pub use observer::{Observer, ObserverConfig};
 pub use provenance::{blame_from_log, build_provenance, render_blame, render_why, why_from_log};
 pub use output::OutputMode;
-pub use prom::render_prometheus;
 pub use span::{PhaseStat, Profile, SpanGuard};
 pub use timeseries::{Histogram, RingSeries, SeriesPoint, Telemetry};

@@ -328,13 +328,6 @@ mod tests {
                 kind: "job_killed \"quoted\" \\ \n\t\u{1} é".to_string(),
                 target: 5,
             },
-            SchedEvent::Alert {
-                rule: "queue-backlog".to_string(),
-                series: "queue.depth".to_string(),
-                value: -0.0,
-                threshold: 4.0,
-                fired: true,
-            },
         ];
         events.extend(audit_samples().into_iter().map(SchedEvent::Audit));
         events
@@ -498,6 +491,21 @@ mod tests {
         let bad = format!("{}garbage", lines.pop().unwrap());
         let rebuilt = format!("{}\n{bad}\n", lines.join("\n"));
         assert!(parse_log(&rebuilt).is_err(), "terminated garbage must fail");
+    }
+
+    #[test]
+    fn a_retired_event_kind_is_refused_naming_its_line() {
+        // A log from a build that still emitted `Alert` events: the
+        // stale line is corruption to this build, not a torn tail.
+        let alert = r#"{"time_ms":1500,"seq":2,"event":{"Alert":{"rule":"queue-backlog","series":"queue.depth","value":7,"threshold":4,"fired":true}}}"#;
+        let admits = three_admits();
+        let mut lines: Vec<&str> = admits.lines().collect();
+        lines.insert(1, alert);
+        let stale = lines.join("\n") + "\n";
+        assert_eq!(
+            parse_log(&stale).unwrap_err(),
+            "line 2 col 33: field `event`: unknown variant `Alert` of SchedEvent"
+        );
     }
 
     #[test]

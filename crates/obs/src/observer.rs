@@ -5,7 +5,6 @@
 
 use std::path::PathBuf;
 
-use crate::alerts::AlertEngine;
 use crate::attribution::{summarize, AttributionSummary};
 use crate::event::{SchedEvent, TimedEvent};
 use crate::lifecycle::LifecycleTracker;
@@ -25,7 +24,6 @@ pub struct ObserverConfig {
 struct Trackers {
     lifecycle: LifecycleTracker,
     telemetry: Telemetry,
-    alerts: AlertEngine,
     /// Last logged `SchedulerEpoch` shape: quiet epochs are not logged.
     last_epoch: Option<(u32, u32, u32)>,
     /// Cumulative control-plane latency already in the histogram.
@@ -57,7 +55,6 @@ impl Observer {
             trackers: Trackers {
                 lifecycle: LifecycleTracker::new(),
                 telemetry: Telemetry::default(),
-                alerts: AlertEngine::default(),
                 last_epoch: None,
                 rm_latency_seen_s: 0.0,
                 carry_since_ms: None,
@@ -75,18 +72,12 @@ impl Observer {
         self.log.emit(time_ms, event)
     }
 
-    /// Records a finished job's queuing time (no event carries it).
-    pub fn observe_queue_time(&mut self, queue_s: f64) {
-        self.trackers.telemetry.queue_s.observe(queue_s);
-    }
-
     /// Closes one scheduler epoch at `t_ms`: logs a `SchedulerEpoch`
     /// when its `(launches, queued, running)` shape changed, samples the
     /// engine's named `gauges`, the reclaim backlog age (how long
     /// `carry_servers` of debt have been open) and the `rate.*` series,
-    /// folds the control-plane latency added since the last epoch
-    /// (`rm_latency_s` is cumulative) into its histogram, and logs an
-    /// `Alert` for every rule that fired or resolved.
+    /// and folds the control-plane latency added since the last epoch
+    /// (`rm_latency_s` is cumulative) into its histogram.
     pub fn epoch(
         &mut self,
         t_ms: u64,
@@ -125,19 +116,6 @@ impl Observer {
         t.telemetry
             .sample_gauge("reclaim.backlog_age_s", t_ms, backlog_age_s);
         t.telemetry.sample_rates(t_ms);
-        let telemetry = &t.telemetry;
-        for tr in t.alerts.evaluate(|name| telemetry.latest(name)) {
-            self.observe(
-                t_ms,
-                SchedEvent::Alert {
-                    rule: tr.rule,
-                    series: tr.series,
-                    value: tr.value,
-                    threshold: tr.threshold,
-                    fired: tr.fired,
-                },
-            );
-        }
     }
 
     /// Ends observation at `end_ms`: closes every open job, checks that

@@ -13,9 +13,7 @@
 //! *derived* from its log, plus the telemetry series export (`.series.csv`)
 //! from the run's report — so a change to the attribution, export,
 //! provenance or telemetry pipeline is caught even when the
-//! underlying event stream is unchanged. Fired alerts are pinned
-//! implicitly: `Alert` events land in the JSONL log like every other
-//! event.
+//! underlying event stream is unchanged.
 //!
 //! The gate also proves its own teeth: [`mutation_smoke`] flips one
 //! scheduler constant (the phase-2 solver, MCKP DP → greedy ablation)

@@ -8,28 +8,6 @@ use lyra_oracle::golden;
 use lyra_sim::{run_scenario_observed, ObserverConfig};
 
 #[test]
-fn faulted_case_fires_at_least_one_alert() {
-    // The telemetry alert rules must actually trip on the pinned
-    // faulted scenario — otherwise "alerts are golden-pinned" would be
-    // vacuously true. Resolves are not required (a debt can stay open
-    // to the end of the run), but at least one fire must appear.
-    let case = golden::cases()
-        .into_iter()
-        .find(|c| c.scenario.faults.is_some())
-        .expect("a faulted golden case exists");
-    let events = case.observed_report().expect("faulted case runs").events;
-    let fired = events
-        .iter()
-        .filter(|e| matches!(e.event, SchedEvent::Alert { fired: true, .. }))
-        .count();
-    assert!(
-        fired >= 1,
-        "no Alert events in the faulted golden log ({} events)",
-        events.len()
-    );
-}
-
-#[test]
 fn faulted_case_skips_audits_of_an_unchanged_cluster() {
     // The engine audits the cluster after each orchestrator tick and
     // fault and once at the end, unless nothing has changed since the

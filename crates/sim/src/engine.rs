@@ -1959,7 +1959,6 @@ impl Simulation {
                 .jct_s()
                 .unwrap_or_else(|| self.now_s - self.jobs[idx].spec.submit_time_s);
             obs.observe(time_ms, SchedEvent::JobComplete { job, jct_s });
-            obs.observe_queue_time(record.queue_s);
             if let Some(deadline_s) = record.deadline_s.filter(|d| self.now_s > *d) {
                 let late_s = self.now_s - deadline_s;
                 obs.observe(

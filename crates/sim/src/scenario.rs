@@ -933,32 +933,6 @@ mod tests {
         let csv = a.telemetry.to_csv();
         assert!(csv.lines().count() > 1, "CSV export has data rows");
         assert_eq!(csv, b.telemetry.to_csv(), "same-seed series CSV is byte-identical");
-        let text = lyra_obs::render_prometheus(&a.telemetry);
-        assert_eq!(
-            text,
-            lyra_obs::render_prometheus(&b.telemetry),
-            "same-seed Prometheus exposition is byte-identical"
-        );
-        // A valid exposition declares every metric name once and carries
-        // the completed-jobs counter and the JCT histogram.
-        let mut names: Vec<&str> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .filter_map(|l| l.split(' ').next())
-            .collect();
-        let declared = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), declared, "a # TYPE name repeats:\n{text}");
-        assert!(a.completed > 0, "the run completes jobs");
-        assert!(text.contains(&format!(
-            "# TYPE lyra_sim_jobs_completed_total counter\nlyra_sim_jobs_completed_total {}\n",
-            a.completed
-        )));
-        assert!(text.contains(&format!(
-            "lyra_sim_jct_s_bucket{{le=\"+Inf\"}} {}\n",
-            a.completed
-        )));
     }
 
     #[test]
