@@ -1,8 +1,9 @@
 //! # lyra-bench
 //!
 //! The experiment harness: one subcommand per table and figure of the
-//! paper's evaluation (§7), the `impl` timings of the scheduling
-//! algorithms themselves, and the `perf` cost gates.
+//! paper's evaluation (§7) and the `impl` timings of the scheduling
+//! algorithms themselves. Simulator cost (wall time, observation
+//! overhead, per-layer self time) is measured by `lyra-benchmark`.
 //!
 //! Run `cargo run -p lyra-bench --release -- help` for the experiment
 //! list; `lyra-bench impl` times the MCKP solve, the reclaim heuristic
@@ -13,7 +14,6 @@
 pub mod ablate;
 pub mod experiments;
 pub mod golden;
-pub mod perf;
 pub mod plot;
 pub mod tables;
 pub mod timeline;

@@ -125,7 +125,6 @@ const COMMANDS: &[Command] = &[
         export_trace_cmd),
     cmd("events", Operand::None, &[Flag("--filter", Required(FILTER)), LOG], events_cmd),
     cmd("timeline", Operand::None, &[LOG, Flag("--width", Value("<cols>"))], timeline_cmd),
-    cmd("perf", Operand::None, &[], perf_cmd),
     cmd("golden", Operand::None, &[Flag("--bless", Switch), Flag("--mutate", Switch)],
         golden_cmd),
     cmd("ablate", Operand::None, &[Flag("--smoke", Switch), Flag("--policy", Value("<name>")),
@@ -624,10 +623,6 @@ fn timeline_cmd(inv: &Invocation) -> CmdResult {
     Ok(0)
 }
 
-fn perf_cmd(_: &Invocation) -> CmdResult {
-    Ok(lyra_bench::perf::run())
-}
-
 fn golden_cmd(inv: &Invocation) -> CmdResult {
     let (bless, mutate) = (inv.has("--bless"), inv.has("--mutate"));
     if bless && mutate {
@@ -668,7 +663,6 @@ mod tests {
             "events --filter cause=reclaim-preemption --log s.jsonl",
             "timeline",
             "timeline --log s.jsonl",
-            "perf",
             "golden",
             "golden --mutate",
             "ablate --smoke --out a.txt",
@@ -701,7 +695,6 @@ mod tests {
             "attribute 0 --log f extra",
             "why 0 --bogus",
             "why 0 1",
-            "perf --smoke",
             "list extra",
             "tab5 --bogus",
             "tab5 why",
@@ -726,6 +719,8 @@ mod tests {
             "crash-storm --kills 10 --seed 1 --dir d",
             "prom",
             "prom --out s.prom",
+            "perf",
+            "perf --smoke",
         ] {
             let result = parse_line(line);
             assert!(matches!(result, Err(CliError::Usage(_))), "{line:?}");
@@ -761,8 +756,8 @@ mod tests {
         let names: std::collections::BTreeSet<_> = COMMANDS.iter().map(|c| c.name).collect();
         assert_eq!(
             (COMMANDS.len(), names.len()),
-            (12, 12),
-            "12 distinct subcommands"
+            (11, 11),
+            "11 distinct subcommands"
         );
         let usage = usage_text();
         for name in names {
@@ -777,6 +772,7 @@ mod tests {
             "resume",
             "crash-storm",
             "prom",
+            "perf",
         ] {
             assert!(!usage.contains(&format!("lyra-bench {gone}")), "{gone}");
             assert!(!is_operand_like(gone), "{gone}");
