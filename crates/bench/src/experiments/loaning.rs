@@ -5,8 +5,8 @@ use crate::tables::{render, render_series};
 use crate::{reduction, run_at, ExperimentResult, Scale};
 use lyra_cluster::orchestrator::ReclaimPolicy;
 use lyra_core::reclaim::{
-    reclaim_exhaustive_optimal, reclaim_random, reclaim_scf, reclaim_servers, CostModel,
-    JobFootprint, ReclaimRequest, ReclaimServerView,
+    reclaim_exhaustive_optimal, reclaim_random, reclaim_scf, CostModel, JobFootprint,
+    ReclaimEngine, ReclaimRequest, ReclaimServerView,
 };
 use lyra_core::{JobId, ServerId};
 use lyra_sim::{transform, Scenario};
@@ -292,13 +292,15 @@ pub fn reclaim_opt(scale: Scale) -> ExperimentResult {
     let mut lyra_time = 0.0;
     let mut opt_time = 0.0;
     let mut excess_preemptions = 0usize;
+    // Lyra's side is the incremental engine the orchestrator runs.
+    let mut engine = ReclaimEngine::new();
     for _ in 0..trials {
         let n_servers = rng.gen_range(4..=10usize);
         let n_jobs = rng.gen_range(2..=8usize);
         let need = rng.gen_range(1..=n_servers / 2 + 1);
         let request = random_instance(&mut rng, n_servers, n_jobs, need);
         let t0 = Instant::now();
-        let lyra = reclaim_servers(&request, CostModel::ServerFraction);
+        let lyra = engine.reclaim(&request, CostModel::ServerFraction);
         lyra_time += t0.elapsed().as_secs_f64();
         if lyra.shortfall > 0 {
             continue;
@@ -332,7 +334,7 @@ pub fn reclaim_opt(scale: Scale) -> ExperimentResult {
     let t0 = Instant::now();
     let reps = 200;
     for _ in 0..reps {
-        let _ = reclaim_servers(&big, CostModel::ServerFraction);
+        let _ = engine.reclaim(&big, CostModel::ServerFraction);
     }
     let lyra_big = t0.elapsed().as_secs_f64() / f64::from(reps);
     let t0 = Instant::now();

@@ -6,7 +6,7 @@ use crate::tables::{render, render_series};
 use crate::{ExperimentResult, Scale};
 use lyra_core::job::{JobSpec, ModelFamily};
 use lyra_core::policies::{JobScheduler, LyraScheduler, PolluxConfig, PolluxScheduler};
-use lyra_core::reclaim::{cost_table, reclaim_servers, CostModel};
+use lyra_core::reclaim::{cost_table, CostModel, ReclaimEngine};
 use lyra_core::snapshot::{PendingJobView, PoolKind, ServerView, Snapshot};
 use lyra_core::{
     solve_mckp, two_phase_allocate, AllocationConfig, GpuType, McKnapsackGroup, McKnapsackItem,
@@ -386,13 +386,15 @@ fn duration(s: f64) -> String {
 
 /// Implementation timings: the phase-2 MCKP solve at the paper's
 /// largest instance (§5.2: ≤ 0.02 s), the reclaim heuristic on a small
-/// and a large wave (§4: 1–3 ms per decision), and one Lyra and one
-/// Pollux scheduling epoch on the same snapshot.
+/// and a large wave (§4: 1–3 ms per decision) through the incremental
+/// [`ReclaimEngine`] the orchestrator runs, and one Lyra and one Pollux
+/// scheduling epoch on the same snapshot.
 pub fn impl_timings() -> ExperimentResult {
     let (groups, capacity) = mckp_paper_point();
     let small_wave = random_instance(&mut StdRng::seed_from_u64(2), 16, 32, 5);
     let large_wave = random_instance(&mut StdRng::seed_from_u64(1), 120, 200, 40);
     let snapshot = epoch_snapshot();
+    let mut engine = ReclaimEngine::new();
     let mut lyra = LyraScheduler::default();
     let mut pollux = PolluxScheduler::new(PolluxConfig::default());
     let timings = [
@@ -406,13 +408,13 @@ pub fn impl_timings() -> ExperimentResult {
             "reclaim_16_servers_s",
             "reclaim decision, 16 servers / 32 jobs / 5 demanded",
             "1-3 ms",
-            median_s(|| reclaim_servers(black_box(&small_wave), CostModel::ServerFraction)),
+            median_s(|| engine.reclaim(black_box(&small_wave), CostModel::ServerFraction)),
         ),
         (
             "reclaim_120_servers_s",
             "reclaim decision, 120 servers / 200 jobs / 40 demanded",
             "1-3 ms",
-            median_s(|| reclaim_servers(black_box(&large_wave), CostModel::ServerFraction)),
+            median_s(|| engine.reclaim(black_box(&large_wave), CostModel::ServerFraction)),
         ),
         (
             "lyra_epoch_s",

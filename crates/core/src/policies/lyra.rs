@@ -314,6 +314,10 @@ impl JobScheduler for LyraScheduler {
         "lyra"
     }
 
+    fn special_elastic_placement(&self) -> bool {
+        self.config.placement.special_elastic_treatment
+    }
+
     fn schedule(&mut self, snapshot: &Snapshot) -> Vec<Action> {
         let mut servers = snapshot.servers.clone();
 

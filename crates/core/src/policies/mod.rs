@@ -44,6 +44,15 @@ pub trait JobScheduler {
     /// own seeded state, and must return *feasible* actions: launches and
     /// scale-outs come with placements that fit the snapshot's free GPUs.
     fn schedule(&mut self, snapshot: &Snapshot) -> Vec<Action>;
+
+    /// Whether the workers this policy scales out are labelled
+    /// `Flexible` (§5.3's special elastic placement), so reclaiming can
+    /// scale their jobs in instead of preempting them. `false` labels
+    /// every worker `Base`, Table 6's naive placement, and the
+    /// orchestrator must reclaim everything by preemption.
+    fn special_elastic_placement(&self) -> bool {
+        true
+    }
 }
 
 /// Builds a scale-in removal for `k` workers of a running elastic job,

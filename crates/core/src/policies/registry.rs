@@ -3,10 +3,8 @@
 //! Experiments select schedulers by *name* ("lyra", "fifo-backfill", …)
 //! in their scenario config; the registry maps each name to a builder
 //! that produces a boxed [`JobScheduler`] trait object. The simulator and
-//! `lyra-bench` resolve names through [`PolicyRegistry::builtin`], and an
-//! embedding application can [`register`](PolicyRegistry::register) its
-//! own policies next to the built-ins — the ablation runner sweeps
-//! whatever the registry holds.
+//! `lyra-bench` resolve names through [`PolicyRegistry::builtin`], and the
+//! ablation runner sweeps every name it holds.
 
 use super::{
     AfsScheduler, FifoScheduler, GandivaScheduler, JobScheduler, LyraConfig, LyraScheduler,
@@ -30,20 +28,16 @@ pub struct PolicyContext {
     pub opportunistic_gpus: u32,
 }
 
-/// A boxed policy-builder closure: context in, fresh scheduler out.
-pub type PolicyBuilder = Box<dyn Fn(&PolicyContext) -> Box<dyn JobScheduler> + Send + Sync>;
+/// A policy builder: context in, fresh scheduler out.
+pub type PolicyBuilder = fn(&PolicyContext) -> Box<dyn JobScheduler>;
 
-/// One registered policy: a name, a summary line for listings, and the
+/// One built-in policy: a name, a summary line for listings, and the
 /// builder.
 pub struct PolicyEntry {
     /// Unique lookup name (kebab-case by convention).
-    pub name: String,
+    pub name: &'static str,
     /// One-line description for `lyra-bench` listings.
-    pub summary: String,
-    /// Whether the engine must disable §5.3's special elastic placement
-    /// when running this policy (Table 6's naive-placement ablation
-    /// expects no server to be labelled `Flexible`).
-    pub naive_placement: bool,
+    pub summary: &'static str,
     /// Builds a fresh scheduler instance.
     pub build: PolicyBuilder,
 }
@@ -71,145 +65,102 @@ impl std::fmt::Display for UnknownPolicy {
 impl std::error::Error for UnknownPolicy {}
 
 /// The registry itself: an ordered list of entries (listing order is
-/// registration order, so ablation sweeps are deterministic).
+/// declaration order, so ablation sweeps are deterministic).
 pub struct PolicyRegistry {
     entries: Vec<PolicyEntry>,
 }
 
 impl PolicyRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        PolicyRegistry {
-            entries: Vec::new(),
-        }
-    }
-
     /// The registry holding every built-in policy evaluated in §7, under
-    /// the names scenario configs use.
+    /// the names scenario configs use. A new policy is a new entry here.
     pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register_fn("fifo", "strict FIFO, no backfill (Baseline)", false, |_| {
-            Box::new(FifoScheduler::new())
-        });
-        r.register_fn("fifo-backfill", "FIFO with backfill", false, |_| {
-            Box::new(FifoScheduler::with_backfill())
-        });
-        r.register_fn(
-            "opportunistic",
-            "FIFO queueing fungible jobs to idle inference GPUs only",
-            false,
-            |ctx| Box::new(FifoScheduler::opportunistic(ctx.opportunistic_gpus)),
-        );
-        r.register_fn(
-            "lyra",
-            "two-phase allocation + BFD placement (§5)",
-            false,
-            |_| Box::new(LyraScheduler::default()),
-        );
-        r.register_fn(
-            "lyra-no-elastic",
-            "Lyra with the elastic phase disabled (loaning-only rows)",
-            false,
-            |_| Box::new(LyraScheduler::new(LyraConfig::loaning_only())),
-        );
-        r.register_fn(
-            "lyra-naive-placement",
-            "Lyra without §5.3's special elastic placement (Table 6)",
-            true,
-            |_| {
-                Box::new(LyraScheduler::new(LyraConfig {
-                    allocation: AllocationConfig::default(),
-                    placement: PlacementConfig {
-                        special_elastic_treatment: false,
+        fn entry(name: &'static str, summary: &'static str, build: PolicyBuilder) -> PolicyEntry {
+            PolicyEntry {
+                name,
+                summary,
+                build,
+            }
+        }
+        PolicyRegistry {
+            entries: vec![
+                entry("fifo", "strict FIFO, no backfill (Baseline)", |_| {
+                    Box::new(FifoScheduler::new())
+                }),
+                entry("fifo-backfill", "FIFO with backfill", |_| {
+                    Box::new(FifoScheduler::with_backfill())
+                }),
+                entry(
+                    "opportunistic",
+                    "FIFO queueing fungible jobs to idle inference GPUs only",
+                    |ctx| Box::new(FifoScheduler::opportunistic(ctx.opportunistic_gpus)),
+                ),
+                entry("lyra", "two-phase allocation + BFD placement (§5)", |_| {
+                    Box::new(LyraScheduler::default())
+                }),
+                entry(
+                    "lyra-no-elastic",
+                    "Lyra with the elastic phase disabled (loaning-only rows)",
+                    |_| Box::new(LyraScheduler::new(LyraConfig::loaning_only())),
+                ),
+                entry(
+                    "lyra-naive-placement",
+                    "Lyra without §5.3's special elastic placement (Table 6)",
+                    |_| {
+                        Box::new(LyraScheduler::new(LyraConfig {
+                            allocation: AllocationConfig::default(),
+                            placement: PlacementConfig {
+                                special_elastic_treatment: false,
+                            },
+                        }))
                     },
-                }))
-            },
-        );
-        r.register_fn("gandiva", "opportunistic grow/shrink comparator", false, |_| {
-            Box::new(GandivaScheduler::new())
-        });
-        r.register_fn(
-            "afs",
-            "greedy marginal-throughput-per-GPU comparator",
-            false,
-            |_| Box::new(AfsScheduler::new()),
-        );
-        r.register_fn(
-            "pollux",
-            "goodput + genetic-algorithm comparator",
-            false,
-            |ctx| {
-                Box::new(PolluxScheduler::new(PolluxConfig {
-                    seed: ctx.seed,
-                    ..PolluxConfig::default()
-                }))
-            },
-        );
-        r.register_fn(
-            "lyra-las",
-            "Lyra with least-attained-service phase-1 ordering",
-            false,
-            |_| {
-                Box::new(LyraScheduler::new(LyraConfig {
-                    allocation: AllocationConfig {
-                        phase1: Phase1Order::Las,
-                        ..AllocationConfig::default()
+                ),
+                entry("gandiva", "opportunistic grow/shrink comparator", |_| {
+                    Box::new(GandivaScheduler::new())
+                }),
+                entry(
+                    "afs",
+                    "greedy marginal-throughput-per-GPU comparator",
+                    |_| Box::new(AfsScheduler::new()),
+                ),
+                entry("pollux", "goodput + genetic-algorithm comparator", |ctx| {
+                    Box::new(PolluxScheduler::new(PolluxConfig {
+                        seed: ctx.seed,
+                        ..PolluxConfig::default()
+                    }))
+                }),
+                entry(
+                    "lyra-las",
+                    "Lyra with least-attained-service phase-1 ordering",
+                    |_| {
+                        Box::new(LyraScheduler::new(LyraConfig {
+                            allocation: AllocationConfig {
+                                phase1: Phase1Order::Las,
+                                ..AllocationConfig::default()
+                            },
+                            placement: PlacementConfig::default(),
+                        }))
                     },
-                    placement: PlacementConfig::default(),
-                }))
-            },
-        );
-        r.register_fn(
-            "lyra-greedy-phase2",
-            "Lyra with the greedy phase-2 solver instead of the knapsack",
-            false,
-            |_| {
-                Box::new(LyraScheduler::new(LyraConfig {
-                    allocation: AllocationConfig {
-                        phase2: Phase2Solver::Greedy,
-                        ..AllocationConfig::default()
+                ),
+                entry(
+                    "lyra-greedy-phase2",
+                    "Lyra with the greedy phase-2 solver instead of the knapsack",
+                    |_| {
+                        Box::new(LyraScheduler::new(LyraConfig {
+                            allocation: AllocationConfig {
+                                phase2: Phase2Solver::Greedy,
+                                ..AllocationConfig::default()
+                            },
+                            placement: PlacementConfig::default(),
+                        }))
                     },
-                    placement: PlacementConfig::default(),
-                }))
-            },
-        );
-        r
-    }
-
-    /// Registers an entry, replacing any existing entry with the same
-    /// name in place (so an override keeps the original sweep position).
-    pub fn register(&mut self, entry: PolicyEntry) {
-        match self.entries.iter_mut().find(|e| e.name == entry.name) {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
+                ),
+            ],
         }
     }
 
-    /// [`register`](Self::register) from parts, for builders that are
-    /// plain closures.
-    pub fn register_fn(
-        &mut self,
-        name: &str,
-        summary: &str,
-        naive_placement: bool,
-        build: impl Fn(&PolicyContext) -> Box<dyn JobScheduler> + Send + Sync + 'static,
-    ) {
-        self.register(PolicyEntry {
-            name: name.to_string(),
-            summary: summary.to_string(),
-            naive_placement,
-            build: Box::new(build),
-        });
-    }
-
-    /// Every registered name, in registration order.
+    /// Every built-in name, in declaration order.
     pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> &[PolicyEntry] {
-        &self.entries
+        self.entries.iter().map(|e| e.name).collect()
     }
 
     /// Looks up one entry by name.
@@ -230,11 +181,6 @@ impl PolicyRegistry {
         })
     }
 
-    /// Whether `name` resolves.
-    pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
     /// Builds a fresh scheduler for `name`.
     ///
     /// # Errors
@@ -246,13 +192,7 @@ impl PolicyRegistry {
         name: &str,
         ctx: &PolicyContext,
     ) -> Result<Box<dyn JobScheduler>, UnknownPolicy> {
-        match self.get(name) {
-            Some(entry) => Ok((entry.build)(ctx)),
-            None => Err(UnknownPolicy {
-                name: name.to_string(),
-                known: self.names().iter().map(|n| n.to_string()).collect(),
-            }),
-        }
+        self.get_checked(name).map(|entry| (entry.build)(ctx))
     }
 }
 
@@ -299,33 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn register_replaces_in_place() {
-        let mut reg = PolicyRegistry::builtin();
-        let before = reg
-            .names()
-            .iter()
-            .position(|n| *n == "lyra")
-            .expect("lyra registered");
-        reg.register_fn("lyra", "override", false, |_| {
-            Box::new(FifoScheduler::new())
-        });
-        let after = reg
-            .names()
-            .iter()
-            .position(|n| *n == "lyra")
-            .expect("lyra still registered");
-        assert_eq!(before, after, "override keeps sweep position");
-        assert_eq!(reg.get("lyra").expect("entry").summary, "override");
-        let built = reg
-            .build("lyra", &PolicyContext::default())
-            .expect("override builds");
-        assert_eq!(built.name(), "fifo");
-    }
-
-    #[test]
-    fn naive_placement_metadata_is_carried() {
+    fn only_naive_placement_drops_the_flexible_label() {
         let reg = PolicyRegistry::builtin();
-        assert!(reg.get("lyra-naive-placement").expect("entry").naive_placement);
-        assert!(!reg.get("lyra").expect("entry").naive_placement);
+        for name in reg.names() {
+            let policy = reg
+                .build(name, &PolicyContext::default())
+                .expect("builtin builds");
+            assert_eq!(
+                policy.special_elastic_placement(),
+                name != "lyra-naive-placement",
+                "{name}"
+            );
+        }
     }
 }

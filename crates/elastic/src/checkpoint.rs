@@ -7,51 +7,23 @@
 //! *last completed checkpoint*, not from the exact preemption point — the
 //! work since that checkpoint is lost even for checkpointing jobs.
 
-use serde::{Deserialize, Serialize};
-
-/// Periodic checkpointing policy of one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointPolicy {
-    /// Work units (reference worker-seconds) between checkpoints.
-    pub interval_work: f64,
-    /// Seconds to save + restore a checkpoint around a preemption (§7.5
-    /// measures the full preempt–resume cycle at 63 s).
-    pub overhead_s: f64,
-}
-
-impl CheckpointPolicy {
-    /// A policy checkpointing every `interval_work` units with the
-    /// testbed-measured 63 s overhead.
-    pub fn every(interval_work: f64) -> Self {
-        CheckpointPolicy {
-            interval_work: interval_work.max(1e-9),
-            overhead_s: 63.0,
-        }
+/// Work preserved when a job checkpointing every `interval_work` work
+/// units is preempted after completing `done` of them: the last multiple
+/// of the interval.
+///
+/// # Examples
+///
+/// ```
+/// use lyra_elastic::checkpoint::preserved_work;
+/// assert_eq!(preserved_work(250.0, 100.0), 200.0);
+/// assert_eq!(preserved_work(99.9, 100.0), 0.0);
+/// ```
+pub fn preserved_work(done: f64, interval_work: f64) -> f64 {
+    if done <= 0.0 {
+        return 0.0;
     }
-
-    /// Work preserved when preempted after completing `done` work units:
-    /// the last multiple of the interval.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lyra_elastic::checkpoint::CheckpointPolicy;
-    /// let p = CheckpointPolicy::every(100.0);
-    /// assert_eq!(p.preserved_work(250.0), 200.0);
-    /// assert_eq!(p.preserved_work(99.9), 0.0);
-    /// ```
-    pub fn preserved_work(&self, done: f64) -> f64 {
-        if done <= 0.0 {
-            return 0.0;
-        }
-        let interval = self.interval_work.max(1e-9);
-        ((done / interval).floor() * interval).min(done)
-    }
-
-    /// Work lost to the preemption (progress since the last checkpoint).
-    pub fn lost_work(&self, done: f64) -> f64 {
-        (done - self.preserved_work(done)).max(0.0)
-    }
+    let interval = interval_work.max(1e-9);
+    ((done / interval).floor() * interval).min(done)
 }
 
 #[cfg(test)]
@@ -60,31 +32,21 @@ mod tests {
 
     #[test]
     fn preserves_whole_checkpoints_only() {
-        let p = CheckpointPolicy::every(60.0);
-        assert_eq!(p.preserved_work(0.0), 0.0);
-        assert_eq!(p.preserved_work(59.0), 0.0);
-        assert_eq!(p.preserved_work(60.0), 60.0);
-        assert_eq!(p.preserved_work(185.0), 180.0);
-        assert!((p.lost_work(185.0) - 5.0).abs() < 1e-9);
+        assert_eq!(preserved_work(0.0, 60.0), 0.0);
+        assert_eq!(preserved_work(59.0, 60.0), 0.0);
+        assert_eq!(preserved_work(60.0, 60.0), 60.0);
+        assert_eq!(preserved_work(185.0, 60.0), 180.0);
     }
 
     #[test]
     fn negative_and_zero_inputs_are_safe() {
-        let p = CheckpointPolicy::every(60.0);
-        assert_eq!(p.preserved_work(-5.0), 0.0);
-        assert_eq!(p.lost_work(-5.0), 0.0);
+        assert_eq!(preserved_work(-5.0, 60.0), 0.0);
     }
 
     #[test]
     fn degenerate_interval_is_clamped() {
-        let p = CheckpointPolicy::every(0.0);
         // Clamped to a positive epsilon: everything is preserved.
-        assert!(p.preserved_work(10.0) <= 10.0 + 1e-9);
-        assert!(p.preserved_work(10.0) > 9.999);
-    }
-
-    #[test]
-    fn default_overhead_matches_testbed() {
-        assert_eq!(CheckpointPolicy::every(100.0).overhead_s, 63.0);
+        assert!(preserved_work(10.0, 0.0) <= 10.0 + 1e-9);
+        assert!(preserved_work(10.0, 0.0) > 9.999);
     }
 }

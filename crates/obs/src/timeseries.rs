@@ -211,14 +211,8 @@ impl Histogram {
     }
 }
 
-/// Bucket bounds of the job-completion histogram, seconds (1 min …
-/// 7 days, then overflow).
-const DURATION_BOUNDS_S: &[f64] = &[
-    60.0, 300.0, 900.0, 3_600.0, 7_200.0, 21_600.0, 43_200.0, 86_400.0, 172_800.0, 604_800.0,
-];
-
-/// The per-run metrics store: named ring series, cumulative counters,
-/// the two epoch histograms and the job-completion histogram.
+/// The per-run metrics store: named ring series, cumulative counters
+/// and the two epoch histograms.
 ///
 /// It is `serde`-serialisable because it travels in the run report
 /// (`SimReport::telemetry`) and in its `--json` archive.
@@ -240,8 +234,6 @@ pub struct Telemetry {
     pub epoch_span_ms: Histogram,
     /// Modelled scheduler decision latency per epoch, milliseconds.
     pub decision_latency_ms: Histogram,
-    /// Completion time of each finished job, seconds (`sim.jct_s`).
-    pub jct_s: Histogram,
 }
 
 impl Default for Telemetry {
@@ -266,7 +258,6 @@ impl Telemetry {
             epoch_span_ms: Histogram::log2(0, 20),
             // 1 ms .. ~65 s covers modelled control-plane latencies.
             decision_latency_ms: Histogram::log2(0, 16),
-            jct_s: Histogram::with_bounds(DURATION_BOUNDS_S),
         }
     }
 
@@ -303,10 +294,9 @@ impl Telemetry {
         }
     }
 
-    /// Counts one logged event: bumps the counter its kind maps to and
-    /// feeds a `JobComplete`'s completion time into
-    /// [`Telemetry::jct_s`]. A live run and a replayed log
-    /// therefore count the same events the same way.
+    /// Counts one logged event: bumps the counter its kind maps to. A
+    /// live run and a replayed log therefore count the same events the
+    /// same way.
     pub fn observe(&mut self, event: &SchedEvent) {
         let name = match event {
             SchedEvent::JobAdmit { .. } => "sim.jobs.admitted",
@@ -316,10 +306,7 @@ impl Telemetry {
             SchedEvent::ControllerRescale { .. } => "elastic.rendezvous.ops",
             SchedEvent::FlexRelease { .. } => "cluster.flex_release.ops",
             SchedEvent::JobPreempt { .. } => "sim.jobs.preemptions",
-            SchedEvent::JobComplete { jct_s, .. } => {
-                self.jct_s.observe(*jct_s);
-                "sim.jobs.completed"
-            }
+            SchedEvent::JobComplete { .. } => "sim.jobs.completed",
             SchedEvent::DeadlineMiss { .. } => "sim.deadline.missed",
             SchedEvent::LoanGrant { .. } => "cluster.loan.ops",
             SchedEvent::ReclaimGrant { .. } => "cluster.reclaim.ops",
@@ -601,7 +588,6 @@ mod tests {
             t.sample_rates(i * 500);
             t.decision_latency_ms.observe(5.0);
             t.count("sim.jobs.completed");
-            t.jct_s.observe((i * 60) as f64);
         }
         let json = serde_json::to_string(&t).expect("serialises");
         assert_eq!(json, serde_json::to_string(&t).expect("serialises"));

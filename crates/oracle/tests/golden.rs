@@ -122,7 +122,6 @@ fn sink_and_replay_agree_with_the_in_memory_run() {
         }
         let live = &memory.telemetry;
         assert!(replayed.counters().eq(live.counters()), "{}", case.name);
-        assert_eq!(replayed.jct_s, live.jct_s, "{}", case.name);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

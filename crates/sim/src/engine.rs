@@ -38,7 +38,6 @@ use lyra_core::snapshot::{
     Action, PendingJobView, PoolKind, RunningJobView, ServerGroup, ServerId, Snapshot,
 };
 use lyra_core::tuning::GoodputModel;
-use lyra_elastic::controller::{ControllerEvent, ElasticController};
 use lyra_elastic::hetero::{hetero_rate_scaled, HeteroGroup};
 pub use lyra_obs::ObserverConfig;
 use lyra_obs::{Observer, SchedEvent};
@@ -77,11 +76,6 @@ pub struct SimConfig {
     /// span), so the post-trace drain does not dilute the utilisation
     /// columns. `0` means the whole run.
     pub usage_horizon_s: f64,
-    /// Whether the scheduling policy applies §5.3's special elastic
-    /// placement. When false (Table 6's ablation) flexible workers are
-    /// not segregated, so no server may be labelled `Flexible` — the
-    /// orchestrator must reclaim everything via preemption.
-    pub special_placement: bool,
     /// Checkpoint interval for jobs with checkpointing, in work units
     /// (reference worker-seconds). Preempted checkpointing jobs resume
     /// from the last completed checkpoint, not the exact preemption
@@ -109,7 +103,6 @@ impl Default for SimConfig {
             tuned: false,
             drain_horizon_s: 30.0 * 86_400.0,
             usage_horizon_s: 0.0,
-            special_placement: true,
             checkpoint_interval_work: 600.0,
             reclaim_retry_backoff_s: 300.0,
             reclaim_deadline_s: 1_800.0,
@@ -150,6 +143,22 @@ impl PartialOrd for Event {
     }
 }
 
+/// What tells one caller's membership change apart from another's (see
+/// [`Simulation::resize`]).
+#[derive(Debug, Clone, Copy)]
+struct ResizeCharge {
+    /// Cause the rendezvous pause is charged to.
+    pause_cause: lyra_obs::DelayCause,
+    /// A malleable job's explicit resize cost (`expand_cost_s` or
+    /// `shrink_cost_s`), stalled after the rendezvous pause.
+    cost_s: f64,
+    /// Cause `cost_s` is charged to.
+    cost_cause: lyra_obs::DelayCause,
+    /// Whether the change is a controller-coordinated rescale that logs
+    /// a `ControllerRescale`; an involuntary worker loss is not.
+    controller_rescale: bool,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
     Pending,
@@ -183,9 +192,6 @@ struct SimJob {
     resume_cause: Option<lyra_obs::DelayCause>,
     /// Stale-finish guard.
     generation: u64,
-    /// §6's per-job controller: coordinates worker join/departure and
-    /// accounts the rendezvous pauses.
-    controller: Option<ElasticController>,
     record: JobRecord,
 }
 
@@ -210,7 +216,6 @@ impl SimJob {
             resume_overhead_s: 0.0,
             resume_cause: None,
             generation: 0,
-            controller: None,
             spec,
         }
     }
@@ -358,7 +363,7 @@ pub struct Simulation {
     running_jobs: std::collections::BTreeSet<usize>,
     /// Σ `(w_max − workers) × gpus_per_worker` over running elastic
     /// fungible jobs — the scale-out term of loan demand. Maintained by
-    /// the `Launch` arm, `rescale` and `leave_running` so the per-epoch
+    /// the `Launch` arm, `resize` and `leave_running` so the per-epoch
     /// demand check is O(1) instead of a walk over the running set.
     elastic_headroom_gpus: u64,
     /// Σ workers over running elastic jobs — the `elastic.workers`
@@ -998,12 +1003,6 @@ impl Simulation {
                 let resume_cause = j.resume_cause.take();
                 j.resume_overhead_s = 0.0;
                 j.stall(now, launch_delay_s + resume_s);
-                if j.spec.is_elastic() {
-                    j.controller = Some(ElasticController::new(
-                        *workers,
-                        self.config.rendezvous_pause_s,
-                    ));
-                }
                 self.elastic_headroom_gpus += Self::headroom_gpus(&self.jobs[idx]);
                 self.elastic_workers += Self::elastic_workers_of(&self.jobs[idx]);
                 self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
@@ -1049,7 +1048,7 @@ impl Simulation {
                     )));
                 }
                 let gpw = self.jobs[idx].spec.gpus_per_worker;
-                let group = if self.config.special_placement {
+                let group = if self.policy.special_elastic_placement() {
                     ServerGroup::Flexible
                 } else {
                     ServerGroup::Base
@@ -1067,29 +1066,26 @@ impl Simulation {
                 let on_loan = placement
                     .iter()
                     .any(|(sid, _)| self.cluster.is_loaned(*sid));
-                // Malleable jobs charge an explicit expand cost on top of
-                // the rendezvous pause.
-                let expand_cost = self.jobs[idx].spec.expand_cost_s;
-                let pause = self.rescale(idx, placement, true, false, expand_cost)?;
                 if on_loan {
                     self.jobs[idx].record.ran_on_loan = true;
                 }
-                if self.observer.is_some() {
-                    let servers = placement.iter().map(|(sid, _)| sid.0).collect();
-                    self.emit(SchedEvent::JobScaleOut {
+                // Malleable jobs charge an explicit expand cost on top of
+                // the rendezvous pause.
+                let charge = ResizeCharge {
+                    pause_cause: lyra_obs::DelayCause::Rendezvous,
+                    cost_s: self.jobs[idx].spec.expand_cost_s,
+                    cost_cause: lyra_obs::DelayCause::LaunchOverhead,
+                    controller_rescale: true,
+                };
+                self.resize(idx, placement, true, charge, |workers| {
+                    SchedEvent::JobScaleOut {
                         job: job.0,
                         delta: *extra,
-                        workers: self.jobs[idx].workers,
+                        workers,
                         on_loan,
-                        servers,
-                    });
-                    self.note_rescale(idx, pause);
-                    self.emit_stall(job.0, lyra_obs::DelayCause::Rendezvous, pause);
-                    self.emit_stall(job.0, lyra_obs::DelayCause::LaunchOverhead, expand_cost);
-                    if !self.slowdown.is_empty() {
-                        self.note_straggle(idx);
+                        servers: placement.iter().map(|(sid, _)| sid.0).collect(),
                     }
-                }
+                })?;
             }
             Action::ScaleIn { job, removal } => {
                 let idx = self.job_index(*job)?;
@@ -1107,45 +1103,51 @@ impl Simulation {
                         workers: *w,
                     });
                 }
-                let shrink_cost = self.jobs[idx].spec.shrink_cost_s;
-                let pause = self.rescale(idx, removal, false, false, shrink_cost)?;
-                self.emit(SchedEvent::JobScaleIn {
-                    job: job.0,
-                    delta: removal.iter().map(|(_, w)| w).sum(),
-                    workers: self.jobs[idx].workers,
-                });
-                self.note_rescale(idx, pause);
                 // A policy scale-in means the knapsack withdrew flexible
                 // workers this round.
-                self.emit_stall(job.0, lyra_obs::DelayCause::MckpDenial, pause);
-                self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
-                if !self.slowdown.is_empty() {
-                    self.note_straggle(idx);
-                }
+                let charge = ResizeCharge {
+                    pause_cause: lyra_obs::DelayCause::MckpDenial,
+                    cost_s: self.jobs[idx].spec.shrink_cost_s,
+                    cost_cause: lyra_obs::DelayCause::LoanScaleIn,
+                    controller_rescale: true,
+                };
+                self.resize(idx, removal, false, charge, |workers| {
+                    SchedEvent::JobScaleIn {
+                        job: job.0,
+                        delta: removal.iter().map(|(_, w)| w).sum(),
+                        workers,
+                    }
+                })?;
             }
         }
         Ok(())
     }
 
-    /// Resizes running job `idx` by `change` (workers per server, all of
-    /// them flexible): adds them when `grow`, removes them otherwise. The
-    /// caller has already updated the cluster and the RM. `lost` marks an
-    /// involuntary loss, which the controller accounts as a failure.
-    /// Progress stalls for the rendezvous pause and then for `cost_s`
-    /// (a malleable job's explicit resize cost). Returns the pause.
+    /// The one membership change of running job `idx`: `change` (workers
+    /// per server, all of them flexible) joins it when `grow` and leaves
+    /// it otherwise. The caller has already updated the cluster and the
+    /// RM; `charge` and `event` carry what differs between callers.
+    ///
+    /// Progress stalls for one rendezvous pause (§6's controller: one
+    /// collective barrier per change, however many workers move; free
+    /// when an elastic job's worker count does not change) and then for
+    /// `charge.cost_s`. The observer then sees, in order, `event` (given
+    /// the worker count after the change), the `ControllerRescale` when
+    /// `charge` asks for one, both pauses as `JobStall`s and the job's
+    /// new straggler factor.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when a shrink removes workers the job does
     /// not have on a server, or more than its flexible workers.
-    fn rescale(
+    fn resize(
         &mut self,
         idx: usize,
         change: &[(ServerId, u32)],
         grow: bool,
-        lost: bool,
-        cost_s: f64,
-    ) -> Result<f64, SimError> {
+        charge: ResizeCharge,
+        event: impl FnOnce(u32) -> SchedEvent,
+    ) -> Result<(), SimError> {
         let now = self.now_s;
         let headroom_before = Self::headroom_gpus(&self.jobs[idx]);
         let elastic_before = Self::elastic_workers_of(&self.jobs[idx]);
@@ -1170,20 +1172,19 @@ impl Simulation {
             j.flexible_workers -= delta;
         }
         j.record.scaling_ops += 1;
-        let pause = match j.controller.as_mut() {
-            Some(c) => {
-                let event = if lost {
-                    c.workers_lost(j.workers)
-                } else {
-                    c.resize(j.workers)
-                };
-                event.map_or(0.0, |ControllerEvent::Rescaled { pause_s, .. }| pause_s)
-            }
-            None => self.config.rendezvous_pause_s,
+        let elastic = j.spec.is_elastic();
+        let pause = if elastic && delta == 0 {
+            0.0
+        } else {
+            self.config.rendezvous_pause_s
         };
-        j.stall(now, pause);
-        if cost_s > 0.0 {
-            j.stall(now, cost_s);
+        {
+            let _timing =
+                (elastic && delta > 0).then(|| lyra_obs::span::span("elastic.rendezvous"));
+            j.stall(now, pause);
+        }
+        if charge.cost_s > 0.0 {
+            j.stall(now, charge.cost_s);
         }
         self.mark_servers_dirty(change);
         self.mark_running_dirty(idx);
@@ -1194,19 +1195,25 @@ impl Simulation {
             self.elastic_workers - elastic_before + Self::elastic_workers_of(&self.jobs[idx]);
         self.jobs[idx].rate = self.compute_rate(&self.jobs[idx]);
         self.reschedule_finish(idx);
-        Ok(pause)
-    }
-
-    /// Emits the `ControllerRescale` of a resize that paused job `idx`
-    /// for `pause` under its controller (no-op without an observer).
-    fn note_rescale(&mut self, idx: usize, pause: f64) {
-        if self.jobs[idx].controller.is_some() && pause > 0.0 {
+        if self.observer.is_none() {
+            return Ok(());
+        }
+        let job = self.jobs[idx].spec.id.0;
+        let workers = self.jobs[idx].workers;
+        self.emit(event(workers));
+        if charge.controller_rescale && elastic && pause > 0.0 {
             self.emit(SchedEvent::ControllerRescale {
-                job: self.jobs[idx].spec.id.0,
-                workers: self.jobs[idx].workers,
+                job,
+                workers,
                 pause_s: pause,
             });
         }
+        self.emit_stall(job, charge.pause_cause, pause);
+        self.emit_stall(job, charge.cost_cause, charge.cost_s);
+        if !self.slowdown.is_empty() {
+            self.note_straggle(idx);
+        }
+        Ok(())
     }
 
     /// Applies a forced scale-in from the orchestrator's flexible-group
@@ -1234,20 +1241,19 @@ impl Simulation {
         }
         // A forced flex release is still a shrink; malleable jobs pay
         // their explicit shrink cost here too.
-        let shrink_cost = j.spec.shrink_cost_s;
-        let pause = self.rescale(idx, &[(server, workers)], false, false, shrink_cost)?;
-        self.emit(SchedEvent::FlexRelease {
-            job: job.0,
-            server: server.0,
-            workers,
-        });
-        self.note_rescale(idx, pause);
-        self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, pause);
-        self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
-        if !self.slowdown.is_empty() {
-            self.note_straggle(idx);
-        }
-        Ok(())
+        let charge = ResizeCharge {
+            pause_cause: lyra_obs::DelayCause::LoanScaleIn,
+            cost_s: j.spec.shrink_cost_s,
+            cost_cause: lyra_obs::DelayCause::LoanScaleIn,
+            controller_rescale: true,
+        };
+        self.resize(idx, &[(server, workers)], false, charge, |_| {
+            SchedEvent::FlexRelease {
+                job: job.0,
+                server: server.0,
+                workers,
+            }
+        })
     }
 
     /// Takes job `idx` out of the running set (its progress already
@@ -1282,21 +1288,18 @@ impl Simulation {
     fn requeue(&mut self, idx: usize, restore: bool, lost_cause: lyra_obs::DelayCause) -> f64 {
         self.jobs[idx].sync(self.now_s);
         self.leave_running(idx);
-        let policy = lyra_elastic::CheckpointPolicy {
-            interval_work: self.config.checkpoint_interval_work.max(1.0),
-            overhead_s: self.config.preemption_overhead_s,
-        };
+        let interval_work = self.config.checkpoint_interval_work.max(1.0);
         let j = &mut self.jobs[idx];
         j.state = JobState::Pending;
         let done = j.spec.work() - j.work_left;
         if restore {
-            j.work_left = j.spec.work() - policy.preserved_work(done);
+            j.work_left = j.spec.work() - lyra_elastic::preserved_work(done, interval_work);
             j.resume_cause = Some(lyra_obs::DelayCause::CheckpointRestore);
         } else {
             j.work_left = j.spec.work();
             j.resume_cause = Some(lost_cause);
         }
-        j.resume_overhead_s = policy.overhead_s;
+        j.resume_overhead_s = self.config.preemption_overhead_s;
         let lost = (done - (j.spec.work() - j.work_left)).max(0.0);
         self.enqueue(idx);
         lost
@@ -1505,17 +1508,22 @@ impl Simulation {
         server: ServerId,
         workers: u32,
     ) -> Result<(), SimError> {
-        let pause = self.rescale(idx, &[(server, workers)], false, true, 0.0)?;
-        self.fault_stats.elastic_absorbed += 1;
+        // The collective re-forms as for a voluntary resize, but the loss
+        // is no controller-coordinated rescale.
+        let charge = ResizeCharge {
+            pause_cause: lyra_obs::DelayCause::FaultRestart,
+            cost_s: 0.0,
+            cost_cause: lyra_obs::DelayCause::FaultRestart,
+            controller_rescale: false,
+        };
         let job = self.jobs[idx].spec.id.0;
-        self.emit(SchedEvent::Fault {
-            kind: "elastic_absorbed".to_string(),
-            target: job,
-        });
-        self.emit_stall(job, lyra_obs::DelayCause::FaultRestart, pause);
-        if !self.slowdown.is_empty() {
-            self.note_straggle(idx);
-        }
+        self.resize(idx, &[(server, workers)], false, charge, |_| {
+            SchedEvent::Fault {
+                kind: "elastic_absorbed".to_string(),
+                target: job,
+            }
+        })?;
+        self.fault_stats.elastic_absorbed += 1;
         Ok(())
     }
 
@@ -2280,6 +2288,68 @@ mod tests {
         assert_eq!(a, vec![(ServerId(1), 3)]);
         assert!(Simulation::remove_assignment(&mut a, &[(ServerId(1), 5)]).is_err());
         assert!(Simulation::remove_assignment(&mut a, &[(ServerId(9), 1)]).is_err());
+    }
+
+    /// §6's controller: a resize charges one rendezvous pause per
+    /// membership change however many workers move, a change of no
+    /// workers is free, and an absorbed worker loss pauses the job too
+    /// but logs no `ControllerRescale`.
+    #[test]
+    fn resize_charges_one_rendezvous_per_membership_change() {
+        let cluster = ClusterState::new(lyra_cluster::state::ClusterConfig {
+            training_servers: 2,
+            inference_servers: 0,
+            ..Default::default()
+        });
+        let mut sim = Simulation::new(
+            SimConfig::default(),
+            cluster,
+            Box::new(lyra_core::policies::FifoScheduler::new()),
+            None,
+            None,
+            RuntimeEstimator::new(Default::default()),
+            vec![JobSpec::elastic(0, 0.0, 1, 4, 1, 3_600.0)],
+        )
+        .expect("dense ids")
+        .with_observer(ObserverConfig::default())
+        .expect("in-memory observer");
+        let (job, pause) = (JobId(0), SimConfig::default().rendezvous_pause_s);
+        let (base, flex) = (ServerId(0), ServerId(1));
+        sim.enqueue(0);
+        let launch = Action::Launch {
+            job,
+            workers: 1,
+            placement: vec![(base, 1)],
+        };
+        sim.apply_action(&launch).expect("launches");
+        let launched = sim.jobs[0].stall_until_s;
+
+        let grow = Action::ScaleOut {
+            job,
+            extra: 3,
+            placement: vec![(flex, 3)],
+        };
+        sim.apply_action(&grow).expect("scales out");
+        assert_eq!(sim.jobs[0].stall_until_s, launched + pause);
+        let noop = Action::ScaleIn {
+            job,
+            removal: vec![],
+        };
+        sim.apply_action(&noop).expect("empty scale-in");
+        assert_eq!(sim.jobs[0].stall_until_s, launched + pause);
+        sim.apply_worker_loss(0, flex, 3).expect("absorbs the loss");
+        assert_eq!(sim.jobs[0].stall_until_s, launched + 2.0 * pause);
+        assert_eq!(sim.jobs[0].workers, 1);
+
+        let (events, _) = sim.observer.take().expect("observer").into_products();
+        let rescales: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                SchedEvent::ControllerRescale { workers, .. } => Some(workers),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rescales, [4], "only the scale-out is a controller rescale");
     }
 
     #[test]

@@ -450,13 +450,10 @@ pub(crate) fn build_simulation(
     inference: &InferenceTrace,
 ) -> Result<Simulation, SimError> {
     validate_scenario(scenario, jobs).map_err(|e| SimError(e.to_string()))?;
-    let registry = PolicyRegistry::builtin();
-    let entry = registry
-        .get_checked(&scenario.policy)
-        .map_err(|e| SimError(e.to_string()))?;
-    let naive_placement = entry.naive_placement;
     let ctx = policy_context(scenario, inference);
-    let policy: Box<dyn JobScheduler> = (entry.build)(&ctx);
+    let policy: Box<dyn JobScheduler> = PolicyRegistry::builtin()
+        .build(&scenario.policy, &ctx)
+        .map_err(|e| SimError(e.to_string()))?;
     let cluster = ClusterState::new(scenario.cluster);
     // The inference scheduler is always present — its cluster exists and
     // counts toward overall usage even when loaning is disabled; the
@@ -491,9 +488,6 @@ pub(crate) fn build_simulation(
     let mut sim_config = scenario.sim;
     if sim_config.usage_horizon_s <= 0.0 {
         sim_config.usage_horizon_s = f64::from(jobs.config.days) * 86_400.0;
-    }
-    if naive_placement {
-        sim_config.special_placement = false;
     }
     let mut sim = Simulation::new(
         sim_config,

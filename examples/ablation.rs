@@ -1,5 +1,5 @@
-//! Ablation walkthrough: sweep registered policies across the scenario
-//! zoo, then extend the registry with a custom policy.
+//! Ablation walkthrough: list the built-in policies, then sweep three of
+//! them across the scenario zoo.
 //!
 //! ```text
 //! cargo run --release --example ablation
@@ -9,16 +9,15 @@
 //! (`--smoke` for the CI-sized subset, `--policy <name>` for one
 //! column, `--seed <s>` to move the traces).
 
-use lyra::core::policies::{LyraConfig, LyraScheduler, PolicyRegistry};
-use lyra::core::allocation::Phase1Order;
-use lyra::core::{AllocationConfig, PlacementConfig};
+use lyra::core::policies::PolicyRegistry;
 use lyra::sim::{run_scenario, zoo};
 
 fn main() {
     // Every built-in policy, under the names scenario configs use.
     let registry = PolicyRegistry::builtin();
-    println!("registered policies:");
-    for entry in registry.entries() {
+    println!("built-in policies:");
+    for name in registry.names() {
+        let entry = registry.get(name).expect("a listed name resolves");
         println!("  {:22} {}", entry.name, entry.summary);
     }
 
@@ -48,32 +47,4 @@ fn main() {
             );
         }
     }
-
-    // The registry is open: a custom entry slots a new trait-object
-    // scheduler in next to the built-ins (registering an existing name
-    // replaces it in place, keeping the sweep order stable). Here a
-    // least-attained-service Lyra variant joins under its own name.
-    let mut custom = PolicyRegistry::builtin();
-    custom.register_fn(
-        "my-las",
-        "Lyra with LAS phase-1 ordering (custom entry)",
-        false,
-        |_| {
-            Box::new(LyraScheduler::new(LyraConfig {
-                allocation: AllocationConfig {
-                    phase1: Phase1Order::Las,
-                    ..AllocationConfig::default()
-                },
-                placement: PlacementConfig::default(),
-            }))
-        },
-    );
-    let entry = custom.get("my-las").expect("just registered");
-    println!();
-    println!(
-        "custom registry: {} policies, my-las resolves to {:?}",
-        custom.names().len(),
-        entry.name
-    );
-    assert!(custom.get_checked("no-such").is_err(), "typos stay loud");
 }

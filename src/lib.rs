@@ -13,8 +13,8 @@
 //! * [`trace`] — synthetic production traces and CSV I/O.
 //! * [`predictor`] — the LSTM usage predictor and the running-time
 //!   estimator.
-//! * [`elastic`] — throughput profiles, batch adjustment, the elastic
-//!   worker controller and the heterogeneous-training model.
+//! * [`elastic`] — throughput profiles, checkpointed progress on
+//!   preemption and the heterogeneous-training model.
 //!
 //! ```
 //! use lyra::sim::{run_scenario, Scenario};
